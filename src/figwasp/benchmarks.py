@@ -6,6 +6,9 @@ Branin on [-5, 5]^2, Hartman 3 on [1, 3]^3). Closed-form expressions are
 the standard literature ones. `optimum_witness` records a minimizer only
 where the tabulated minimum is achieved exactly (to 1e-9) inside the
 tabulated range.
+
+Every objective takes one point (d,) or an (n, d) array of points and
+reduces along the last axis, bit-identically for both.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Bounds, ObjectiveProblem, RandomStream, Vector
+from .core import Bounds, ObjectiveProblem, RandomStream, Vector, power
 
 UNIMODAL_SEPARABLE = "unimodal-separable"
 UNIMODAL_NONSEPARABLE = "unimodal-nonseparable"
@@ -27,58 +30,58 @@ SCALABLE_DIMENSIONS = (30, 100, 500, 1000)
 
 
 def sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 def schwefel_222(x):
     ax = np.abs(x)
     with np.errstate(over="ignore"):
         # the |x_i| product overflows to +inf near the corners above ~300 dims
-        return float(np.sum(ax) + np.prod(ax))
+        return np.sum(ax, axis=-1) + np.prod(ax, axis=-1)
 
 
 def schwefel_12(x):
-    return float(np.sum(np.cumsum(x) ** 2))
+    return np.sum(np.cumsum(x, axis=-1) ** 2, axis=-1)
 
 
 def schwefel_221(x):
-    return float(np.max(np.abs(x)))
+    return np.max(np.abs(x), axis=-1)
 
 
 def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    return np.sum(100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (x[..., :-1] - 1.0) ** 2, axis=-1)
 
 
 def step(x):
-    return float(np.sum(np.floor(x + 0.5) ** 2))
+    return np.sum(np.floor(x + 0.5) ** 2, axis=-1)
 
 
 def quartic(x):
-    i = np.arange(1, x.shape[0] + 1)
-    return float(np.sum(i * x**4))
+    i = np.arange(1, x.shape[-1] + 1)
+    return np.sum(i * x**4, axis=-1)
 
 
 def schwefel(x):
-    return float(-np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return -np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 def rastrigin(x):
-    return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0))
+    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
 
 
 def ackley(x):
-    n = x.shape[0]
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / n))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / n)
+    n = x.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / n))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / n)
         + 20.0
         + np.e
     )
 
 
 def griewank(x):
-    i = np.arange(1, x.shape[0] + 1)
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    i = np.arange(1, x.shape[-1] + 1)
+    return np.sum(x * x, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1) + 1.0
 
 
 def _u_penalty(x, a, k, m):
@@ -87,27 +90,27 @@ def _u_penalty(x, a, k, m):
     under = x < -a
     out[over] = k * (x[over] - a) ** m
     out[under] = k * (-x[under] - a) ** m
-    return np.sum(out)
+    return np.sum(out, axis=-1)
 
 
 def penalized(x):
-    n = x.shape[0]
+    n = x.shape[-1]
     y = 1.0 + (x + 1.0) / 4.0
     core = (
-        10.0 * np.sin(np.pi * y[0]) ** 2
-        + np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
-        + (y[-1] - 1.0) ** 2
+        10.0 * power(np.sin(np.pi * y[..., 0]), 2)
+        + np.sum((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), axis=-1)
+        + power(y[..., -1] - 1.0, 2)
     )
-    return float(np.pi / n * core + _u_penalty(x, 10.0, 100.0, 4))
+    return np.pi / n * core + _u_penalty(x, 10.0, 100.0, 4)
 
 
 def penalized2(x):
     core = (
-        np.sin(3.0 * np.pi * x[0]) ** 2
-        + np.sum((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1:]) ** 2))
-        + (x[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[-1]) ** 2)
+        power(np.sin(3.0 * np.pi * x[..., 0]), 2)
+        + np.sum((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), axis=-1)
+        + power(x[..., -1] - 1.0, 2) * (1.0 + power(np.sin(2.0 * np.pi * x[..., -1]), 2))
     )
-    return float(0.1 * core + _u_penalty(x, 5.0, 100.0, 4))
+    return 0.1 * core + _u_penalty(x, 5.0, 100.0, 4)
 
 
 _FOXHOLES_A = np.array(
@@ -120,8 +123,8 @@ _FOXHOLES_A = np.array(
 
 def foxholes(x):
     j = np.arange(1, 26)
-    denom = j + np.sum((x[:, None] - _FOXHOLES_A) ** 6, axis=0)
-    return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / denom)))
+    denom = j + np.sum((x[..., :, None] - _FOXHOLES_A) ** 6, axis=-2)
+    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / denom, axis=-1))
 
 
 _KOWALIK_A = np.array(
@@ -131,37 +134,37 @@ _KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.
 
 
 def kowalik(x):
-    num = x[0] * (_KOWALIK_B**2 + _KOWALIK_B * x[1])
-    den = _KOWALIK_B**2 + _KOWALIK_B * x[2] + x[3]
-    return float(np.sum((_KOWALIK_A - num / den) ** 2))
+    num = x[..., 0, None] * (_KOWALIK_B**2 + _KOWALIK_B * x[..., 1, None])
+    den = _KOWALIK_B**2 + _KOWALIK_B * x[..., 2, None] + x[..., 3, None]
+    return np.sum((_KOWALIK_A - num / den) ** 2, axis=-1)
 
 
 def six_hump_camel(x):
-    x1, x2 = x
-    return float(
-        4.0 * x1**2 - 2.1 * x1**4 + x1**6 / 3.0 + x1 * x2 - 4.0 * x2**2 + 4.0 * x2**4
+    x1, x2 = x[..., 0], x[..., 1]
+    return (
+        4.0 * power(x1, 2) - 2.1 * power(x1, 4) + power(x1, 6) / 3.0 + x1 * x2 - 4.0 * power(x2, 2) + 4.0 * power(x2, 4)
     )
 
 
 def branin(x):
-    x1, x2 = x
+    x1, x2 = x[..., 0], x[..., 1]
     a, b, c = 1.0, 5.1 / (4.0 * np.pi**2), 5.0 / np.pi
-    return float(
-        a * (x2 - b * x1**2 + c * x1 - 6.0) ** 2
+    return (
+        a * power(x2 - b * power(x1, 2) + c * x1 - 6.0, 2)
         + 10.0 * (1.0 - 1.0 / (8.0 * np.pi)) * np.cos(x1)
         + 10.0
     )
 
 
 def goldstein_price(x):
-    x1, x2 = x
-    t1 = 1.0 + (x1 + x2 + 1.0) ** 2 * (
-        19.0 - 14.0 * x1 + 3.0 * x1**2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2**2
+    x1, x2 = x[..., 0], x[..., 1]
+    t1 = 1.0 + power(x1 + x2 + 1.0, 2) * (
+        19.0 - 14.0 * x1 + 3.0 * power(x1, 2) - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * power(x2, 2)
     )
-    t2 = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
-        18.0 - 32.0 * x1 + 12.0 * x1**2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2**2
+    t2 = 30.0 + power(2.0 * x1 - 3.0 * x2, 2) * (
+        18.0 - 32.0 * x1 + 12.0 * power(x1, 2) + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * power(x2, 2)
     )
-    return float(t1 * t2)
+    return t1 * t2
 
 
 _HARTMAN3_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
@@ -177,8 +180,8 @@ _HARTMAN3_P = np.array(
 
 
 def hartman3(x):
-    inner = np.sum(_HARTMAN3_A * (x - _HARTMAN3_P) ** 2, axis=1)
-    return float(-np.sum(_HARTMAN3_ALPHA * np.exp(-inner)))
+    inner = np.sum(_HARTMAN3_A * (x[..., None, :] - _HARTMAN3_P) ** 2, axis=-1)
+    return -np.sum(_HARTMAN3_ALPHA * np.exp(-inner), axis=-1)
 
 
 _HARTMAN6_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
@@ -202,8 +205,8 @@ _HARTMAN6_P = np.array(
 
 
 def hartman6(x):
-    inner = np.sum(_HARTMAN6_A * (x - _HARTMAN6_P) ** 2, axis=1)
-    return float(-np.sum(_HARTMAN6_ALPHA * np.exp(-inner)))
+    inner = np.sum(_HARTMAN6_A * (x[..., None, :] - _HARTMAN6_P) ** 2, axis=-1)
+    return -np.sum(_HARTMAN6_ALPHA * np.exp(-inner), axis=-1)
 
 
 _SHEKEL_A = np.array(
@@ -225,8 +228,8 @@ _SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
 
 
 def _shekel(x, m):
-    diff = x - _SHEKEL_A[:m]
-    return float(-np.sum(1.0 / (np.sum(diff * diff, axis=1) + _SHEKEL_C[:m])))
+    diff = x[..., None, :] - _SHEKEL_A[:m]
+    return -np.sum(1.0 / (np.sum(diff * diff, axis=-1) + _SHEKEL_C[:m]), axis=-1)
 
 
 def shekel5(x):
@@ -307,8 +310,8 @@ def _check_dimension(spec: BenchmarkSpec, dimension: int) -> None:
         )
 
 
-def _noise_term(rng: RandomStream) -> float:
-    return float(rng.uniform())
+def _noise_term(rng: RandomStream, n: int) -> np.ndarray:
+    return rng.uniform(size=n)
 
 
 def make_benchmark(fid: str, dimension: int, include_noise: bool = True) -> ObjectiveProblem:
@@ -328,6 +331,7 @@ def make_benchmark(fid: str, dimension: int, include_noise: bool = True) -> Obje
         bounds=Bounds.box(spec.low, spec.high, dimension),
         objective=spec.objective,
         noise=noise,
+        rowwise=True,
     )
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Bounds, ObjectiveProblem, Vector
+from .core import Bounds, ObjectiveProblem, Vector, power
 
 DEFAULT_PENALTY_COEFFICIENT = 1e6
 
@@ -43,6 +43,10 @@ VariableKind = Continuous | LatticeStep | ValueSet
 
 @dataclass(frozen=True)
 class ConstrainedProblem:
+    """A design problem. ``objective`` and every constraint map one point
+    (d,) to a value and (n, d) points to (n,) values, so the penalized
+    fitness is evaluated row-wise."""
+
     name: str
     variable_names: tuple[str, ...]
     bounds: Bounds
@@ -60,8 +64,10 @@ class ConstrainedProblem:
         return self.bounds.dimension
 
     def violations(self, position: Vector) -> np.ndarray:
-        """max(0, g_j(x)) for every constraint."""
-        return np.array([max(0.0, g(position)) for g in self.constraints])
+        """max(0, g_j(x)) for every constraint: shape (m,) for one point,
+        (n, m) for n points. A NaN g_j counts as no violation."""
+        g = np.stack([np.asarray(c(position), dtype=float) for c in self.constraints], axis=-1)
+        return np.where(g > 0.0, g, 0.0)
 
     def max_violation(self, position: Vector) -> float:
         return float(self.violations(position).max())
@@ -70,38 +76,40 @@ class ConstrainedProblem:
         return self.max_violation(position) <= tol
 
 
-def _snap_to_set(value: float, values: tuple[float, ...]) -> float:
+def _snap_to_set(column: np.ndarray, values: tuple[float, ...]) -> np.ndarray:
     arr = np.asarray(values)
-    dist = np.abs(arr - value)
-    best = dist.min()
+    dist = np.abs(arr - column[..., None])
+    best = dist.min(axis=-1, keepdims=True)
     # equidistant between two members: take the larger one
-    return float(arr[dist == best].max())
+    return np.where(dist == best, arr, -np.inf).max(axis=-1)
 
 
 def repair_discrete(position: Vector, kinds: Sequence[VariableKind]) -> Vector:
-    """Snap discrete coordinates onto their lattice; continuous ones pass through.
+    """Snap discrete coordinates of one point (d,) or of (n, d) points onto
+    their lattice; continuous ones pass through.
 
     Lattice rounding is to the nearest multiple with half-steps rounding up.
     Idempotent, and never moves a coordinate past the adjacent lattice point.
     """
     position = np.asarray(position, dtype=float)
-    if position.shape[0] != len(kinds):
+    if position.shape[-1] != len(kinds):
         raise ValueError("position length does not match variable kinds")
     repaired = position.copy()
     for i, kind in enumerate(kinds):
         if isinstance(kind, LatticeStep):
-            repaired[i] = np.floor(position[i] / kind.step + 0.5) * kind.step
+            repaired[..., i] = np.floor(position[..., i] / kind.step + 0.5) * kind.step
         elif isinstance(kind, ValueSet):
-            repaired[i] = _snap_to_set(position[i], kind.values)
+            repaired[..., i] = _snap_to_set(position[..., i], kind.values)
     return repaired
 
 
-def penalize(problem: ConstrainedProblem, position: Vector, coefficient: float) -> float:
-    """Static quadratic penalty: f(x) + coefficient * sum(max(0, g_j(x))^2)."""
+def penalize(problem: ConstrainedProblem, position: Vector, coefficient: float):
+    """Static quadratic penalty f(x) + coefficient * sum(max(0, g_j(x))^2),
+    for one point (d,) or row-wise for (n, d) points."""
     if coefficient <= 0:
         raise ValueError("penalty coefficient must be positive")
     violation = problem.violations(position)
-    return float(problem.objective(position) + coefficient * np.sum(violation**2))
+    return problem.objective(position) + coefficient * np.sum(violation**2, axis=-1)
 
 
 def to_objective(
@@ -115,7 +123,7 @@ def to_objective(
     """
     kinds = problem.variable_kinds
 
-    def fitness(x: Vector) -> float:
+    def fitness(x: Vector):
         return penalize(problem, repair_discrete(x, kinds), coefficient)
 
     return ObjectiveProblem(
@@ -123,6 +131,7 @@ def to_objective(
         dimension=problem.dimension,
         bounds=problem.bounds,
         objective=fitness,
+        rowwise=True,
     )
 
 
@@ -131,25 +140,25 @@ def pressure_vessel() -> ConstrainedProblem:
     radius and length continuous."""
 
     def cost(x):
-        ts, th, r, length = x
+        ts, th, r, length = x.T
         return (
             0.6224 * ts * r * length
-            + 1.7781 * th * r**2
-            + 3.1661 * ts**2 * length
-            + 19.84 * ts**2 * r
+            + 1.7781 * th * power(r, 2)
+            + 3.1661 * power(ts, 2) * length
+            + 19.84 * power(ts, 2) * r
         )
 
     def g1(x):
-        return -x[0] + 0.0193 * x[2]
+        return -x[..., 0] + 0.0193 * x[..., 2]
 
     def g2(x):
-        return -x[1] + 0.00954 * x[2]
+        return -x[..., 1] + 0.00954 * x[..., 2]
 
     def g3(x):
-        return -np.pi * x[2] ** 2 * x[3] - (4.0 / 3.0) * np.pi * x[2] ** 3 + 1296000.0
+        return -np.pi * power(x[..., 2], 2) * x[..., 3] - (4.0 / 3.0) * np.pi * power(x[..., 2], 3) + 1296000.0
 
     def g4(x):
-        return x[3] - 240.0
+        return x[..., 3] - 240.0
 
     return ConstrainedProblem(
         name="pressure-vessel",
@@ -183,27 +192,27 @@ def stepped_beam() -> ConstrainedProblem:
     """
 
     def volume(x):
-        widths, heights = x[0::2], x[1::2]
-        return float(_BEAM_L * np.sum(widths * heights))
+        widths, heights = x[..., 0::2], x[..., 1::2]
+        return _BEAM_L * np.sum(widths * heights, axis=-1)
 
     def stress(segment):
         moment_arm = (5 - segment) * _BEAM_L  # distance from tip to segment root
 
         def g(x):
-            b, h = x[2 * segment], x[2 * segment + 1]
-            return 6.0 * _BEAM_P * moment_arm / (b * h**2) - _BEAM_SIGMA
+            b, h = x[..., 2 * segment], x[..., 2 * segment + 1]
+            return 6.0 * _BEAM_P * moment_arm / (b * power(h, 2)) - _BEAM_SIGMA
 
         return g
 
     def deflection(x):
-        widths, heights = x[0::2], x[1::2]
+        widths, heights = x[..., 0::2], x[..., 1::2]
         inertia = widths * heights**3 / 12.0
-        tip = _BEAM_P * _BEAM_L**3 / (3.0 * _BEAM_E) * np.sum(np.array(_BEAM_WEIGHTS) / inertia)
-        return float(tip - _BEAM_DEFLECTION)
+        tip = _BEAM_P * _BEAM_L**3 / (3.0 * _BEAM_E) * np.sum(np.array(_BEAM_WEIGHTS) / inertia, axis=-1)
+        return tip - _BEAM_DEFLECTION
 
     def aspect(segment):
         def g(x):
-            b, h = x[2 * segment], x[2 * segment + 1]
+            b, h = x[..., 2 * segment], x[..., 2 * segment + 1]
             return h - 20.0 * b
 
         return g
@@ -247,23 +256,23 @@ _WELD_DELTA_MAX = 0.25
 
 
 def _weld_shear(x):
-    h, l, t, _ = x
+    h, l, t, _ = x.T
     tau_primary = _WELD_P / (np.sqrt(2.0) * h * l)
     moment = _WELD_P * (_WELD_L + l / 2.0)
-    radius = np.sqrt(l**2 / 4.0 + ((h + t) / 2.0) ** 2)
-    polar = 2.0 * (np.sqrt(2.0) * h * l * (l**2 / 12.0 + ((h + t) / 2.0) ** 2))
+    radius = np.sqrt(power(l, 2) / 4.0 + power((h + t) / 2.0, 2))
+    polar = 2.0 * (np.sqrt(2.0) * h * l * (power(l, 2) / 12.0 + power((h + t) / 2.0, 2)))
     tau_secondary = moment * radius / polar
     return np.sqrt(
-        tau_primary**2 + 2.0 * tau_primary * tau_secondary * l / (2.0 * radius) + tau_secondary**2
+        power(tau_primary, 2) + 2.0 * tau_primary * tau_secondary * l / (2.0 * radius) + power(tau_secondary, 2)
     )
 
 
 def _weld_buckling_load(x):
-    _, _, t, b = x
+    _, _, t, b = x.T
     return (
         4.013
         * _WELD_E
-        * np.sqrt(t**2 * b**6 / 36.0)
+        * np.sqrt(power(t, 2) * power(b, 6) / 36.0)
         / _WELD_L**2
         * (1.0 - t / (2.0 * _WELD_L) * np.sqrt(_WELD_E / (4.0 * _WELD_G)))
     )
@@ -273,29 +282,29 @@ def welded_beam() -> ConstrainedProblem:
     """Welded beam cost design with four continuous variables (h, l, t, b)."""
 
     def cost(x):
-        h, l, t, b = x
-        return 1.10471 * h**2 * l + 0.04811 * t * b * (14.0 + l)
+        h, l, t, b = x.T
+        return 1.10471 * power(h, 2) * l + 0.04811 * t * b * (14.0 + l)
 
     def g_shear(x):
         return _weld_shear(x) - _WELD_TAU_MAX
 
     def g_bending(x):
-        _, _, t, b = x
-        return 6.0 * _WELD_P * _WELD_L / (b * t**2) - _WELD_SIGMA_MAX
+        _, _, t, b = x.T
+        return 6.0 * _WELD_P * _WELD_L / (b * power(t, 2)) - _WELD_SIGMA_MAX
 
     def g_geometry(x):
-        return x[0] - x[3]
+        return x[..., 0] - x[..., 3]
 
     def g_budget(x):
-        h, l, t, b = x
-        return 0.10471 * h**2 + 0.04811 * t * b * (14.0 + l) - 5.0
+        h, l, t, b = x.T
+        return 0.10471 * power(h, 2) + 0.04811 * t * b * (14.0 + l) - 5.0
 
     def g_min_weld(x):
-        return 0.125 - x[0]
+        return 0.125 - x[..., 0]
 
     def g_deflection(x):
-        _, _, t, b = x
-        return 4.0 * _WELD_P * _WELD_L**3 / (_WELD_E * t**3 * b) - _WELD_DELTA_MAX
+        _, _, t, b = x.T
+        return 4.0 * _WELD_P * _WELD_L**3 / (_WELD_E * power(t, 3) * b) - _WELD_DELTA_MAX
 
     def g_buckling(x):
         return _WELD_P - _weld_buckling_load(x)

@@ -1,22 +1,27 @@
 """Problem model, bounds arithmetic, and the seeded random-stream contract.
 
 Everything downstream (engine, benchmarks, harness) builds on three pieces:
-a validated box-constraint type, an objective wrapper with an evaluation
-counter, and a counter-based random stream so that any run is reproducible
-from a single 64-bit seed.
+a validated box-constraint type, a batched objective wrapper with an
+evaluation counter, and a counter-based random stream so that any run is
+reproducible from a single 64-bit seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 Vector = np.ndarray
 
 _MASK64 = (1 << 64) - 1
+
+# Objectives raise single coordinates to powers with `power`, libm pow for a
+# float64 scalar (a call on one point) and a column (a row-wise call) alike;
+# `**` takes different routes for the two that can disagree in the last bit.
+power = np.float_power
 
 
 @dataclass(frozen=True)
@@ -55,12 +60,13 @@ class Bounds:
     def contains(self, position: Vector) -> bool:
         return bool(np.all(position >= self.lower) and np.all(position <= self.upper))
 
-    def neighborhood(self, center: Vector, radius: float) -> "Bounds":
-        """[center - radius, center + radius] intersected with this box.
+    def neighborhood(self, center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) of [center - radius, center + radius] intersected
+        with this box, for centers of shape (..., dimension).
 
         A radius below the center's floating-point spacing would produce a
         zero-width interval; such dimensions are widened by one ulp (staying
-        inside the box) so the result is always a valid Bounds.
+        inside the box) so every interval keeps lower < upper.
         """
         lo = np.maximum(center - radius, self.lower)
         hi = np.minimum(center + radius, self.upper)
@@ -69,23 +75,27 @@ class Bounds:
             hi = np.where(degenerate, np.minimum(np.nextafter(hi, np.inf), self.upper), hi)
             degenerate = lo >= hi
             lo = np.where(degenerate, np.maximum(np.nextafter(lo, -np.inf), self.lower), lo)
-        return Bounds(lo, hi)
+        return lo, hi
 
 
 @dataclass(frozen=True)
 class ObjectiveProblem:
     """A box-constrained minimization problem.
 
-    ``objective`` maps a position vector to a scalar. Stochastic objectives
-    carry an extra ``noise`` hook drawing from the caller's stream, so runs
-    stay reproducible (noise never comes from a global source).
+    ``objective`` maps a position vector to a scalar; with ``rowwise=True``
+    it also maps an (n, dimension) array to its (n,) row values, bit-equal
+    to one call per row, and a batch is one call. Stochastic objectives
+    carry a ``noise`` hook drawing n additive terms from the caller's
+    stream, so runs stay reproducible (noise never comes from a global
+    source).
     """
 
     name: str
     dimension: int
     bounds: Bounds
     objective: Callable[[Vector], float]
-    noise: Callable[["RandomStream"], float] | None = None
+    noise: Callable[["RandomStream", int], np.ndarray] | None = None
+    rowwise: bool = False
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -140,27 +150,44 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") & _MASK64
 
 
-def evaluate(problem: ObjectiveProblem, position: Vector, ctx: EvalContext | None = None) -> float:
-    """Evaluate the objective at ``position``, counting against ``ctx``.
+def evaluate_batch(
+    problem: ObjectiveProblem,
+    positions: np.ndarray,
+    ctx: EvalContext | None = None,
+    noise: np.ndarray | None = None,
+) -> np.ndarray:
+    """Evaluate every row of an (n, dimension) array, counting n evaluations
+    against ``ctx``.
 
-    Positions must already lie inside the problem bounds; internal callers
-    clamp before evaluating, so a violation here is a caller bug.
+    Rows must already lie inside the problem bounds; internal callers clamp
+    before evaluating, so a violation here is a caller bug. Stochastic
+    problems add n noise terms: ``noise`` if given, else drawn from ctx.rng.
     """
-    position = np.asarray(position, dtype=float)
-    if position.shape != (problem.dimension,):
-        raise ValueError(
-            f"position has length {position.shape}, problem dimension is {problem.dimension}"
-        )
-    if not problem.bounds.contains(position):
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != problem.dimension:
+        raise ValueError(f"positions have shape {positions.shape}, expected (n, {problem.dimension})")
+    if not problem.bounds.contains(positions):
         raise ValueError(f"position outside bounds for {problem.name}")
-    value = float(problem.objective(position))
+    if problem.rowwise:
+        values = np.asarray(problem.objective(positions), dtype=float)
+        if values.shape != positions.shape[:1]:
+            raise ValueError(f"{problem.name} returned shape {values.shape} for {len(positions)} rows")
+    else:
+        values = np.array([float(problem.objective(x)) for x in positions], dtype=float)
     if problem.noise is not None:
-        if ctx is None or ctx.rng is None:
-            raise ValueError(f"{problem.name} is stochastic and needs a RandomStream to evaluate")
-        value += float(problem.noise(ctx.rng))
+        if noise is None:
+            if ctx is None or ctx.rng is None:
+                raise ValueError(f"{problem.name} is stochastic and needs a RandomStream to evaluate")
+            noise = problem.noise(ctx.rng, len(values))
+        values = values + noise
     if ctx is not None:
-        ctx.evaluations += 1
-    return value
+        ctx.evaluations += len(values)
+    return values
+
+
+def evaluate(problem: ObjectiveProblem, position: Vector, ctx: EvalContext | None = None) -> float:
+    """Evaluate the objective at one ``position``: a one-row `evaluate_batch`."""
+    return float(evaluate_batch(problem, np.asarray(position, dtype=float)[None], ctx)[0])
 
 
 def clamp_to_bounds(position: Vector, bounds: Bounds) -> Vector:

@@ -9,6 +9,15 @@ the pool, and the best pool members seed the next generation's trees. The
 neighborhood radius shrinks with the iteration count, so the search
 narrows from global exploration to local refinement.
 
+A generation is held as arrays: trees (T, d), fig boxes (T, A, d), wasps
+(T, A, W, d) and an offspring pool (T*A*W/2, d). Its random draws come in
+a fixed order (see `draw_generation`), and the objective is evaluated in
+two batches: every wasp, then the whole pool. A user problem declares
+``ObjectiveProblem(..., rowwise=True)`` when its objective maps an (n, d)
+array to the (n,) values of its rows, bit-equal to one call per row; then
+each batch is one call, else one call per row. NaN objective values rank
+as +inf: never the best-so-far, last in the mating grid and in selection.
+
 All randomness flows through one `RandomStream`, so a run is a pure
 function of (problem, params, seed).
 """
@@ -16,21 +25,13 @@ function of (problem, params, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Literal, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (
-    Bounds,
-    EvalContext,
-    ObjectiveProblem,
-    RandomStream,
-    Vector,
-    clamp_to_bounds,
-    evaluate,
-    uniform_in_box,
-)
+from .core import Bounds, EvalContext, ObjectiveProblem, RandomStream, Vector
+from .core import evaluate_batch as evaluate  # every engine evaluation is a batch of rows
 
 # Decay horizon for the neighborhood radius, as a multiple of the iteration
 # budget, when no explicit decay_scale is configured. Calibrated on pilot
@@ -86,58 +87,6 @@ class FwscParams:
         return DEFAULT_DECAY_FACTOR * max(self.max_iterations, 1)
 
 
-@dataclass
-class Tree:
-    position: Vector
-    local_bounds: Bounds
-
-
-@dataclass
-class Wasp:
-    position: Vector
-    fitness: float
-    sex: Literal["female", "male"]
-
-
-@dataclass
-class Fig:
-    position: Vector
-    local_bounds: Bounds
-    wasps: list[Wasp] = field(default_factory=list)
-
-
-@dataclass
-class MatingGrid:
-    """Females sorted ascending by fitness; ties keep their original order."""
-
-    females: list[Wasp]
-
-    def cells(self) -> list[tuple[float, float]]:
-        """The closed fitness intervals bracketing male fitness values.
-
-        A single female yields one degenerate cell.
-        """
-        fits = [w.fitness for w in self.females]
-        if len(fits) == 1:
-            return [(fits[0], fits[0])]
-        return list(zip(fits[:-1], fits[1:]))
-
-
-class OffspringPool:
-    """Flat offspring collection plus its per-dimension min/max envelope."""
-
-    def __init__(self, positions: np.ndarray):
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[0] == 0:
-            raise ValueError("pool needs at least one offspring")
-        self.positions = positions
-        self.envelope_min = positions.min(axis=0)
-        self.envelope_max = positions.max(axis=0)
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-
 @dataclass(frozen=True)
 class RunResult:
     best_position: Vector
@@ -150,8 +99,8 @@ class RunResult:
 
 class GenerationSnapshot(NamedTuple):
     iteration: int
-    trees: list[Tree]
-    pool: OffspringPool
+    trees: np.ndarray  # (T, d)
+    pool: np.ndarray  # (T*A*W/2, d), after wind
     best_so_far: float
 
 
@@ -162,121 +111,138 @@ def neighborhood_width(k: int, params: FwscParams) -> float:
     return params.eta0 * math.exp(1.0 - k / params.effective_decay_scale())
 
 
-def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams, eta: float) -> list[Tree]:
-    """Plant trees uniformly over the global box, wobbled by +-eta per dimension."""
+def _plant(uniforms: np.ndarray, lower: np.ndarray, upper: np.ndarray, eta: float, bounds: Bounds) -> np.ndarray:
+    """Points uniform on [lower, upper] (from ``uniforms[..., 0, :]``) moved
+    by a wobble uniform on [-eta, eta] (from ``uniforms[..., 1, :]``),
+    clamped to the box."""
+    point = lower + uniforms[..., 0, :] * (upper - lower)
+    wobble = -eta + uniforms[..., 1, :] * (eta - -eta)
+    return np.clip(point + wobble, bounds.lower, bounds.upper)
+
+
+def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams, eta: float) -> np.ndarray:
+    """Plant T trees uniformly over the global box, wobbled by +-eta per
+    dimension: (T, d) positions."""
     gb = problem.bounds
-    trees = []
-    for _ in range(params.num_trees):
-        base = uniform_in_box(rng, gb.lower, gb.upper)
-        wobble = rng.uniform_between(-eta, eta, size=base.shape)
-        pos = clamp_to_bounds(base + wobble, gb)
-        trees.append(Tree(position=pos, local_bounds=gb.neighborhood(pos, eta)))
-    return trees
+    return _plant(rng.uniform(size=(params.num_trees, 2, problem.dimension)), gb.lower, gb.upper, eta, gb)
+
+
+def draw_generation(
+    rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Every draw of one generation before pollination, in stream order.
+
+    Per tree: the (A, 2, d) fig uniforms. Then per fig of that tree: its
+    (W, d) wasp uniforms, W noise terms if the problem is stochastic, and
+    the permutation(W) that sexes its wasps. A permutation consumes a
+    variable number of bits, so the per-fig draws cannot be merged into
+    one block.
+
+    Returns the fig uniforms (T, A, 2, d), wasp uniforms (T, A, W, d),
+    noise (T*A*W,) or None, and permutations (T, A, W).
+    """
+    t_count, a_count, w_count, d = params.num_trees, params.figs_per_tree, params.wasps_per_fig, problem.dimension
+    figs = np.empty((t_count, a_count, 2, d))
+    wasp_uniforms = np.empty((t_count, a_count, w_count, d))
+    noise = None if problem.noise is None else np.empty((t_count, a_count, w_count))
+    permutations = np.empty((t_count, a_count, w_count), dtype=np.intp)
+    for t in range(t_count):
+        figs[t] = rng.uniform(size=(a_count, 2, d))
+        for a in range(a_count):
+            wasp_uniforms[t, a] = rng.uniform(size=(w_count, d))
+            if noise is not None:
+                noise[t, a] = problem.noise(rng, w_count)
+            permutations[t, a] = rng.permutation(w_count)
+    return figs, wasp_uniforms, None if noise is None else noise.reshape(-1), permutations
 
 
 def spawn_figs(
-    rng: RandomStream,
-    tree: Tree,
-    params: FwscParams,
-    eta: float,
-    global_bounds: Bounds,
-) -> list[Fig]:
-    """Grow figs uniformly inside the tree's neighborhood, wobbled by +-eta."""
-    figs = []
-    for _ in range(params.figs_per_tree):
-        base = uniform_in_box(rng, tree.local_bounds.lower, tree.local_bounds.upper)
-        wobble = rng.uniform_between(-eta, eta, size=base.shape)
-        pos = clamp_to_bounds(base + wobble, global_bounds)
-        figs.append(Fig(position=pos, local_bounds=global_bounds.neighborhood(pos, eta)))
-    return figs
+    fig_uniforms: np.ndarray, tree_lower: np.ndarray, tree_upper: np.ndarray, eta: float, global_bounds: Bounds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fig boxes (lower, upper), each (T, A, d): the +-eta neighborhood of
+    a point in the tree's box wobbled by +-eta."""
+    points = _plant(fig_uniforms, tree_lower[:, None], tree_upper[:, None], eta, global_bounds)
+    return global_bounds.neighborhood(points, eta)
 
 
-def spawn_wasps(
-    rng: RandomStream,
-    problem: ObjectiveProblem,
-    fig: Fig,
-    params: FwscParams,
-    ctx: EvalContext | None = None,
-) -> list[Wasp]:
-    """Hatch W wasps uniformly inside the fig, evaluate them, and split the
-    brood into W/2 females and W/2 males by a uniform random partition."""
-    w = params.wasps_per_fig
-    lo, hi = fig.local_bounds.lower, fig.local_bounds.upper
-    positions = lo + rng.uniform(size=(w, problem.dimension)) * (hi - lo)
-    fitnesses = [evaluate(problem, positions[i], ctx) for i in range(w)]
-    females = set(np.sort(rng.permutation(w)[: w // 2]).tolist())
-    return [
-        Wasp(
-            position=positions[i],
-            fitness=fitnesses[i],
-            sex="female" if i in females else "male",
-        )
-        for i in range(w)
-    ]
+def spawn_wasps(wasp_uniforms: np.ndarray, fig_lower: np.ndarray, fig_upper: np.ndarray) -> np.ndarray:
+    """Hatch W wasps uniformly inside each fig's box: (T, A, W, d), written
+    over ``wasp_uniforms`` so a large population holds one buffer, not three."""
+    wasps = np.multiply(wasp_uniforms, (fig_upper - fig_lower)[..., None, :], out=wasp_uniforms)
+    wasps += fig_lower[..., None, :]
+    return wasps
 
 
-def build_mating_grid(females: Sequence[Wasp]) -> MatingGrid:
-    """Sort females ascending by fitness (stable on ties)."""
-    if len(females) == 0:
+def _rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[..., index[..., j], :]``: whole rows picked per leading index."""
+    lead = index.shape[:-1]
+    first = np.arange(math.prod(lead)).reshape(lead + (1,)) * values.shape[-2]
+    return values.reshape(-1, values.shape[-1])[first + index]
+
+
+def build_mating_grid(females: np.ndarray, fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each fig's females ascending by fitness, stable on ties.
+
+    ``females`` (..., H) are indices into the fig's wasps and ``fitness``
+    (..., W) the wasps' fitness; returns the grid as wasp indices (..., H)
+    and the grid's fitness (..., H).
+    """
+    if females.shape[-1] == 0:
         raise ValueError("mating grid needs at least one female")
-    fits = np.array([w.fitness for w in females])
-    order = np.argsort(fits, kind="stable")
-    return MatingGrid(females=[females[i] for i in order])
+    female_fitness = np.take_along_axis(fitness, females, axis=-1)
+    order = np.argsort(female_fitness, axis=-1, kind="stable")
+    return np.take_along_axis(females, order, axis=-1), np.take_along_axis(female_fitness, order, axis=-1)
 
 
-def mate(grid: MatingGrid, males: Sequence[Wasp]) -> np.ndarray:
+def mate(positions: np.ndarray, grid: np.ndarray, grid_fitness: np.ndarray, male_fitness: np.ndarray) -> np.ndarray:
     """One offspring per male: the coordinate-wise midpoint of the two grid
     females whose fitness interval brackets the male's fitness.
 
     Males below the first female's fitness use the first interval, males
     above the last use the last, and a male tying a female's fitness takes
-    the first (lowest) matching interval.
+    the first (lowest) matching interval. A single female is every male's
+    offspring. Shapes: wasp ``positions`` (..., W, d), ``grid`` of wasp
+    indices and its fitness (..., H), males (..., M); offspring (..., M, d).
     """
-    if len(grid.females) == 0:
+    h = grid.shape[-1]
+    if h == 0:
         raise ValueError("empty mating grid")
-    fem_pos = np.stack([w.position for w in grid.females])
-    n_females = fem_pos.shape[0]
-    if len(males) == 0:
-        return np.empty((0, fem_pos.shape[1]))
-    if n_females == 1:
-        return np.repeat(fem_pos, len(males), axis=0)
-    fem_fits = np.array([w.fitness for w in grid.females])
-    male_fits = np.array([w.fitness for w in males])
-    cell = np.searchsorted(fem_fits, male_fits, side="left") - 1
-    cell = np.clip(cell, 0, n_females - 2)
-    return (fem_pos[cell] + fem_pos[cell + 1]) / 2.0
+    if h == 1:
+        return _rows(positions, np.repeat(grid, male_fitness.shape[-1], axis=-1))
+    # the first interval holding the male starts at the last female strictly below him
+    below = np.count_nonzero(grid_fitness[..., None, :] < male_fitness[..., :, None], axis=-1)
+    cell = np.clip(below - 1, 0, h - 2)
+    offspring = _rows(positions, np.take_along_axis(grid, cell, axis=-1))
+    offspring += _rows(positions, np.take_along_axis(grid, cell + 1, axis=-1))
+    offspring /= 2.0
+    return offspring
 
 
-def pool_offsprings(offspring_blocks: Sequence[np.ndarray]) -> OffspringPool:
-    """Flatten every fig's offspring into one pool and take its envelope."""
-    blocks = [b for b in offspring_blocks if len(b)]
-    if not blocks:
-        raise ValueError("no offspring to pool")
-    return OffspringPool(np.concatenate(blocks, axis=0))
+def pool_offsprings(offspring: np.ndarray) -> np.ndarray:
+    """Flatten every fig's offspring (..., M, d) into one (P, d) pool, in
+    tree, fig and male order."""
+    return offspring.reshape(-1, offspring.shape[-1])
 
 
-def search_directions(rng: RandomStream, pool: OffspringPool, global_bounds: Bounds) -> OffspringPool:
+def search_directions(rng: RandomStream, pool: np.ndarray, global_bounds: Bounds) -> np.ndarray:
     """Re-spread every offspring uniformly across the pool envelope.
 
-    Each coordinate is redrawn on [envelope_min_i, envelope_max_i], which
+    Each coordinate is redrawn on [min_i, max_i] over the pool, which
     keeps the pool inside its own convex bounding box while decorrelating
     offspring from their parents' figs.
     """
-    width = pool.envelope_max - pool.envelope_min
-    fresh = pool.envelope_min + rng.uniform(size=pool.positions.shape) * width
-    return OffspringPool(np.clip(fresh, global_bounds.lower, global_bounds.upper))
+    low = pool.min(axis=0)
+    fresh = rng.uniform(size=pool.shape)
+    fresh *= pool.max(axis=0) - low
+    fresh += low
+    return np.clip(fresh, global_bounds.lower, global_bounds.upper, out=fresh)
 
 
 def wind_count(pool_size: int, wind_fraction: float) -> int:
     return math.ceil(wind_fraction * pool_size)
 
 
-def wind_effect(
-    rng: RandomStream,
-    pool: OffspringPool,
-    params: FwscParams,
-    global_bounds: Bounds,
-) -> OffspringPool:
+def wind_effect(rng: RandomStream, pool: np.ndarray, params: FwscParams, global_bounds: Bounds) -> np.ndarray:
     """Occasionally drift a fixed fraction of the pool.
 
     One gate uniform is drawn per iteration; when it falls at or below the
@@ -290,37 +256,65 @@ def wind_effect(
     if m == 0:
         return pool
     idx = np.sort(rng.choose_without_replacement(len(pool), m))
-    drifted = pool.positions.copy()
+    drifted = pool.copy()
     kick = rng.uniform(size=(m, drifted.shape[1]))
     drifted[idx] = drifted[idx] * (1.0 + kick)
-    return OffspringPool(np.clip(drifted, global_bounds.lower, global_bounds.upper))
+    return np.clip(drifted, global_bounds.lower, global_bounds.upper, out=drifted)
+
+
+def _ranked(fitness: np.ndarray) -> np.ndarray:
+    """Fitness as the engine ranks it: NaN counts as +inf everywhere."""
+    return np.where(np.isnan(fitness), np.inf, fitness)
 
 
 def select_trees(
     problem: ObjectiveProblem,
-    pool: OffspringPool,
+    pool: np.ndarray,
     count: int,
-    eta: float,
     ctx: EvalContext | None = None,
-) -> tuple[list[Tree], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the whole pool and keep the ``count`` fittest as new trees.
 
-    Ties break toward the lower pool index. Returns the new trees plus the
-    full pool fitness vector so callers can track the generation's best
-    without re-evaluating.
+    Ties break toward the lower pool index. Returns the (count, d) tree
+    positions plus the pool's ranked fitness so callers can track the
+    generation's best without re-evaluating.
     """
     if len(pool) < count:
         raise ValueError(f"pool of {len(pool)} cannot seed {count} trees")
-    fitnesses = np.array([evaluate(problem, p, ctx) for p in pool.positions])
-    order = np.argsort(fitnesses, kind="stable")[:count]
-    trees = [
-        Tree(
-            position=pool.positions[i].copy(),
-            local_bounds=problem.bounds.neighborhood(pool.positions[i], eta),
-        )
-        for i in order
-    ]
-    return trees, fitnesses
+    fitness = _ranked(evaluate(problem, pool, ctx))
+    return pool[np.argsort(fitness, kind="stable")[:count]], fitness
+
+
+def _improve(best: tuple[float, Vector], positions: np.ndarray, fitness: np.ndarray) -> tuple[float, Vector]:
+    """The first lowest of the rows when it beats ``best``, else ``best``."""
+    i = int(np.argmin(fitness))
+    if fitness[i] < best[0]:
+        return float(fitness[i]), positions[i].copy()
+    return best
+
+
+def _wasp_half(
+    rng: RandomStream,
+    problem: ObjectiveProblem,
+    params: FwscParams,
+    trees: np.ndarray,
+    eta: float,
+    ctx: EvalContext,
+    best: tuple[float, Vector],
+) -> tuple[np.ndarray, tuple[float, Vector]]:
+    """The first half of a generation: draw and spawn the figs and wasps,
+    evaluate every wasp as one batch and mate them. Returns the (P, d)
+    offspring pool and the updated best; the wasps are freed on return."""
+    gb = problem.bounds
+    figs, wasp_uniforms, noise, permutations = draw_generation(rng, problem, params)
+    wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
+    rows = wasps.reshape(-1, problem.dimension)
+    fitness = _ranked(evaluate(problem, rows, ctx, noise=noise))
+    best = _improve(best, rows, fitness)
+    fitness = fitness.reshape(permutations.shape)
+    females, males = np.sort(np.split(permutations, 2, axis=-1), axis=-1)  # each permutation's first half is female
+    grid = build_mating_grid(females, fitness)
+    return pool_offsprings(mate(wasps, *grid, np.take_along_axis(fitness, males, axis=-1))), best
 
 
 def run(
@@ -334,8 +328,8 @@ def run(
     The best-so-far value tracks every evaluated point (wasps and pool
     members alike) and the trace records it once per completed generation,
     so the trace is non-increasing by construction. A ``max_iterations`` of
-    zero degenerates to evaluating a single wasp population, which keeps
-    zero-budget harness invocations well formed.
+    zero stops generation 1 once its wasps are evaluated, before anything
+    more is drawn, which keeps zero-budget harness invocations well formed.
     """
     rng = RandomStream(seed)
     ctx = EvalContext(rng=rng)
@@ -343,70 +337,36 @@ def run(
 
     eta = neighborhood_width(1, params)
     trees = spawn_trees(rng, problem, params, eta)
-
-    best_fitness = math.inf
-    best_position = trees[0].position.copy()
+    best = (math.inf, trees[0].copy())
     trace: list[float] = []
     stagnant = 0
     iterations_run = 0
 
-    def score_wasps(wasps: list[Wasp]):
-        nonlocal best_fitness, best_position
-        for w in wasps:
-            if w.fitness < best_fitness:
-                best_fitness = w.fitness
-                best_position = np.array(w.position, copy=True)
-
-    if params.max_iterations == 0:
-        for tree in trees:
-            for fig in spawn_figs(rng, tree, params, eta, gb):
-                fig.wasps = spawn_wasps(rng, problem, fig, params, ctx)
-                score_wasps(fig.wasps)
-        return RunResult(
-            best_position=best_position,
-            best_fitness=best_fitness,
-            trace=np.array([best_fitness]),
-            evaluations=ctx.evaluations,
-            seed=seed,
-            iterations_run=0,
-        )
-
-    for k in range(1, params.max_iterations + 1):
-        offspring_blocks = []
-        for tree in trees:
-            figs = spawn_figs(rng, tree, params, eta, gb)
-            tree_offspring = []
-            for fig in figs:
-                fig.wasps = spawn_wasps(rng, problem, fig, params, ctx)
-                score_wasps(fig.wasps)
-                grid = build_mating_grid([w for w in fig.wasps if w.sex == "female"])
-                tree_offspring.append(mate(grid, [w for w in fig.wasps if w.sex == "male"]))
-            offspring_blocks.extend(tree_offspring)
-
-        pool = pool_offsprings(offspring_blocks)
+    for k in range(1, max(params.max_iterations, 1) + 1):
+        pool, best = _wasp_half(rng, problem, params, trees, eta, ctx, best)
+        if params.max_iterations == 0:
+            trace.append(best[0])
+            break
         pool = search_directions(rng, pool, gb)
         pool = wind_effect(rng, pool, params, gb)
 
         eta = neighborhood_width(k + 1, params)
-        trees, pool_fitness = select_trees(problem, pool, params.num_trees, eta, ctx)
-        gen_best = float(pool_fitness.min())
-        if gen_best < best_fitness:
-            best_fitness = gen_best
-            best_position = pool.positions[int(np.argmin(pool_fitness))].copy()
+        trees, pool_fitness = select_trees(problem, pool, params.num_trees, ctx)
+        best = _improve(best, pool, pool_fitness)
 
-        improved = not trace or best_fitness < trace[-1]
-        trace.append(best_fitness)
+        improved = not trace or best[0] < trace[-1]
+        trace.append(best[0])
         iterations_run = k
         if on_generation is not None:
-            on_generation(GenerationSnapshot(k, trees, pool, best_fitness))
+            on_generation(GenerationSnapshot(k, trees, pool, best[0]))
 
         stagnant = 0 if improved else stagnant + 1
         if params.stagnation_window is not None and stagnant >= params.stagnation_window:
             break
 
     return RunResult(
-        best_position=best_position,
-        best_fitness=best_fitness,
+        best_position=best[1],
+        best_fitness=best[0],
         trace=np.array(trace),
         evaluations=ctx.evaluations,
         seed=seed,

@@ -20,8 +20,6 @@ from figwasp.constrained import pressure_vessel, repair_discrete, stepped_beam, 
 from figwasp.core import Bounds, EvalContext, ObjectiveProblem, RandomStream, derive_seed, evaluate
 from figwasp.engine import (
     FwscParams,
-    OffspringPool,
-    Wasp,
     build_mating_grid,
     mate,
     neighborhood_width,
@@ -66,21 +64,22 @@ def test_criterion_1_benchmark_fidelity():
 # criterion 2: engine exactness on micro-instances
 
 
-def _mate_oracle(sorted_females, males):
+def _mate_oracle(sorted_females, male_fitness):
+    """Linear scan over (fitness, position) pairs sorted by fitness."""
     out = []
     count = len(sorted_females)
-    for male in males:
+    for male in male_fitness:
         if count == 1:
-            out.append(np.array(sorted_females[0].position, copy=True))
+            out.append(np.array(sorted_females[0][1], copy=True))
             continue
         cell = None
         for r in range(count - 1):
-            if sorted_females[r].fitness <= male.fitness <= sorted_females[r + 1].fitness:
+            if sorted_females[r][0] <= male <= sorted_females[r + 1][0]:
                 cell = r
                 break
         if cell is None:
-            cell = 0 if male.fitness < sorted_females[0].fitness else count - 2
-        out.append((sorted_females[cell].position + sorted_females[cell + 1].position) / 2.0)
+            cell = 0 if male < sorted_females[0][0] else count - 2
+        out.append((sorted_females[cell][1] + sorted_females[cell + 1][1]) / 2.0)
     return np.stack(out)
 
 
@@ -93,27 +92,22 @@ def test_criterion_2_engine_exactness_micro_oracles():
         n_f = int(rng.integers(1, 7))
         n_m = int(rng.integers(1, 7))
         # one-decimal grid injects plenty of fitness ties
-        females = [
-            Wasp(position=rng.uniform(-5, 5, size=3), fitness=round(float(rng.uniform(0, 3)), 1), sex="female")
-            for _ in range(n_f)
-        ]
-        males = [
-            Wasp(position=np.zeros(3), fitness=round(float(rng.uniform(-1, 4)), 1), sex="male")
-            for _ in range(n_m)
-        ]
-        grid = build_mating_grid(females)
-        if not np.array_equal(mate(grid, males), _mate_oracle(grid.females, males)):
+        females = [(round(float(rng.uniform(0, 3)), 1), rng.uniform(-5, 5, size=3)) for _ in range(n_f)]
+        male_fitness = [round(float(rng.uniform(-1, 4)), 1) for _ in range(n_m)]
+        sorted_females = [females[i] for i in sorted(range(n_f), key=lambda i: (females[i][0], i))]
+        positions = np.stack([p for _, p in females])
+        grid, grid_fitness = build_mating_grid(np.arange(n_f), np.array([f for f, _ in females]))
+        if not np.array_equal(grid_fitness, [f for f, _ in sorted_females]) or not np.array_equal(
+            mate(positions, grid, grid_fitness, np.array(male_fitness)), _mate_oracle(sorted_females, male_fitness)
+        ):
             mate_mismatches += 1
 
         size = int(rng.integers(1, 13))
         count = int(rng.integers(1, size + 1))
         positions = rng.uniform(-50, 50, size=(size, 3))
-        pool = OffspringPool(positions)
-        trees, fitnesses = select_trees(problem, pool, count, eta=1.0)
+        trees, fitnesses = select_trees(problem, positions, count)
         order = sorted(range(size), key=lambda i: (fitnesses[i], i))[:count]
-        expected = positions[order]
-        got = np.stack([t.position for t in trees])
-        if not np.array_equal(got, expected):
+        if not np.array_equal(trees, positions[order]):
             select_mismatches += 1
     report(
         "C2 engine exactness",
@@ -352,9 +346,9 @@ def test_criterion_8_structural_invariants():
             assert problem.bounds.contains(x)
 
         # wind gate invariants on this case's pool shape
-        pool = OffspringPool(rng.uniform(0.5, half, size=(trees * figs * (wasps // 2), dim)))
+        pool = rng.uniform(0.5, half, size=(trees * figs * (wasps // 2), dim))
         calm = wind_effect(RandomStream(case), pool, FwscParams(wind_threshold=0.0), problem.bounds)
-        assert np.array_equal(calm.positions, pool.positions)
+        assert np.array_equal(calm, pool)
         wide = Bounds.box(-1e9, 1e9, dim)
         storm = wind_effect(
             RandomStream(case),
@@ -362,7 +356,7 @@ def test_criterion_8_structural_invariants():
             FwscParams(wind_threshold=1.0, wind_fraction=params.wind_fraction),
             wide,
         )
-        changed = int(np.any(storm.positions != pool.positions, axis=1).sum())
+        changed = int(np.any(storm != pool, axis=1).sum())
         expected = wind_count(len(pool), params.wind_fraction)
         if expected > 0:
             assert changed == expected

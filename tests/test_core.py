@@ -10,6 +10,7 @@ from figwasp.core import (
     clamp_to_bounds,
     derive_seed,
     evaluate,
+    evaluate_batch,
     uniform_in_box,
 )
 
@@ -34,9 +35,18 @@ class TestBounds:
 
     def test_neighborhood_is_clipped_to_box(self):
         b = Bounds.box(-1.0, 1.0, 2)
-        local = b.neighborhood(np.array([0.9, -0.9]), 0.5)
-        assert np.allclose(local.lower, [0.4, -1.0])
-        assert np.allclose(local.upper, [1.0, -0.4])
+        lower, upper = b.neighborhood(np.array([0.9, -0.9]), 0.5)
+        assert np.allclose(lower, [0.4, -1.0])
+        assert np.allclose(upper, [1.0, -0.4])
+
+    def test_neighborhood_of_many_centers_is_row_by_row(self):
+        b = Bounds.box(-1.0, 1.0, 2)
+        centers = np.array([[[0.9, -0.9], [0.0, 1.0]], [[-1.0, 0.2], [0.5, 0.5]]])
+        lower, upper = b.neighborhood(centers, 0.5)
+        for index in np.ndindex(centers.shape[:-1]):
+            one_lower, one_upper = b.neighborhood(centers[index], 0.5)
+            assert np.array_equal(lower[index], one_lower)
+            assert np.array_equal(upper[index], one_upper)
 
 
 class TestClamp:
@@ -141,10 +151,55 @@ class TestEvaluate:
             dimension=1,
             bounds=Bounds.box(-1.0, 1.0, 1),
             objective=lambda x: 0.0,
-            noise=lambda rng: float(rng.uniform()),
+            noise=lambda rng, n: rng.uniform(size=n),
         )
         with pytest.raises(ValueError):
             evaluate(p, np.zeros(1))
         v1 = evaluate(p, np.zeros(1), EvalContext(rng=RandomStream(5)))
         v2 = evaluate(p, np.zeros(1), EvalContext(rng=RandomStream(5)))
         assert v1 == v2  # same noise seed, same value
+
+
+class TestEvaluateBatch:
+    def test_rows_match_single_evaluations_and_count(self):
+        p = sphere_problem(dim=3)
+        rows = RandomStream(1).uniform(size=(5, 3))
+        ctx = EvalContext()
+        values = evaluate_batch(p, rows, ctx)
+        assert values.tolist() == [evaluate(p, x) for x in rows]
+        assert ctx.evaluations == 5
+
+    def test_rowwise_objective_is_called_once(self):
+        calls = []
+
+        def rows(x):
+            calls.append(x.shape)
+            return np.sum(x * x, axis=-1)
+
+        p = ObjectiveProblem("rows", 2, Bounds.box(-1.0, 1.0, 2), rows, rowwise=True)
+        assert evaluate_batch(p, np.zeros((4, 2))).tolist() == [0.0] * 4
+        assert calls == [(4, 2)]
+
+    def test_rowwise_objective_must_return_one_value_per_row(self):
+        p = ObjectiveProblem("bad", 2, Bounds.box(-1.0, 1.0, 2), lambda x: np.zeros(3), rowwise=True)
+        with pytest.raises(ValueError):
+            evaluate_batch(p, np.zeros((4, 2)))
+
+    def test_shape_and_bounds_checked_once_for_all_rows(self):
+        p = sphere_problem(dim=2, half=1.0)
+        with pytest.raises(ValueError):
+            evaluate_batch(p, np.zeros(2))
+        with pytest.raises(ValueError):
+            evaluate_batch(p, np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            evaluate_batch(p, np.array([[0.0, 0.0], [0.0, 1.5]]))
+
+    def test_noise_drawn_as_one_vector_or_given(self):
+        p = ObjectiveProblem(
+            "noisy", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda rng, n: rng.uniform(size=n)
+        )
+        drawn = evaluate_batch(p, np.zeros((4, 1)), EvalContext(rng=RandomStream(5)))
+        ctx = EvalContext(rng=RandomStream(5))
+        assert drawn.tolist() == [evaluate(p, np.zeros(1), ctx) for _ in range(4)]
+        given_noise = np.array([0.5, 0.25, 0.0, 1.0])
+        assert evaluate_batch(p, np.zeros((4, 1)), noise=given_noise).tolist() == given_noise.tolist()
