@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import tempfile
@@ -67,11 +68,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+            raise ConfigError("runs: must be >= 1")
         if self.eta_units not in ("relative", "absolute"):
-            raise ConfigError("eta_units must be 'relative' or 'absolute'")
-        if self.penalty_coefficient <= 0:
-            raise ConfigError("penalty_coefficient must be positive")
+            raise ConfigError("eta_units: must be 'relative' or 'absolute'")
+        if not self.penalty_coefficient > 0:
+            raise ConfigError("penalty_coefficient: must be positive")
         if not self.problems:
             raise ConfigError("problems: at least one problem id is required")
         for pid, dim in self.problems:
@@ -247,8 +248,14 @@ def _read_result_file(path: Path) -> tuple[list[tuple[str, str]], dict[tuple[str
         keys, values = [], {}
         for row in reader:
             key = (row["problem"], row["dimension"])
+            try:
+                mean = float(row["mean"])
+            except (TypeError, ValueError):
+                mean = math.nan
+            if not math.isfinite(mean):
+                raise ConfigError(f"{path}: {key[0]}@{key[1]}: mean: {row['mean']!r} is not a finite number")
             keys.append(key)
-            values[key] = float(row["mean"])
+            values[key] = mean
     if len(keys) != len(set(keys)):
         raise ConfigError(f"{path}: duplicate problem rows")
     return keys, values
@@ -292,6 +299,9 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
             )
             return 1
         loaded[name] = values
+    if len(key_order) < 2:
+        print(f"stats: need at least two problem rows, {names[0]} has {len(key_order)}", file=sys.stderr)
+        return 2
 
     matrix = ResultMatrix(
         problems=tuple(f"{pid}@{dim}" for pid, dim in key_order),
@@ -373,6 +383,10 @@ _CONFIG_KEYS = {
 }
 
 
+# FwscParams fields whose config key has another name
+_RENAMED_PARAM_KEYS = {"num_trees": "trees", "max_iterations": "iterations"}
+
+
 def parse_config_file(path: str | Path) -> dict:
     """Parse the key=value campaign format (schema 1, '#' comments)."""
     values: dict[str, str] = {}
@@ -387,8 +401,8 @@ def parse_config_file(path: str | Path) -> dict:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
-    if "schema" in values and int(values["schema"]) != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported schema {values['schema']} (expected {SCHEMA_VERSION})")
+    if "schema" in values and values["schema"] != str(SCHEMA_VERSION):
+        raise ConfigError(f"schema: unsupported value {values['schema']!r} in {path} (expected {SCHEMA_VERSION})")
     return values
 
 
@@ -411,7 +425,10 @@ def _config_from_args(args: argparse.Namespace, problem_tokens: list[str]) -> Ex
         if cli_value is not None:
             return cli_value
         if key in file_values and file_values[key] != "":
-            return cast(file_values[key])
+            try:
+                return cast(file_values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: invalid value {file_values[key]!r}") from exc
         return fallback
 
     tokens = problem_tokens or (
@@ -428,7 +445,7 @@ def _config_from_args(args: argparse.Namespace, problem_tokens: list[str]) -> Ex
     def opt_float(text: str) -> float | None:
         return float(text) if text else None
 
-    params = FwscParams(
+    param_values = dict(
         eta0=pick(None, "eta0", float, 0.8),
         num_trees=pick(None, "trees", int, 3),
         figs_per_tree=pick(None, "figs_per_tree", int, 4),
@@ -439,6 +456,14 @@ def _config_from_args(args: argparse.Namespace, problem_tokens: list[str]) -> Ex
         decay_scale=pick(None, "decay_scale", opt_float, None),
         stagnation_window=pick(None, "stagnation_window", opt_int, None),
     )
+    try:
+        params = FwscParams(**param_values)
+    except ValueError as exc:
+        # FwscParams names its own field first; report the config key instead
+        field_name, _, rest = str(exc).partition(" ")
+        if field_name not in param_values:
+            raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{_RENAMED_PARAM_KEYS.get(field_name, field_name)}: {rest}") from exc
     return ExperimentConfig(
         problems=[parse_problem_token(t, default_dim) for t in tokens],
         runs=pick(args.runs, "runs", int, 30),

@@ -66,8 +66,8 @@ class FwscParams:
             raise ValueError("wasps_per_fig must be an even integer >= 2")
         if self.num_trees > self.num_trees * self.figs_per_tree * (self.wasps_per_fig // 2):
             raise ValueError("offspring pool smaller than the number of trees")
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not (self.eta0 > 0 and np.isfinite(self.eta0)):
+            raise ValueError("eta0 must be positive and finite")
         if not 0.0 <= self.wind_threshold <= 1.0:
             raise ValueError("wind_threshold must lie in [0, 1]")
         if not 0.0 <= self.wind_fraction <= 1.0:
@@ -76,7 +76,7 @@ class FwscParams:
         # the harness; it evaluates one wasp population and selects nothing.
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.decay_scale is not None and self.decay_scale <= 0:
+        if self.decay_scale is not None and not self.decay_scale > 0:
             raise ValueError("decay_scale must be positive")
         if self.stagnation_window is not None and self.stagnation_window < 1:
             raise ValueError("stagnation_window must be a positive integer")

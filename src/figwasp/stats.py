@@ -6,6 +6,12 @@ samples (enumerated over the observed, possibly tied, ranks) and a
 tie-corrected normal approximation above that. The Friedman test ranks
 algorithms within each problem row with mid-ranks and reports mean ranks,
 a dense ordinal ranking, and the tie-corrected chi-square statistic.
+
+Importing this module costs only numpy: mid-ranks are computed with numpy,
+and ``scipy.special`` is imported on the first p-value that needs a normal
+or chi-square tail (``ndtr``/``chdtrc``, the functions behind
+``scipy.stats.norm.sf`` and ``scipy.stats.chi2.sf``), so callers that never
+compute one never load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 EXACT_LIMIT = 20
 
@@ -33,6 +38,8 @@ class PairedSamples:
             raise ValueError("paired samples must be 1-D and equally long")
         if a.shape[0] < 2:
             raise ValueError("need at least two pairs")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("paired samples have non-finite values")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -52,6 +59,17 @@ class ResultMatrix:
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix has missing or non-finite cells")
         object.__setattr__(self, "values", values)
+
+
+def mid_ranks(values: np.ndarray) -> np.ndarray:
+    """Ascending 1-based ranks of a 1-D array, tied values sharing their mean rank.
+
+    A group of c equal values ending at sorted position u gets
+    u - (c - 1) / 2. Ranks are half-integers, so they are exact and equal
+    ``scipy.stats.rankdata(values, method="average")``.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 class WilcoxonResult(NamedTuple):
@@ -95,7 +113,7 @@ def wilcoxon_signed_rank(samples: PairedSamples) -> WilcoxonResult:
     diff = diff[diff != 0.0]
     if diff.size == 0:
         raise ValueError("no information: all paired differences are zero")
-    ranks = sps.rankdata(np.abs(diff), method="average")
+    ranks = mid_ranks(np.abs(diff))
     t_plus = float(ranks[diff > 0].sum())
     t_minus = float(ranks[diff < 0].sum())
     n = diff.size
@@ -108,12 +126,10 @@ def wilcoxon_signed_rank(samples: PairedSamples) -> WilcoxonResult:
         mu = ranks.sum() / 2.0
         sigma = np.sqrt(np.sum(ranks**2) / 4.0)
         z = (t_plus - mu) / sigma
-        p = float(2.0 * sps.norm.sf(abs(z)))
+        from scipy.special import ndtr
+
+        p = float(2.0 * ndtr(-abs(z)))
     return WilcoxonResult(p_value=p, t_plus=t_plus, t_minus=t_minus)
-
-
-def _row_mid_ranks(values: np.ndarray) -> np.ndarray:
-    return sps.rankdata(values, method="average")
 
 
 def friedman_mean_ranks(matrix: ResultMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +141,7 @@ def friedman_mean_ranks(matrix: ResultMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(matrix.algorithms) < 2 or len(matrix.problems) < 2:
         raise ValueError("friedman ranking needs >= 2 algorithms and >= 2 problems")
-    row_ranks = np.vstack([_row_mid_ranks(row) for row in matrix.values])
+    row_ranks = np.vstack([mid_ranks(row) for row in matrix.values])
     mean_ranks = row_ranks.mean(axis=0)
     distinct = np.unique(mean_ranks)
     ordinals = np.searchsorted(distinct, mean_ranks) + 1
@@ -137,7 +153,7 @@ def friedman_statistic(matrix: ResultMatrix) -> tuple[float, float]:
     if len(matrix.algorithms) < 2 or len(matrix.problems) < 2:
         raise ValueError("friedman test needs >= 2 algorithms and >= 2 problems")
     n_problems, k = matrix.values.shape
-    row_ranks = np.vstack([_row_mid_ranks(row) for row in matrix.values])
+    row_ranks = np.vstack([mid_ranks(row) for row in matrix.values])
     mean_ranks = row_ranks.mean(axis=0)
     raw = 12.0 * n_problems / (k * (k + 1)) * np.sum((mean_ranks - (k + 1) / 2.0) ** 2)
 
@@ -150,5 +166,7 @@ def friedman_statistic(matrix: ResultMatrix) -> tuple[float, float]:
         # every row fully tied: no discrimination at all
         return 0.0, 1.0
     statistic = float(raw / correction)
-    p = float(sps.chi2.sf(statistic, df=k - 1))
+    from scipy.special import chdtrc
+
+    p = float(chdtrc(k - 1, statistic))
     return statistic, p

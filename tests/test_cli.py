@@ -1,10 +1,13 @@
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import figwasp
 from figwasp.cli import (
     ConfigError,
     main,
@@ -89,6 +92,42 @@ class TestConfigFile:
         code = main(["run", "F16", "--config", str(cfg)])
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+
+# (argument kind, bad input, what the error line must start with)
+BAD_INPUTS = [
+    pytest.param("config", "schema = 1\nruns = abc\n", "error: runs: ", id="runs"),
+    pytest.param("config", "schema = x\n", "error: schema: ", id="schema"),
+    pytest.param("config", "schema = 1\nwasps_per_fig = 7\n", "error: wasps_per_fig: ", id="wasps_per_fig"),
+    pytest.param("config", "schema = 1\niterations = -1\n", "error: iterations: ", id="iterations"),
+    pytest.param("config", "schema = 1\neta0 = nan\n", "error: eta0: ", id="eta0-nan"),
+    pytest.param("config", "schema = 1\neta0 = inf\n", "error: eta0: ", id="eta0-inf"),
+    pytest.param(
+        "config", "schema = 1\npenalty_coefficient = nan\n", "error: penalty_coefficient: ", id="penalty_coefficient"
+    ),
+    pytest.param("stats", "nan", "error: ", id="mean"),
+]
+
+
+@pytest.mark.parametrize("kind, text, prefix", BAD_INPUTS)
+def test_bad_input_names_its_key_and_exits_2(tmp_path, capsys, kind, text, prefix):
+    if kind == "config":
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        argv = ["run", "F16", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    else:
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_result_file(a, [["F1", "30", "0", "0", text, "0"], ["F9", "30", "0", "0", "1.0", "0"]])
+        write_result_file(b, [["F1", "30", "0", "0", "1.0", "0"], ["F9", "30", "0", "0", "2.0", "0"]])
+        argv = ["stats", str(a), str(b), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
+    if kind == "stats":
+        assert str(a) in err and "F1@30" in err and "mean" in err
+    assert "max_iterations" not in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestRunCommand:
@@ -243,6 +282,13 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert "F16" in err and "F21" in err
 
+    def test_single_problem_row_rejected(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_result_file(a, self.rows([1, 2, 3, 4])[:1])
+        write_result_file(b, self.rows([2, 2, 3, 4])[:1])
+        assert main(["stats", f"x={a}", f"y={b}", "--out", str(tmp_path / "o")]) == 2
+        assert "two problem rows" in capsys.readouterr().err
+
     def test_single_file_rejected(self, tmp_path):
         a = tmp_path / "a.csv"
         write_result_file(a, self.rows([1, 2, 3, 4]))
@@ -255,3 +301,36 @@ class TestListCommand:
         text = capsys.readouterr().out
         for token in ("F1", "F23", "pressure-vessel", "stepped-beam", "welded-beam"):
             assert token in text
+
+
+class TestImportPath:
+    """Only `figwasp stats` may load scipy, and only when it needs a p-value."""
+
+    def run_python(self, code, cwd):
+        src = str(Path(figwasp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("module", ["figwasp", "figwasp.cli"])
+    def test_import_loads_no_scipy(self, tmp_path, module):
+        out = self.run_python(
+            f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])", tmp_path
+        )
+        assert out.strip() == "[]"
+
+    def test_stats_still_writes_both_tables(self, tmp_path):
+        for name, means in (("a", [1.0, 2.0, 3.0]), ("b", [2.0, 2.5, 3.5])):
+            write_result_file(
+                tmp_path / f"{name}.csv",
+                [[pid, "30", "0", "0", f"{m:.6E}", "0"] for pid, m in zip(("F1", "F9", "F11"), means)],
+            )
+        self.run_python(
+            "from figwasp.cli import main; raise SystemExit(main(['stats', 'a.csv', 'b.csv', '--out', 'o']))",
+            tmp_path,
+        )
+        assert len(read_csv(tmp_path / "o" / "friedman.csv")) == 2
+        assert len(read_csv(tmp_path / "o" / "wilcoxon.csv")) == 1

@@ -8,6 +8,7 @@ from figwasp.stats import (
     ResultMatrix,
     friedman_mean_ranks,
     friedman_statistic,
+    mid_ranks,
     wilcoxon_signed_rank,
 )
 
@@ -60,6 +61,51 @@ class TestPairedSamples:
     def test_rejects_single_pair(self):
         with pytest.raises(ValueError):
             PairedSamples(np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pairs(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PairedSamples(np.array([1.0, bad, 3.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            PairedSamples(np.zeros(3), np.array([1.0, 2.0, bad]))
+
+
+# The pre-numpy reference expressions: scipy.stats ranks and tails.
+
+
+def scipy_normal_p(a, b):
+    d = a - b
+    d = d[d != 0.0]
+    ranks = sps.rankdata(np.abs(d), method="average")
+    t_plus = float(ranks[d > 0].sum())
+    z = (t_plus - ranks.sum() / 2.0) / np.sqrt(np.sum(ranks**2) / 4.0)
+    return float(2.0 * sps.norm.sf(abs(z)))
+
+
+def scipy_friedman(values):
+    n_problems, k = values.shape
+    mean_ranks = np.vstack([sps.rankdata(row, method="average") for row in values]).mean(axis=0)
+    raw = 12.0 * n_problems / (k * (k + 1)) * np.sum((mean_ranks - (k + 1) / 2.0) ** 2)
+    tie_sum = 0.0
+    for row in values:
+        _, counts = np.unique(row, return_counts=True)
+        tie_sum += float(np.sum(counts.astype(float) ** 3 - counts))
+    statistic = float(raw / (1.0 - tie_sum / (n_problems * k * (k**2 - 1))))
+    return statistic, float(sps.chi2.sf(statistic, df=k - 1))
+
+
+class TestMidRanks:
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.integers(-8, 8), min_size=1, max_size=50))
+    def test_bit_equal_to_scipy_rankdata(self, values):
+        values = np.array(values, dtype=float)
+        ours = mid_ranks(values)
+        ref = sps.rankdata(values, method="average")
+        assert ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_signed_zeros_tie(self):
+        assert list(mid_ranks(np.array([0.0, -0.0, 1.0]))) == [1.5, 1.5, 3.0]
 
 
 class TestWilcoxon:
@@ -118,6 +164,19 @@ class TestWilcoxon:
         assert flipped.t_plus == res.t_minus
         assert flipped.t_minus == res.t_plus
         assert flipped.p_value == pytest.approx(res.p_value, rel=1e-12)
+
+    def test_normal_p_bit_equal_to_scipy_norm_sf(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            n = int(rng.integers(21, 80))
+            if rng.random() < 0.5:
+                a, b = rng.integers(-6, 7, size=n).astype(float), rng.integers(-6, 7, size=n).astype(float)
+            else:
+                a, b = rng.normal(loc=rng.uniform(-1, 1), size=n), rng.normal(size=n)
+            if np.sum(a != b) <= 20:
+                continue
+            res = wilcoxon_signed_rank(PairedSamples(a, b))
+            assert res.p_value == scipy_normal_p(a, b)
 
     def test_large_sample_normal_branch(self):
         rng = np.random.default_rng(7)
@@ -229,6 +288,18 @@ class TestFriedmanStatistic:
         corrected = raw / (1.0 - ties / (3 * 3 * 8))
         statistic, _ = friedman_statistic(matrix(values))
         assert statistic == pytest.approx(corrected, rel=1e-12)
+
+    def test_bit_equal_to_scipy_rankdata_and_chi2_sf(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            rows, cols = int(rng.integers(2, 30)), int(rng.integers(2, 15))
+            if rng.random() < 0.5:
+                values = rng.integers(0, 5, size=(rows, cols)).astype(float)
+            else:
+                values = rng.normal(size=(rows, cols))
+            if all(np.all(row == row[0]) for row in values):
+                continue
+            assert friedman_statistic(matrix(values)) == scipy_friedman(values)
 
     def test_matches_scipy_without_ties(self):
         rng = np.random.default_rng(3)
