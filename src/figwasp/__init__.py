@@ -5,10 +5,8 @@ from .core import (
     EvalContext,
     ObjectiveProblem,
     RandomStream,
-    clamp_to_bounds,
     derive_seed,
     evaluate,
-    uniform_in_box,
 )
 from .engine import FwscParams, RunResult, run
 
@@ -17,10 +15,8 @@ __all__ = [
     "EvalContext",
     "ObjectiveProblem",
     "RandomStream",
-    "clamp_to_bounds",
     "derive_seed",
     "evaluate",
-    "uniform_in_box",
     "FwscParams",
     "RunResult",
     "run",

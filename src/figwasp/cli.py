@@ -79,10 +79,6 @@ class ExperimentConfig:
             resolve_problem(pid, dim, self.penalty_coefficient)
 
 
-def known_problem_ids() -> list[str]:
-    return list(benchmarks.BENCHMARK_IDS) + list(ENGINEERING_PROBLEMS)
-
-
 def resolve_dimension(pid: str, dim: int | None) -> int:
     """Fill in the dimension for fixed-dimension problems; validate others."""
     if pid in ENGINEERING_PROBLEMS:
@@ -214,10 +210,14 @@ def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
         return 2
     design = ENGINEERING_PROBLEMS[pid]()
     grouped = execute_campaign(config)
-    runs = grouped[(pid, design.dimension)]
+    # a run whose best is not finite never scored a point: its position is just its first tree
+    runs = [(seed, r) for _, seed, r in grouped[(pid, design.dimension)] if math.isfinite(r.best_fitness)]
+    if not runs:
+        print(f"error: {pid}: every evaluation was non-finite", file=sys.stderr)
+        return 2
 
     candidates = []
-    for _run_index, seed, result in runs:
+    for seed, result in runs:
         position = repair_discrete(result.best_position, design.variable_kinds)
         violation = design.max_violation(position)
         objective = design.objective(position)
@@ -297,7 +297,7 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
                 f" missing {missing or 'none'}, extra {extra or 'none'}",
                 file=sys.stderr,
             )
-            return 1
+            return 2
         loaded[name] = values
     if len(key_order) < 2:
         print(f"stats: need at least two problem rows, {names[0]} has {len(key_order)}", file=sys.stderr)

@@ -72,9 +72,6 @@ class ConstrainedProblem:
     def max_violation(self, position: Vector) -> float:
         return float(self.violations(position).max())
 
-    def is_feasible(self, position: Vector, tol: float = 0.0) -> bool:
-        return self.max_violation(position) <= tol
-
 
 def _snap_to_set(column: np.ndarray, values: tuple[float, ...]) -> np.ndarray:
     arr = np.asarray(values)

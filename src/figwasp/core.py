@@ -58,7 +58,12 @@ class Bounds:
         return cls(np.full(dimension, low), np.full(dimension, high))
 
     def contains(self, position: Vector) -> bool:
-        return bool(np.all(position >= self.lower) and np.all(position <= self.upper))
+        return bool((position >= self.lower).all() and (position <= self.upper).all())
+
+    def clamp(self, position: np.ndarray) -> np.ndarray:
+        """Project ``position`` (..., dimension) onto the box in place; returns it."""
+        np.maximum(position, self.lower, out=position)
+        return np.minimum(position, self.upper, out=position)
 
     def neighborhood(self, center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) of [center - radius, center + radius] intersected
@@ -71,7 +76,7 @@ class Bounds:
         lo = np.maximum(center - radius, self.lower)
         hi = np.minimum(center + radius, self.upper)
         degenerate = lo >= hi
-        if np.any(degenerate):
+        if degenerate.any():
             hi = np.where(degenerate, np.minimum(np.nextafter(hi, np.inf), self.upper), hi)
             degenerate = lo >= hi
             lo = np.where(degenerate, np.maximum(np.nextafter(lo, -np.inf), self.lower), lo)
@@ -115,9 +120,9 @@ class RandomStream:
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
-    def uniform(self, size=None):
-        """Uniform draws on [0, 1)."""
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Uniform draws on [0, 1), written into ``out`` if given: the same draws."""
+        return self._gen.random(size, out=out)
 
     def uniform_between(self, low, high, size=None):
         low = np.asarray(low, dtype=float)
@@ -188,20 +193,3 @@ def evaluate_batch(
 def evaluate(problem: ObjectiveProblem, position: Vector, ctx: EvalContext | None = None) -> float:
     """Evaluate the objective at one ``position``: a one-row `evaluate_batch`."""
     return float(evaluate_batch(problem, np.asarray(position, dtype=float)[None], ctx)[0])
-
-
-def clamp_to_bounds(position: Vector, bounds: Bounds) -> Vector:
-    """Project each coordinate onto [lower, upper]; identity on feasible input."""
-    return np.clip(np.asarray(position, dtype=float), bounds.lower, bounds.upper)
-
-
-def uniform_in_box(rng: RandomStream, lower: Vector, upper: Vector) -> Vector:
-    """Independent uniform draw per dimension on [lower_i, upper_i].
-
-    Zero-width intervals are allowed and return the exact point.
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape:
-        raise ValueError("lower and upper must have the same length")
-    return lower + rng.uniform(size=lower.shape) * (upper - lower)

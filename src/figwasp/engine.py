@@ -18,6 +18,10 @@ array to the (n,) values of its rows, bit-equal to one call per row; then
 each batch is one call, else one call per row. NaN objective values rank
 as +inf: never the best-so-far, last in the mating grid and in selection.
 
+A run allocates its generation buffers once and draws into them in place.
+Snapshots and results never alias them; the wasp rows an objective gets
+are overwritten next generation, so it must copy any row it keeps.
+
 All randomness flows through one `RandomStream`, so a run is a pure
 function of (problem, params, seed).
 """
@@ -116,8 +120,8 @@ def _plant(uniforms: np.ndarray, lower: np.ndarray, upper: np.ndarray, eta: floa
     by a wobble uniform on [-eta, eta] (from ``uniforms[..., 1, :]``),
     clamped to the box."""
     point = lower + uniforms[..., 0, :] * (upper - lower)
-    wobble = -eta + uniforms[..., 1, :] * (eta - -eta)
-    return np.clip(point + wobble, bounds.lower, bounds.upper)
+    point += -eta + uniforms[..., 1, :] * (eta - -eta)
+    return bounds.clamp(point)
 
 
 def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams, eta: float) -> np.ndarray:
@@ -127,8 +131,16 @@ def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
     return _plant(rng.uniform(size=(params.num_trees, 2, problem.dimension)), gb.lower, gb.upper, eta, gb)
 
 
+def generation_buffers(problem: ObjectiveProblem, params: FwscParams) -> tuple:
+    """Empty fig uniforms (T, A, 2, d), wasp uniforms (T, A, W, d), noise
+    (T, A, W) or None, and permutations (T, A, W) for `draw_generation`."""
+    shape, d = (params.num_trees, params.figs_per_tree, params.wasps_per_fig), problem.dimension
+    noise = None if problem.noise is None else np.empty(shape)
+    return np.empty(shape[:2] + (2, d)), np.empty(shape + (d,)), noise, np.empty(shape, dtype=np.intp)
+
+
 def draw_generation(
-    rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
+    rng: RandomStream, problem: ObjectiveProblem, params: FwscParams, buffers: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Every draw of one generation before pollination, in stream order.
 
@@ -138,18 +150,16 @@ def draw_generation(
     variable number of bits, so the per-fig draws cannot be merged into
     one block.
 
-    Returns the fig uniforms (T, A, 2, d), wasp uniforms (T, A, W, d),
-    noise (T*A*W,) or None, and permutations (T, A, W).
+    The draws fill ``buffers`` from `generation_buffers` (fresh ones when
+    None). Returns the fig uniforms (T, A, 2, d), wasp uniforms
+    (T, A, W, d), noise (T*A*W,) or None, and permutations (T, A, W).
     """
-    t_count, a_count, w_count, d = params.num_trees, params.figs_per_tree, params.wasps_per_fig, problem.dimension
-    figs = np.empty((t_count, a_count, 2, d))
-    wasp_uniforms = np.empty((t_count, a_count, w_count, d))
-    noise = None if problem.noise is None else np.empty((t_count, a_count, w_count))
-    permutations = np.empty((t_count, a_count, w_count), dtype=np.intp)
-    for t in range(t_count):
-        figs[t] = rng.uniform(size=(a_count, 2, d))
-        for a in range(a_count):
-            wasp_uniforms[t, a] = rng.uniform(size=(w_count, d))
+    figs, wasp_uniforms, noise, permutations = buffers or generation_buffers(problem, params)
+    w_count = params.wasps_per_fig
+    for t in range(params.num_trees):
+        rng.uniform(out=figs[t])
+        for a in range(params.figs_per_tree):
+            rng.uniform(out=wasp_uniforms[t, a])
             if noise is not None:
                 noise[t, a] = problem.noise(rng, w_count)
             permutations[t, a] = rng.permutation(w_count)
@@ -173,11 +183,11 @@ def spawn_wasps(wasp_uniforms: np.ndarray, fig_lower: np.ndarray, fig_upper: np.
     return wasps
 
 
-def _rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[..., index[..., j], :]``: whole rows picked per leading index."""
+def _flat(index: np.ndarray, width: int) -> np.ndarray:
+    """Per-row positions ``index`` (..., k) into rows of ``width`` items, as
+    positions into all the rows laid end to end."""
     lead = index.shape[:-1]
-    first = np.arange(math.prod(lead)).reshape(lead + (1,)) * values.shape[-2]
-    return values.reshape(-1, values.shape[-1])[first + index]
+    return index + np.arange(0, math.prod(lead) * width, width).reshape(lead + (1,))
 
 
 def build_mating_grid(females: np.ndarray, fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +197,12 @@ def build_mating_grid(females: np.ndarray, fitness: np.ndarray) -> tuple[np.ndar
     (..., W) the wasps' fitness; returns the grid as wasp indices (..., H)
     and the grid's fitness (..., H).
     """
-    if females.shape[-1] == 0:
+    h = females.shape[-1]
+    if h == 0:
         raise ValueError("mating grid needs at least one female")
-    female_fitness = np.take_along_axis(fitness, females, axis=-1)
-    order = np.argsort(female_fitness, axis=-1, kind="stable")
-    return np.take_along_axis(females, order, axis=-1), np.take_along_axis(female_fitness, order, axis=-1)
+    female_fitness = fitness.reshape(-1)[_flat(females, fitness.shape[-1])]
+    order = _flat(np.argsort(female_fitness, axis=-1, kind="stable"), h)
+    return females.reshape(-1)[order], female_fitness.reshape(-1)[order]
 
 
 def mate(positions: np.ndarray, grid: np.ndarray, grid_fitness: np.ndarray, male_fitness: np.ndarray) -> np.ndarray:
@@ -207,13 +218,16 @@ def mate(positions: np.ndarray, grid: np.ndarray, grid_fitness: np.ndarray, male
     h = grid.shape[-1]
     if h == 0:
         raise ValueError("empty mating grid")
+    rows = positions.reshape(-1, positions.shape[-1])
+    grid = _flat(grid, positions.shape[-2])  # each grid female's row in ``rows``
     if h == 1:
-        return _rows(positions, np.repeat(grid, male_fitness.shape[-1], axis=-1))
+        return rows[np.repeat(grid, male_fitness.shape[-1], axis=-1)]
     # the first interval holding the male starts at the last female strictly below him
-    below = np.count_nonzero(grid_fitness[..., None, :] < male_fitness[..., :, None], axis=-1)
-    cell = np.clip(below - 1, 0, h - 2)
-    offspring = _rows(positions, np.take_along_axis(grid, cell, axis=-1))
-    offspring += _rows(positions, np.take_along_axis(grid, cell + 1, axis=-1))
+    below = (grid_fitness[..., None, :] < male_fitness[..., :, None]).sum(axis=-1)
+    cell = _flat(np.minimum(np.maximum(below - 1, 0), h - 2), h)
+    grid = grid.reshape(-1)
+    offspring = rows[grid[cell]]
+    offspring += rows[grid[cell + 1]]
     offspring /= 2.0
     return offspring
 
@@ -235,7 +249,7 @@ def search_directions(rng: RandomStream, pool: np.ndarray, global_bounds: Bounds
     fresh = rng.uniform(size=pool.shape)
     fresh *= pool.max(axis=0) - low
     fresh += low
-    return np.clip(fresh, global_bounds.lower, global_bounds.upper, out=fresh)
+    return global_bounds.clamp(fresh)
 
 
 def wind_count(pool_size: int, wind_fraction: float) -> int:
@@ -259,12 +273,12 @@ def wind_effect(rng: RandomStream, pool: np.ndarray, params: FwscParams, global_
     drifted = pool.copy()
     kick = rng.uniform(size=(m, drifted.shape[1]))
     drifted[idx] = drifted[idx] * (1.0 + kick)
-    return np.clip(drifted, global_bounds.lower, global_bounds.upper, out=drifted)
+    return global_bounds.clamp(drifted)
 
 
 def _ranked(fitness: np.ndarray) -> np.ndarray:
     """Fitness as the engine ranks it: NaN counts as +inf everywhere."""
-    return np.where(np.isnan(fitness), np.inf, fitness)
+    return np.fmin(fitness, np.inf)
 
 
 def select_trees(
@@ -301,20 +315,21 @@ def _wasp_half(
     eta: float,
     ctx: EvalContext,
     best: tuple[float, Vector],
+    buffers: tuple,
 ) -> tuple[np.ndarray, tuple[float, Vector]]:
-    """The first half of a generation: draw and spawn the figs and wasps,
-    evaluate every wasp as one batch and mate them. Returns the (P, d)
-    offspring pool and the updated best; the wasps are freed on return."""
+    """The first half of a generation: draw and spawn the figs and wasps
+    into ``buffers``, evaluate every wasp as one batch and mate them.
+    Returns the (P, d) offspring pool and the updated best."""
     gb = problem.bounds
-    figs, wasp_uniforms, noise, permutations = draw_generation(rng, problem, params)
+    figs, wasp_uniforms, noise, permutations = draw_generation(rng, problem, params, buffers)
     wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
     rows = wasps.reshape(-1, problem.dimension)
     fitness = _ranked(evaluate(problem, rows, ctx, noise=noise))
     best = _improve(best, rows, fitness)
-    fitness = fitness.reshape(permutations.shape)
-    females, males = np.sort(np.split(permutations, 2, axis=-1), axis=-1)  # each permutation's first half is female
-    grid = build_mating_grid(females, fitness)
-    return pool_offsprings(mate(wasps, *grid, np.take_along_axis(fitness, males, axis=-1))), best
+    h = params.wasps_per_fig // 2  # each permutation's first half is female
+    females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
+    grid = build_mating_grid(females, fitness.reshape(permutations.shape))
+    return pool_offsprings(mate(wasps, *grid, fitness[_flat(males, params.wasps_per_fig)])), best
 
 
 def run(
@@ -338,12 +353,13 @@ def run(
     eta = neighborhood_width(1, params)
     trees = spawn_trees(rng, problem, params, eta)
     best = (math.inf, trees[0].copy())
+    buffers = generation_buffers(problem, params)
     trace: list[float] = []
     stagnant = 0
     iterations_run = 0
 
     for k in range(1, max(params.max_iterations, 1) + 1):
-        pool, best = _wasp_half(rng, problem, params, trees, eta, ctx, best)
+        pool, best = _wasp_half(rng, problem, params, trees, eta, ctx, best, buffers)
         if params.max_iterations == 0:
             trace.append(best[0])
             break

@@ -1,13 +1,16 @@
 import csv
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import figwasp
+from figwasp import cli
 from figwasp.cli import (
     ConfigError,
     main,
@@ -15,6 +18,7 @@ from figwasp.cli import (
     parse_problem_token,
     resolve_dimension,
 )
+from figwasp.core import derive_seed
 from figwasp.constrained import LatticeStep, ValueSet, stepped_beam
 from figwasp.stats import PairedSamples, wilcoxon_signed_rank
 
@@ -221,6 +225,36 @@ class TestEngineeringCommand:
     def test_unknown_problem_exits_nonzero(self, tmp_path, capsys):
         assert main(["engineering", "gear-train", "--runs", "1"]) == 2
 
+    def test_all_non_finite_runs_report_no_design(self, tmp_path, monkeypatch, capsys):
+        # every evaluation NaN: each run's position is just its first tree
+        resolve = cli.resolve_problem
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        monkeypatch.setattr(
+            cli, "resolve_problem", lambda *a: replace(resolve(*a), objective=lambda x: math.nan, rowwise=False)
+        )
+        out = tmp_path / "out"
+        code = main(["engineering", "welded-beam", *SMALL, small_config(tmp_path, iterations=3), "--out", str(out)])
+        assert code == 2
+        assert "error: welded-beam: every evaluation was non-finite" in capsys.readouterr().err
+        assert not (out / "engineering_welded-beam.csv").exists()
+
+    def test_non_finite_run_is_skipped(self, tmp_path, monkeypatch):
+        # the first run sees only NaN, the second the real objective
+        engine_run = cli.run
+        first = derive_seed(11, "welded-beam", 4, 0)
+
+        def run(problem, params, seed):
+            if seed == first:
+                problem = replace(problem, objective=lambda x: math.nan, rowwise=False)
+            return engine_run(problem, params, seed)
+
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        monkeypatch.setattr(cli, "run", run)
+        out = tmp_path / "out"
+        code = main(["engineering", "welded-beam", *SMALL, small_config(tmp_path, iterations=3), "--out", str(out)])
+        assert code == 0
+        assert read_csv(out / "engineering_welded-beam.csv")[0]["seed"] == str(derive_seed(11, "welded-beam", 4, 1))
+
 
 class TestStatsCommand:
     def rows(self, means):
@@ -278,7 +312,7 @@ class TestStatsCommand:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_result_file(a, self.rows([1, 2, 3, 4]))
         write_result_file(b, self.rows([1, 2, 3, 4])[:-1] + [["F21", "4", "0", "0", "1.0", "0"]])
-        assert main(["stats", f"x={a}", f"y={b}", "--out", str(tmp_path / "o")]) == 1
+        assert main(["stats", f"x={a}", f"y={b}", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "F16" in err and "F21" in err
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from figwasp import engine
 from figwasp.core import Bounds, EvalContext, ObjectiveProblem, RandomStream
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,
     draw_generation,
+    generation_buffers,
     mate,
     neighborhood_width,
     pool_offsprings,
@@ -399,6 +401,51 @@ class TestSelectTrees:
         trees, _ = select_trees(self.problem(), np.array(values)[:, None], count)
         expected = select_oracle([v * v for v in values], count)
         assert trees[:, 0].tolist() == [values[i] for i in expected]
+
+
+class TestBuffers:
+    def test_uniform_into_buffer_is_the_same_draw(self):
+        a, b = RandomStream(17), RandomStream(17)
+        buf = np.full((5, 3), np.nan)
+        assert a.uniform(out=buf) is buf
+        assert np.array_equal(buf, b.uniform(size=(5, 3)))
+        # the stream stands at the same point afterwards
+        assert np.array_equal(a.uniform(size=4), b.uniform(size=4))
+
+    def test_draw_generation_into_buffers_matches_fresh_arrays(self):
+        base = sphere_problem(dim=3)
+        noisy = ObjectiveProblem("noisy", 3, base.bounds, base.objective, noise=lambda rng, n: rng.uniform(size=n))
+        params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4)
+        reused, fresh = RandomStream(8), RandomStream(8)
+        buffers = generation_buffers(noisy, params)
+        for _ in range(3):  # refilled, not appended to, every generation
+            into = draw_generation(reused, noisy, params, buffers)
+            for got, want, buffer in zip(into, draw_generation(fresh, noisy, params), buffers):
+                assert np.shares_memory(got, buffer)
+                assert np.array_equal(got, want)
+        assert np.array_equal(reused.uniform(size=2), fresh.uniform(size=2))
+
+    def test_snapshots_and_result_outlive_the_buffers(self, monkeypatch):
+        made, held, copies = [], [], []
+
+        def buffers(*args):
+            made.append(generation_buffers(*args))
+            return made[-1]
+
+        def keep(snapshot):
+            held.append(snapshot)
+            copies.append((snapshot.trees.copy(), snapshot.pool.copy()))
+
+        monkeypatch.setattr(engine, "generation_buffers", buffers)
+        result = run(sphere_problem(dim=3), FwscParams(max_iterations=8), seed=13, on_generation=keep)
+        assert len(made) == 1 and len(held) == 8
+        for snapshot, (trees, pool) in zip(held, copies):
+            assert np.array_equal(snapshot.trees, trees)
+            assert np.array_equal(snapshot.pool, pool)
+        assert not np.array_equal(held[0].pool, held[-1].pool)
+        assert float(np.sum(result.best_position**2)) == result.best_fitness
+        kept = [a for snapshot in held for a in (snapshot.trees, snapshot.pool)] + [result.best_position]
+        assert not any(np.shares_memory(a, b) for a in kept for b in made[0] if b is not None)
 
 
 class TestRun:
