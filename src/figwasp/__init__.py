@@ -8,7 +8,7 @@ from .core import (
     derive_seed,
     evaluate,
 )
-from .engine import FwscParams, RunResult, run
+from .engine import FwscParams, RunResult, run, run_many
 
 __all__ = [
     "Bounds",
@@ -20,4 +20,5 @@ __all__ = [
     "FwscParams",
     "RunResult",
     "run",
+    "run_many",
 ]

@@ -50,10 +50,6 @@ class Bounds:
         return self.lower.shape[0]
 
     @classmethod
-    def symmetric(cls, half_width: float, dimension: int) -> "Bounds":
-        return cls(np.full(dimension, -half_width), np.full(dimension, half_width))
-
-    @classmethod
     def box(cls, low: float, high: float, dimension: int) -> "Bounds":
         return cls(np.full(dimension, low), np.full(dimension, high))
 

@@ -18,23 +18,32 @@ array to the (n,) values of its rows, bit-equal to one call per row; then
 each batch is one call, else one call per row. NaN objective values rank
 as +inf: never the best-so-far, last in the mating grid and in selection.
 
-A run allocates its generation buffers once and draws into them in place.
-Snapshots and results never alias them; the wasp rows an objective gets
-are overwritten next generation, so it must copy any row it keeps.
+`run_many` advances several runs of one problem in lockstep, and `run` is
+its one-seed case. The group's trees are stacked as R*T trees, so spawning,
+mating and the bounds check work on all runs at once, and each generation
+still has two evaluations: every wasp of every run, then every pool. Each
+run keeps its own stream and draw order, best, trace, evaluation count
+and stagnation count; a run whose stagnation window runs out leaves the
+group. So every result equals, bit for bit, the run made alone.
 
-All randomness flows through one `RandomStream`, so a run is a pure
-function of (problem, params, seed).
+A group allocates its generation buffers once and draws into them in
+place. Snapshots and results never alias them; the wasp rows an objective
+gets are overwritten next generation, so it must copy any row it keeps.
+
+All randomness of a run flows through its own `RandomStream`, so a run is
+a pure function of (problem, params, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Bounds, EvalContext, ObjectiveProblem, RandomStream, Vector
+from .core import Bounds, ObjectiveProblem, RandomStream, Vector
 from .core import evaluate_batch as evaluate  # every engine evaluation is a batch of rows
 
 # Decay horizon for the neighborhood radius, as a multiple of the iteration
@@ -131,10 +140,11 @@ def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
     return _plant(rng.uniform(size=(params.num_trees, 2, problem.dimension)), gb.lower, gb.upper, eta, gb)
 
 
-def generation_buffers(problem: ObjectiveProblem, params: FwscParams) -> tuple:
-    """Empty fig uniforms (T, A, 2, d), wasp uniforms (T, A, W, d), noise
-    (T, A, W) or None, and permutations (T, A, W) for `draw_generation`."""
-    shape, d = (params.num_trees, params.figs_per_tree, params.wasps_per_fig), problem.dimension
+def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int = 1) -> tuple:
+    """Empty fig uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise
+    (R*T, A, W) or None, and permutations (R*T, A, W) for `draw_generation`:
+    the trees of ``runs`` runs end to end, T rows per run."""
+    shape, d = (runs * params.num_trees, params.figs_per_tree, params.wasps_per_fig), problem.dimension
     noise = None if problem.noise is None else np.empty(shape)
     return np.empty(shape[:2] + (2, d)), np.empty(shape + (d,)), noise, np.empty(shape, dtype=np.intp)
 
@@ -183,11 +193,18 @@ def spawn_wasps(wasp_uniforms: np.ndarray, fig_lower: np.ndarray, fig_upper: np.
     return wasps
 
 
+@functools.lru_cache(maxsize=64)
+def _row_starts(lead: tuple[int, ...], width: int) -> np.ndarray:
+    """Read-only (*lead, 1) offsets 0, width, 2*width, ... of rows laid end to end."""
+    starts = np.arange(0, math.prod(lead) * width, width).reshape(lead + (1,))
+    starts.setflags(write=False)
+    return starts
+
+
 def _flat(index: np.ndarray, width: int) -> np.ndarray:
     """Per-row positions ``index`` (..., k) into rows of ``width`` items, as
     positions into all the rows laid end to end."""
-    lead = index.shape[:-1]
-    return index + np.arange(0, math.prod(lead) * width, width).reshape(lead + (1,))
+    return index + _row_starts(index.shape[:-1], width)
 
 
 def build_mating_grid(females: np.ndarray, fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,9 +239,11 @@ def mate(positions: np.ndarray, grid: np.ndarray, grid_fitness: np.ndarray, male
     grid = _flat(grid, positions.shape[-2])  # each grid female's row in ``rows``
     if h == 1:
         return rows[np.repeat(grid, male_fitness.shape[-1], axis=-1)]
-    # the first interval holding the male starts at the last female strictly below him
-    below = (grid_fitness[..., None, :] < male_fitness[..., :, None]).sum(axis=-1)
-    cell = _flat(np.minimum(np.maximum(below - 1, 0), h - 2), h)
+    # the first interval holding the male starts at the last female strictly
+    # below him, clipped to the h-1 intervals: the number of inner females
+    # (all but the first and last) strictly below him
+    below = (grid_fitness[..., None, 1:-1] < male_fitness[..., :, None]).sum(axis=-1)
+    cell = _flat(below, h)
     grid = grid.reshape(-1)
     offspring = rows[grid[cell]]
     offspring += rows[grid[cell + 1]]
@@ -238,16 +257,26 @@ def pool_offsprings(offspring: np.ndarray) -> np.ndarray:
     return offspring.reshape(-1, offspring.shape[-1])
 
 
-def search_directions(rng: RandomStream, pool: np.ndarray, global_bounds: Bounds) -> np.ndarray:
-    """Re-spread every offspring uniformly across the pool envelope.
+def _streams(rng) -> list[RandomStream]:
+    """One stream as a list of one, or a group's sequence of streams as is."""
+    return [rng] if isinstance(rng, RandomStream) else rng
+
+
+def search_directions(rng, pool: np.ndarray, global_bounds: Bounds) -> np.ndarray:
+    """Re-spread every offspring uniformly across its pool's envelope.
 
     Each coordinate is redrawn on [min_i, max_i] over the pool, which
     keeps the pool inside its own convex bounding box while decorrelating
-    offspring from their parents' figs.
+    offspring from their parents' figs. ``pool`` is one (P, d) pool and
+    ``rng`` its `RandomStream`, or a group's (R, P, d) pools and a sequence
+    of their R streams: each pool draws from its own stream and keeps its
+    own envelope.
     """
-    low = pool.min(axis=0)
-    fresh = rng.uniform(size=pool.shape)
-    fresh *= pool.max(axis=0) - low
+    fresh = np.empty(pool.shape)
+    for stream, out in zip(_streams(rng), fresh.reshape((-1,) + pool.shape[-2:])):
+        stream.uniform(out=out)
+    low = pool.min(axis=-2)[..., None, :]
+    fresh *= pool.max(axis=-2)[..., None, :] - low
     fresh += low
     return global_bounds.clamp(fresh)
 
@@ -256,24 +285,30 @@ def wind_count(pool_size: int, wind_fraction: float) -> int:
     return math.ceil(wind_fraction * pool_size)
 
 
-def wind_effect(rng: RandomStream, pool: np.ndarray, params: FwscParams, global_bounds: Bounds) -> np.ndarray:
+def wind_effect(rng, pool: np.ndarray, params: FwscParams, global_bounds: Bounds) -> np.ndarray:
     """Occasionally drift a fixed fraction of the pool.
 
     One gate uniform is drawn per iteration; when it falls at or below the
     wind threshold, ceil(wind_fraction * |pool|) offspring chosen without
     replacement get every coordinate inflated by x <- x + x * rand(0, 1).
+    ``pool`` and ``rng`` are one (P, d) pool and its stream, or a group's
+    (R, P, d) pools and their R streams, each pool with its own gate, choice
+    and kick. Returns ``pool`` itself when no wind blows, else a new array.
     """
-    gate = rng.uniform()
-    if params.wind_threshold <= 0.0 or gate > params.wind_threshold:
-        return pool
-    m = wind_count(len(pool), params.wind_fraction)
-    if m == 0:
-        return pool
-    idx = np.sort(rng.choose_without_replacement(len(pool), m))
-    drifted = pool.copy()
-    kick = rng.uniform(size=(m, drifted.shape[1]))
-    drifted[idx] = drifted[idx] * (1.0 + kick)
-    return global_bounds.clamp(drifted)
+    size, d = pool.shape[-2:]
+    m = wind_count(size, params.wind_fraction)
+    drifted = None
+    for i, stream in enumerate(_streams(rng)):
+        gate = stream.uniform()
+        if params.wind_threshold <= 0.0 or gate > params.wind_threshold or m == 0:
+            continue
+        idx = np.sort(stream.choose_without_replacement(size, m))
+        if drifted is None:
+            drifted = pool.copy()
+        blown = drifted.reshape(-1, size, d)[i]
+        blown[idx] = blown[idx] * (1.0 + stream.uniform(size=(m, d)))
+    # pools come in clamped, so clamping the calm ones again leaves their bits
+    return pool if drifted is None else global_bounds.clamp(drifted)
 
 
 def _ranked(fitness: np.ndarray) -> np.ndarray:
@@ -285,51 +320,141 @@ def select_trees(
     problem: ObjectiveProblem,
     pool: np.ndarray,
     count: int,
-    ctx: EvalContext | None = None,
+    noise: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the whole pool and keep the ``count`` fittest as new trees.
 
-    Ties break toward the lower pool index. Returns the (count, d) tree
-    positions plus the pool's ranked fitness so callers can track the
-    generation's best without re-evaluating.
+    ``pool`` is one (P, d) pool or a group's (R, P, d) pools, evaluated as
+    one batch; a stochastic problem's additive terms come in ``noise``, one
+    per row. Each pool keeps its own fittest, ties breaking toward the lower
+    pool index. Returns the (..., count, d) tree positions plus the pools'
+    (..., P) ranked fitness so callers can track the generation's best
+    without re-evaluating.
     """
-    if len(pool) < count:
-        raise ValueError(f"pool of {len(pool)} cannot seed {count} trees")
-    fitness = _ranked(evaluate(problem, pool, ctx))
-    return pool[np.argsort(fitness, kind="stable")[:count]], fitness
+    size, d = pool.shape[-2:]
+    if size < count:
+        raise ValueError(f"pool of {size} cannot seed {count} trees")
+    rows = pool.reshape(-1, d)
+    fitness = _ranked(evaluate(problem, rows, noise=noise)).reshape(pool.shape[:-1])
+    fittest = np.argsort(fitness, axis=-1, kind="stable")[..., :count]
+    return rows[_flat(fittest, size)], fitness
 
 
-def _improve(best: tuple[float, Vector], positions: np.ndarray, fitness: np.ndarray) -> tuple[float, Vector]:
-    """The first lowest of the rows when it beats ``best``, else ``best``."""
-    i = int(np.argmin(fitness))
-    if fitness[i] < best[0]:
-        return float(fitness[i]), positions[i].copy()
-    return best
+class _Run:
+    """One run's own state inside a lockstep group."""
+
+    __slots__ = ("seed", "rng", "best_position", "best_fitness", "evaluations", "stagnant", "trace")
+
+    def __init__(self, seed: int, rng: RandomStream, first_tree: Vector):
+        self.seed, self.rng = seed, rng
+        self.best_position, self.best_fitness = first_tree, math.inf  # until it scores a finite point
+        self.evaluations, self.stagnant, self.trace = 0, 0, []
+
+    def tally(self, rows: np.ndarray, fitness: np.ndarray) -> None:
+        """Count an evaluated batch of this run's ``rows`` (m, d) and keep
+        the first lowest of their ranked ``fitness`` when it beats the best."""
+        self.evaluations += len(fitness)
+        i = fitness.argmin()
+        if fitness[i] < self.best_fitness:
+            self.best_fitness, self.best_position = float(fitness[i]), rows[i].copy()
 
 
 def _wasp_half(
-    rng: RandomStream,
+    rngs: list[RandomStream],
     problem: ObjectiveProblem,
     params: FwscParams,
     trees: np.ndarray,
     eta: float,
-    ctx: EvalContext,
-    best: tuple[float, Vector],
     buffers: tuple,
-) -> tuple[np.ndarray, tuple[float, Vector]]:
-    """The first half of a generation: draw and spawn the figs and wasps
-    into ``buffers``, evaluate every wasp as one batch and mate them.
-    Returns the (P, d) offspring pool and the updated best."""
-    gb = problem.bounds
-    figs, wasp_uniforms, noise, permutations = draw_generation(rng, problem, params, buffers)
+    slots: list[tuple],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first half of a generation for a group of R runs, their (R*T, d)
+    trees end to end: draw each run's figs and wasps from its own stream
+    into its slot (its T rows) of ``buffers``, spawn them, evaluate every
+    wasp of every run as one batch and mate them. Returns the wasps
+    (R, T*A*W, d), their ranked fitness (R, T*A*W) and the offspring pools
+    (R, P, d)."""
+    for rng, slot in zip(rngs, slots):
+        draw_generation(rng, problem, params, slot)
+    gb, n, d = problem.bounds, len(rngs), problem.dimension
+    figs, wasp_uniforms, noise, permutations = buffers
     wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
-    rows = wasps.reshape(-1, problem.dimension)
-    fitness = _ranked(evaluate(problem, rows, ctx, noise=noise))
-    best = _improve(best, rows, fitness)
+    rows = wasps.reshape(-1, d)
+    fitness = _ranked(evaluate(problem, rows, noise=None if noise is None else noise.reshape(-1)))
     h = params.wasps_per_fig // 2  # each permutation's first half is female
     females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
     grid = build_mating_grid(females, fitness.reshape(permutations.shape))
-    return pool_offsprings(mate(wasps, *grid, fitness[_flat(males, params.wasps_per_fig)])), best
+    pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, params.wasps_per_fig)]))
+    return rows.reshape(n, -1, d), fitness.reshape(n, -1), pools.reshape(n, -1, d)
+
+
+def _lockstep(
+    problem: ObjectiveProblem,
+    params: FwscParams,
+    seeds: list[int],
+    on_generation: Callable[[GenerationSnapshot], None] | None,
+) -> list[RunResult]:
+    """Advance one run per seed together; see `run` and `run_many`."""
+    gb, d = problem.bounds, problem.dimension
+    eta = neighborhood_width(1, params)
+    runs, trees = [], []
+    for seed in seeds:
+        rng = RandomStream(seed)
+        trees.append(spawn_trees(rng, problem, params, eta))
+        runs.append(_Run(seed, rng, trees[-1][0].copy()))
+    trees = np.concatenate(trees)  # (R*T, d): the live runs' trees end to end
+    buffers = generation_buffers(problem, params, len(runs))
+    t = params.num_trees
+    # the i-th live run draws into slot i: rows i*T to (i+1)*T of every buffer
+    slots = [tuple(None if b is None else b[i * t : (i + 1) * t] for b in buffers) for i in range(len(runs))]
+    live, rngs = runs, [run.rng for run in runs]
+
+    for k in range(1, max(params.max_iterations, 1) + 1):
+        wasps, fitness, pools = _wasp_half(rngs, problem, params, trees, eta, buffers, slots)
+        for run, rows, values in zip(live, wasps, fitness):
+            run.tally(rows, values)
+        if params.max_iterations == 0:
+            for run in live:
+                run.trace.append(run.best_fitness)
+            break
+        # per run: the pool uniforms, then the wind's gate, choice and kick,
+        # then the pool's noise terms
+        pools = search_directions(rngs, pools, gb)
+        pools = wind_effect(rngs, pools, params, gb)
+        noise = None
+        if problem.noise is not None:
+            noise = np.concatenate([problem.noise(rng, pools.shape[1]) for rng in rngs])
+
+        eta = neighborhood_width(k + 1, params)
+        trees, pool_fitness = select_trees(problem, pools, params.num_trees, noise=noise)
+        for run, pool, values in zip(live, pools, pool_fitness):
+            run.tally(pool, values)
+            run.stagnant = 0 if not run.trace or run.best_fitness < run.trace[-1] else run.stagnant + 1
+            run.trace.append(run.best_fitness)
+        if on_generation is not None:
+            on_generation(GenerationSnapshot(k, trees[0], pools[0], live[0].best_fitness))
+
+        window = params.stagnation_window
+        if window is not None and any(run.stagnant >= window for run in live):
+            stays = [run.stagnant < window for run in live]  # a stagnant run leaves the group
+            live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
+            if not live:
+                break
+            rngs = [run.rng for run in live]
+            buffers = tuple(None if b is None else b[: len(live) * t] for b in buffers)
+        trees = trees.reshape(-1, d)
+
+    return [
+        RunResult(
+            best_position=run.best_position,
+            best_fitness=run.best_fitness,
+            trace=np.array(run.trace),
+            evaluations=run.evaluations,
+            seed=run.seed,
+            iterations_run=len(run.trace) if params.max_iterations else 0,
+        )
+        for run in runs
+    ]
 
 
 def run(
@@ -338,53 +463,26 @@ def run(
     seed: int,
     on_generation: Callable[[GenerationSnapshot], None] | None = None,
 ) -> RunResult:
-    """Execute one full optimization run.
+    """Execute one full optimization run: `run_many` with one seed.
 
     The best-so-far value tracks every evaluated point (wasps and pool
     members alike) and the trace records it once per completed generation,
     so the trace is non-increasing by construction. A ``max_iterations`` of
     zero stops generation 1 once its wasps are evaluated, before anything
     more is drawn, which keeps zero-budget harness invocations well formed.
+    ``on_generation`` sees each completed generation's snapshot.
     """
-    rng = RandomStream(seed)
-    ctx = EvalContext(rng=rng)
-    gb = problem.bounds
+    return _lockstep(problem, params, [seed], on_generation)[0]
 
-    eta = neighborhood_width(1, params)
-    trees = spawn_trees(rng, problem, params, eta)
-    best = (math.inf, trees[0].copy())
-    buffers = generation_buffers(problem, params)
-    trace: list[float] = []
-    stagnant = 0
-    iterations_run = 0
 
-    for k in range(1, max(params.max_iterations, 1) + 1):
-        pool, best = _wasp_half(rng, problem, params, trees, eta, ctx, best, buffers)
-        if params.max_iterations == 0:
-            trace.append(best[0])
-            break
-        pool = search_directions(rng, pool, gb)
-        pool = wind_effect(rng, pool, params, gb)
+def run_many(problem: ObjectiveProblem, params: FwscParams, seeds) -> list[RunResult]:
+    """One run per seed, advanced in lockstep; equal, bit for bit, to
+    ``[run(problem, params, seed) for seed in seeds]``.
 
-        eta = neighborhood_width(k + 1, params)
-        trees, pool_fitness = select_trees(problem, pool, params.num_trees, ctx)
-        best = _improve(best, pool, pool_fitness)
-
-        improved = not trace or best[0] < trace[-1]
-        trace.append(best[0])
-        iterations_run = k
-        if on_generation is not None:
-            on_generation(GenerationSnapshot(k, trees, pool, best[0]))
-
-        stagnant = 0 if improved else stagnant + 1
-        if params.stagnation_window is not None and stagnant >= params.stagnation_window:
-            break
-
-    return RunResult(
-        best_position=best[1],
-        best_fitness=best[0],
-        trace=np.array(trace),
-        evaluations=ctx.evaluations,
-        seed=seed,
-        iterations_run=iterations_run,
-    )
+    The runs share each generation's array work and objective batches, and
+    each keeps its own stream, draw order, best, trace, evaluation count
+    and stagnation count. A run whose stagnation window runs out leaves the
+    group; the others go on.
+    """
+    seeds = list(seeds)
+    return _lockstep(problem, params, seeds, None) if seeds else []

@@ -195,6 +195,40 @@ class TestRunCommand:
         assert "dim" in capsys.readouterr().err
 
 
+class TestGrouping:
+    PARAMS = cli.FwscParams()  # T*A*W = 96 wasps
+
+    @pytest.mark.parametrize(
+        "runs,total,workers,dim,width",
+        [
+            (4, 16, 2, 30, 4),  # every run of a problem in one group
+            (30, 30, 4, 4, 8),  # ceil(30 / 4): four groups keep four workers busy
+            (30, 30, 1, 30, 30),
+            (100, 100, 1, 30, 45),  # 45 * 96 * 30 floats fit 2^17, 46 do not
+            (1000, 1000, 1, 2, 682),
+            (30, 30, 1, 1000, 1),  # one d=1000 wasp block alone is over the cap
+            (1, 4, 8, 30, 1),
+        ],
+    )
+    def test_group_width(self, runs, total, workers, dim, width):
+        assert cli.group_width(runs, total, workers, self.PARAMS, dim) == width
+
+    def test_campaign_runs_groups_of_one_problem(self, tmp_path, monkeypatch):
+        calls = []
+        engine_run_many = cli.run_many
+
+        def run_many(problem, params, seeds):
+            calls.append((problem.name, len(seeds)))
+            return engine_run_many(problem, params, seeds)
+
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        monkeypatch.setattr(cli, "run_many", run_many)
+        args = ["run", "F16", "F1@100", "--runs", "3", "--seed", "5", "--config", small_config(tmp_path, iterations=2)]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 0
+        assert [n for _, n in calls] == [3, 3]
+        assert len({name for name, _ in calls}) == 2
+
+
 class TestEngineeringCommand:
     def test_report_and_lattice(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -240,20 +274,31 @@ class TestEngineeringCommand:
 
     def test_non_finite_run_is_skipped(self, tmp_path, monkeypatch):
         # the first run sees only NaN, the second the real objective
-        engine_run = cli.run
-        first = derive_seed(11, "welded-beam", 4, 0)
+        engine_run_many = cli.run_many
+        first, second = (derive_seed(11, "welded-beam", 4, i) for i in (0, 1))
+        seen = []
 
-        def run(problem, params, seed):
-            if seed == first:
-                problem = replace(problem, objective=lambda x: math.nan, rowwise=False)
-            return engine_run(problem, params, seed)
+        def run_many(problem, params, seeds):
+            seen.extend(seeds)
+            results = []
+            for seed in seeds:
+                if seed == first:
+                    # a non-finite run's position is arbitrary; here it is the
+                    # second run's design, which it would win a tie with
+                    nan = replace(problem, objective=lambda x: math.nan, rowwise=False)
+                    design = engine_run_many(problem, params, [second])[0].best_position
+                    results.append(replace(engine_run_many(nan, params, [seed])[0], best_position=design))
+                else:
+                    results.append(engine_run_many(problem, params, [seed])[0])
+            return results
 
         monkeypatch.setenv(cli.WORKERS_ENV, "1")
-        monkeypatch.setattr(cli, "run", run)
+        monkeypatch.setattr(cli, "run_many", run_many)
         out = tmp_path / "out"
         code = main(["engineering", "welded-beam", *SMALL, small_config(tmp_path, iterations=3), "--out", str(out)])
         assert code == 0
-        assert read_csv(out / "engineering_welded-beam.csv")[0]["seed"] == str(derive_seed(11, "welded-beam", 4, 1))
+        assert sorted(seen) == sorted([first, second])
+        assert read_csv(out / "engineering_welded-beam.csv")[0]["seed"] == str(second)
 
 
 class TestStatsCommand:

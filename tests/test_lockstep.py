@@ -1,0 +1,130 @@
+"""Runs advanced in lockstep equal runs made one at a time, bit for bit.
+
+`run_many` shares each generation's array work and objective batches
+between runs of one problem; every run keeps its own stream and draw
+order. So for any seeds, ``run_many(problem, params, seeds)`` must give
+exactly ``[run(problem, params, seed) for seed in seeds]``: the same trace,
+best position and value, evaluation count and generations run.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
+from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
+from figwasp.core import Bounds, ObjectiveProblem, RandomStream
+from figwasp.engine import FwscParams, run, run_many, search_directions, select_trees, wind_effect
+
+SEEDS = [11, 2024, 7, 7, 123456789]  # a repeated seed too
+
+
+def campaign_case(pid, dim, **changes):
+    problem = resolve_problem(pid, dim, DEFAULT_PENALTY_COEFFICIENT)
+    params = resolved_params(ExperimentConfig(problems=[(pid, problem.dimension)]), problem)
+    return problem, replace(params, **{"max_iterations": 30, **changes})
+
+
+def half_nan(x):
+    return float("nan") if x[0] > 0.0 else float(np.sum(x * x))
+
+
+CASES = {
+    "F1@30": lambda: campaign_case("F1", 30),
+    "F7@30-noisy": lambda: campaign_case("F7", 30),
+    "F16": lambda: campaign_case("F16", None),
+    "pressure-vessel": lambda: campaign_case("pressure-vessel", None),
+    "half-nan": lambda: (
+        ObjectiveProblem("half-nan", 2, Bounds.box(-10.0, 10.0, 2), half_nan),
+        FwscParams(max_iterations=30, eta0=2.0),
+    ),
+    "wind-0": lambda: campaign_case("F9", 30, wind_threshold=0.0),
+    "wind-1": lambda: campaign_case("F7", 30, wind_threshold=1.0),
+    "zero-budget": lambda: campaign_case("F7", 30, max_iterations=0),
+    "zero-budget-design": lambda: campaign_case("welded-beam", None, max_iterations=0),
+    "stagnation": lambda: campaign_case("pressure-vessel", None, stagnation_window=3),
+    "stagnation-noisy": lambda: campaign_case("F7", 30, stagnation_window=2),
+}
+
+
+def assert_same_run(many, alone):
+    assert many.trace.tobytes() == alone.trace.tobytes()
+    assert many.best_position.tobytes() == alone.best_position.tobytes()
+    assert many.best_fitness == alone.best_fitness or (np.isnan(many.best_fitness) and np.isnan(alone.best_fitness))
+    assert many.evaluations == alone.evaluations
+    assert many.iterations_run == alone.iterations_run
+    assert many.seed == alone.seed
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_lockstep_equals_solo(case):
+    problem, params = CASES[case]()
+    results = run_many(problem, params, SEEDS)
+    assert len(results) == len(SEEDS)
+    for seed, many in zip(SEEDS, results):
+        assert_same_run(many, run(problem, params, seed))
+
+
+def test_runs_leave_the_group_at_different_generations():
+    # the stagnation cases above cover a group that shrinks as it goes
+    for case in ("stagnation", "stagnation-noisy"):
+        problem, params = CASES[case]()
+        stops = [r.iterations_run for r in run_many(problem, params, SEEDS)]
+        assert len(set(stops)) > 1 and min(stops) < params.max_iterations
+
+
+def test_results_share_no_memory():
+    problem, params = CASES["F16"]()
+    results = run_many(problem, params, SEEDS[:3])
+    arrays = [a for r in results for a in (r.trace, r.best_position)]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+
+
+def test_no_seeds_no_runs():
+    problem, params = CASES["F16"]()
+    assert run_many(problem, params, []) == []
+
+
+# the group forms of the pool steps equal one call per pool
+
+BOX = Bounds.box(-10.0, 10.0, 3)
+
+
+def pools(seed, runs=4, size=12):
+    return RandomStream(seed).uniform(size=(runs, size, 3)) * 16.0 - 8.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_search_directions_group_equals_each_pool(seed):
+    group = pools(seed)
+    together = search_directions([RandomStream(seed + r) for r in range(4)], group, BOX)
+    for r, pool in enumerate(group):
+        assert together[r].tobytes() == search_directions(RandomStream(seed + r), pool, BOX).tobytes()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_wind_group_equals_each_pool(seed, threshold):
+    params = FwscParams(wind_threshold=threshold)
+    group = np.clip(pools(seed) * 1.5, -10.0, 10.0)  # some kicks reach the box edge
+    streams = [RandomStream(seed + r) for r in range(4)]
+    together = wind_effect(streams, group, params, BOX)
+    for r, pool in enumerate(group):
+        alone_stream = RandomStream(seed + r)
+        assert together[r].tobytes() == wind_effect(alone_stream, pool, params, BOX).tobytes()
+        # and each stream stands where its own call left it
+        assert streams[r].uniform() == alone_stream.uniform()
+    if threshold == 0.0:
+        assert together is group
+
+
+def test_select_trees_group_equals_each_pool():
+    problem = ObjectiveProblem("sphere", 3, BOX, lambda x: np.sum(x * x, axis=-1), rowwise=True)
+    group = pools(9)
+    group[1, 3] = group[1, 5]  # a tie, broken toward the lower index
+    trees, fitness = select_trees(problem, group, 3)
+    for r, pool in enumerate(group):
+        alone_trees, alone_fitness = select_trees(problem, pool, 3)
+        assert trees[r].tobytes() == alone_trees.tobytes()
+        assert fitness[r].tobytes() == alone_fitness.tobytes()
