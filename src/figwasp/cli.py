@@ -14,9 +14,9 @@ Subcommands:
 Per-run seeds are hashed from (master seed, problem id, dimension, run
 index), so campaigns are reproducible and extending a campaign never
 shifts existing seeds. Worker count comes from the FIGWASP_WORKERS
-environment variable; a worker advances a group of one problem's runs in
-lockstep (see `group_width`). Serial and parallel execution, whatever the
-grouping, produce identical files.
+environment variable, capped at the number of groups; a worker advances a
+group of one problem's runs in lockstep (see `group_width`). Serial and
+parallel execution, whatever the grouping, produce identical files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -165,7 +164,11 @@ def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[tup
             run_indices = list(range(first, min(first + width, config.runs)))
             seeds = [derive_seed(config.master_seed, pid, dim, i) for i in run_indices]
             tasks.append((pid, dim, run_indices, seeds, params, config.penalty_coefficient))
+    workers = min(workers, len(tasks))
     if workers > 1:
+        # imported here so that processes which never fork do not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_group, tasks))
     else:

@@ -7,15 +7,15 @@ tie-corrected normal approximation above that. The Friedman test ranks
 algorithms within each problem row with mid-ranks and reports mean ranks,
 a dense ordinal ranking, and the tie-corrected chi-square statistic.
 
-Importing this module costs only numpy: mid-ranks are computed with numpy,
-and ``scipy.special`` is imported on the first p-value that needs a normal
-or chi-square tail (``ndtr``/``chdtrc``, the functions behind
-``scipy.stats.norm.sf`` and ``scipy.stats.chi2.sf``), so callers that never
-compute one never load scipy.
+The module needs only numpy and the standard library: mid-ranks are
+computed with numpy, the normal tail is ``math.erfc`` and the chi-square
+tail, whose degrees of freedom are always an integer here, is its finite
+closed form (`chi2_sf`). No scipy module is loaded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -126,10 +126,30 @@ def wilcoxon_signed_rank(samples: PairedSamples) -> WilcoxonResult:
         mu = ranks.sum() / 2.0
         sigma = np.sqrt(np.sum(ranks**2) / 4.0)
         z = (t_plus - mu) / sigma
-        from scipy.special import ndtr
-
-        p = float(2.0 * ndtr(-abs(z)))
+        p = math.erfc(abs(z) * math.sqrt(0.5))
     return WilcoxonResult(p_value=p, t_plus=t_plus, t_minus=t_minus)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X >= x) of a chi-square variable with integer ``df`` >= 1.
+
+    Closed forms, both finite sums of positive terms (no cancellation):
+    even df, exp(-x/2) * sum_{i < df/2} (x/2)^i / i!; odd df,
+    erfc(sqrt(x/2)) + sqrt(2x/pi) * exp(-x/2) * sum_{i < (df-1)/2} x^i / (3*5*...*(2i+1)).
+    Each term is the previous one times a finite factor, starting from a
+    finite multiple of exp(-x/2); every term is a probability, so none
+    overflows, a far tail underflows to 0 and no step forms inf * 0.
+    """
+    if x <= 0.0:
+        return 1.0
+    odd = df % 2
+    root = math.sqrt(x / 2.0)
+    total = math.erfc(root) if odd else 0.0
+    term = (2.0 / math.sqrt(math.pi) * root if odd else 1.0) * math.exp(-x / 2.0)
+    for i in range(df // 2):
+        total += term
+        term *= x / (2 * i + 2 + odd)
+    return min(1.0, total)
 
 
 def friedman_mean_ranks(matrix: ResultMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +186,4 @@ def friedman_statistic(matrix: ResultMatrix) -> tuple[float, float]:
         # every row fully tied: no discrimination at all
         return 0.0, 1.0
     statistic = float(raw / correction)
-    from scipy.special import chdtrc
-
-    p = float(chdtrc(k - 1, statistic))
-    return statistic, p
+    return statistic, chi2_sf(statistic, k - 1)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import os
@@ -228,6 +229,39 @@ class TestGrouping:
         assert [n for _, n in calls] == [3, 3]
         assert len({name for name, _ in calls}) == 2
 
+    def test_one_group_builds_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-group campaign built a process pool")
+
+        monkeypatch.setenv(cli.WORKERS_ENV, "4")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        args = ["run", "F16", "--runs", "1", "--seed", "5", "--config", small_config(tmp_path, iterations=2)]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 0
+        assert len(read_csv(tmp_path / "out" / "summary.csv")) == 1
+
+    def test_pool_capped_at_group_count(self, tmp_path, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setenv(cli.WORKERS_ENV, "4")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        args = ["run", "F16", "F1@30", "--runs", "1", "--seed", "5", "--config", small_config(tmp_path, iterations=2)]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 0
+        assert pools == [2]
+        assert len(read_csv(tmp_path / "out" / "summary.csv")) == 2
+
 
 class TestEngineeringCommand:
     def test_report_and_lattice(self, tmp_path, capsys):
@@ -383,7 +417,7 @@ class TestListCommand:
 
 
 class TestImportPath:
-    """Only `figwasp stats` may load scipy, and only when it needs a p-value."""
+    """No figwasp process loads scipy, and only a campaign that forks loads the process pool."""
 
     def run_python(self, code, cwd):
         src = str(Path(figwasp.__file__).resolve().parents[1])
@@ -400,6 +434,35 @@ class TestImportPath:
             f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])", tmp_path
         )
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["figwasp", "figwasp.cli"])
+    def test_import_loads_no_process_pool(self, tmp_path, module):
+        out = self.run_python(
+            f"import sys, {module}; "
+            "print([m for m in sys.modules if m == 'concurrent.futures.process' or m.startswith('multiprocessing')])",
+            tmp_path,
+        )
+        assert out.strip() == "[]"
+
+    def test_stats_runs_without_scipy(self, tmp_path):
+        # 21 problem rows: the Wilcoxon tests take the normal branch (n > 20),
+        # and three files make the Friedman test's df = 2
+        rng = np.random.default_rng(9)
+        for name in ("a", "b", "c"):
+            rows = [[f"F{i}", "30", "0", "0", f"{m:.6E}", "0"] for i, m in enumerate(rng.normal(size=21), 1)]
+            write_result_file(tmp_path / f"{name}.csv", rows)
+        out = self.run_python(
+            "import sys; sys.modules['scipy'] = None\n"
+            "from figwasp.cli import main\n"
+            "code = main(['stats', 'a.csv', 'b.csv', 'c.csv', '--out', 'o'])\n"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None])",
+            tmp_path,
+        )
+        assert out.splitlines()[-1] == "0 []"
+        assert "friedman chi-square" in out
+        assert len(read_csv(tmp_path / "o" / "friedman.csv")) == 2
+        wilcoxon = read_csv(tmp_path / "o" / "wilcoxon.csv")
+        assert len(wilcoxon) == 2 and all(0.0 < float(row["p_value"]) <= 1.0 for row in wilcoxon)
 
     def test_stats_still_writes_both_tables(self, tmp_path):
         for name, means in (("a", [1.0, 2.0, 3.0]), ("b", [2.0, 2.5, 3.5])):

@@ -58,7 +58,7 @@ def trace_lengths(out: Path) -> list[int]:
     return [len(p.read_bytes().splitlines()) - 1 for p in sorted(out.glob("trace_*.csv"))]
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_campaign_golden(tmp_path, workers):
     expected = json.loads(FIXTURE.read_text())
     assert campaign_digests(tmp_path, workers) == expected

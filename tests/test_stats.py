@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats as sps
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from figwasp.stats import (
     PairedSamples,
     ResultMatrix,
+    chi2_sf,
     friedman_mean_ranks,
     friedman_statistic,
     mid_ranks,
@@ -73,13 +77,24 @@ class TestPairedSamples:
 # The pre-numpy reference expressions: scipy.stats ranks and tails.
 
 
-def scipy_normal_p(a, b):
+def scipy_normal(a, b):
+    """T+, T- and the two-sided normal-approximation p."""
     d = a - b
     d = d[d != 0.0]
     ranks = sps.rankdata(np.abs(d), method="average")
     t_plus = float(ranks[d > 0].sum())
     z = (t_plus - ranks.sum() / 2.0) / np.sqrt(np.sum(ranks**2) / 4.0)
-    return float(2.0 * sps.norm.sf(abs(z)))
+    return t_plus, float(ranks[d < 0].sum()), float(2.0 * sps.norm.sf(abs(z)))
+
+
+def written(p):
+    """A p-value as ``figwasp stats`` writes it."""
+    return f"{p:.6E}"
+
+
+def ulps_from(value, exact):
+    """Distance of a double from a high-precision value, in units of the value's last place."""
+    return float(abs(mpmath.mpf(value) - exact) / math.ulp(float(exact)))
 
 
 def scipy_friedman(values):
@@ -165,7 +180,9 @@ class TestWilcoxon:
         assert flipped.t_minus == res.t_plus
         assert flipped.p_value == pytest.approx(res.p_value, rel=1e-12)
 
-    def test_normal_p_bit_equal_to_scipy_norm_sf(self):
+    def test_normal_branch_matches_scipy_norm_sf(self):
+        # T+ and T- are bit-equal to scipy's ranks; p (math.erfc, not
+        # scipy's ndtr) agrees to 1e-12 and writes the same bytes
         rng = np.random.default_rng(20)
         for _ in range(200):
             n = int(rng.integers(21, 80))
@@ -176,7 +193,10 @@ class TestWilcoxon:
             if np.sum(a != b) <= 20:
                 continue
             res = wilcoxon_signed_rank(PairedSamples(a, b))
-            assert res.p_value == scipy_normal_p(a, b)
+            t_plus, t_minus, p = scipy_normal(a, b)
+            assert (res.t_plus, res.t_minus) == (t_plus, t_minus)
+            assert res.p_value == pytest.approx(p, rel=1e-12)
+            assert written(res.p_value) == written(p)
 
     def test_large_sample_normal_branch(self):
         rng = np.random.default_rng(7)
@@ -289,7 +309,9 @@ class TestFriedmanStatistic:
         statistic, _ = friedman_statistic(matrix(values))
         assert statistic == pytest.approx(corrected, rel=1e-12)
 
-    def test_bit_equal_to_scipy_rankdata_and_chi2_sf(self):
+    def test_matches_scipy_rankdata_and_chi2_sf(self):
+        # the statistic is bit-equal to scipy's ranks; p (closed-form tail,
+        # not scipy's chdtrc) agrees to 1e-12 and writes the same bytes
         rng = np.random.default_rng(21)
         for _ in range(200):
             rows, cols = int(rng.integers(2, 30)), int(rng.integers(2, 15))
@@ -299,7 +321,11 @@ class TestFriedmanStatistic:
                 values = rng.normal(size=(rows, cols))
             if all(np.all(row == row[0]) for row in values):
                 continue
-            assert friedman_statistic(matrix(values)) == scipy_friedman(values)
+            statistic, p = friedman_statistic(matrix(values))
+            ref_statistic, ref_p = scipy_friedman(values)
+            assert statistic == ref_statistic
+            assert p == pytest.approx(ref_p, rel=1e-12)
+            assert written(p) == written(ref_p)
 
     def test_matches_scipy_without_ties(self):
         rng = np.random.default_rng(3)
@@ -325,3 +351,69 @@ class TestFriedmanStatistic:
         perm = np.roll(np.arange(cols), 1)
         permuted, _ = friedman_statistic(matrix(values[:, perm]))
         assert permuted == pytest.approx(statistic, rel=1e-9, abs=1e-12)
+
+
+class TestTails:
+    """Both p-value tails against 200-bit mpmath."""
+
+    @staticmethod
+    def exact_chi2_sf(x, df):
+        with mpmath.workprec(200):
+            return mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+
+    @staticmethod
+    def tail_grid(df, rng):
+        """x = 0, the body, and a log grid out to where p nears underflow."""
+        return np.concatenate([[0.0], rng.uniform(0, 5 * df + 10, 40), np.geomspace(1e-6, 1400, 60)])
+
+    @pytest.mark.parametrize("df", range(2, 25))
+    def test_chi2_within_few_ulp(self, df):
+        rng = np.random.default_rng(df)
+        for x in self.tail_grid(df, rng):
+            exact = self.exact_chi2_sf(x, df)
+            if exact < 1e-300:
+                continue
+            assert ulps_from(chi2_sf(float(x), df), exact) <= 8, x
+
+    def test_chi2_one_df_is_erfc_at_rounded_root(self):
+        # with df = 1 the tail is erfc(sqrt(x/2)); rounding sqrt(x/2) costs
+        # about x/3 ULP far out, as it does scipy's chdtrc, so the tail is
+        # held to erfc at that rounded argument
+        rng = np.random.default_rng(1)
+        for x in self.tail_grid(1, rng):
+            root = math.sqrt(x / 2.0)
+            with mpmath.workprec(200):
+                exact = mpmath.erfc(mpmath.mpf(root))
+            if exact < 1e-300:
+                continue
+            assert ulps_from(chi2_sf(float(x), 1), exact) <= 3, x
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 24, 25, 200])
+    def test_chi2_finite_in_unit_interval_and_non_increasing(self, df):
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 3000, 3000), [1e6, 1e300, 1e308]])
+        p = np.array([chi2_sf(float(x), df) for x in xs])
+        assert p[0] == 1.0
+        assert np.all(np.isfinite(p)) and np.all((p >= 0.0) & (p <= 1.0))
+        assert p[-1] == 0.0
+        # where p is within rounding of 1, the sum of about df/2 terms can
+        # land a few ULP either side of its true value; below that p never rises
+        rises = np.diff(p) > 0
+        assert not np.any(rises & (p[1:] < 1.0 - 1e-12))
+        assert np.all(np.diff(p) <= df * 2.0**-52)
+
+    def test_wilcoxon_normal_tail_within_few_ulp_at_rounded_argument(self):
+        # p = erfc(|z| * sqrt(1/2)); rounding that product costs as much as
+        # it does scipy's ndtr, so p is held to erfc at the rounded argument.
+        # Shifts up to 3 sd with n up to 400 pairs reach |z| of about 17.
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            n = int(rng.integers(21, 400))
+            a, b = rng.normal(loc=rng.uniform(0, 3), size=n), rng.normal(size=n)
+            res = wilcoxon_signed_rank(PairedSamples(a, b))
+            ranks = mid_ranks(np.abs(a - b))
+            z = (res.t_plus - ranks.sum() / 2.0) / np.sqrt(np.sum(ranks**2) / 4.0)
+            with mpmath.workprec(200):
+                exact = mpmath.erfc(mpmath.mpf(abs(z) * math.sqrt(0.5)))
+            if exact < 1e-300:
+                continue
+            assert ulps_from(res.p_value, exact) <= 3, z
