@@ -2,7 +2,6 @@
 
 from .core import (
     Bounds,
-    EvalContext,
     ObjectiveProblem,
     RandomStream,
     derive_seed,
@@ -12,7 +11,6 @@ from .engine import FwscParams, RunResult, run, run_many
 
 __all__ = [
     "Bounds",
-    "EvalContext",
     "ObjectiveProblem",
     "RandomStream",
     "derive_seed",

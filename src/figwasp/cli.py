@@ -11,6 +11,9 @@ Subcommands:
                       two or more result files.
 * ``list``         -- enumerate the available problem ids.
 
+A campaign is an `ExperimentConfig`. `CONFIG_KEYS` maps each ``--config``
+key to the field it sets and its parser; each default is the field's own.
+
 Per-run seeds are hashed from (master seed, problem id, dimension, run
 index), so campaigns are reproducible and extending a campaign never
 shifts existing seeds. Worker count comes from the FIGWASP_WORKERS
@@ -71,8 +74,8 @@ class ExperimentConfig:
             raise ConfigError("runs: must be >= 1")
         if self.eta_units not in ("relative", "absolute"):
             raise ConfigError("eta_units: must be 'relative' or 'absolute'")
-        if not self.penalty_coefficient > 0:
-            raise ConfigError("penalty_coefficient: must be positive")
+        if not (self.penalty_coefficient > 0 and math.isfinite(self.penalty_coefficient)):
+            raise ConfigError("penalty_coefficient: must be positive and finite")
         if not self.problems:
             raise ConfigError("problems: at least one problem id is required")
         for pid, dim in self.problems:
@@ -235,9 +238,6 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
-    if pid not in ENGINEERING_PROBLEMS:
-        print(f"unknown engineering problem {pid!r}; choose from {sorted(ENGINEERING_PROBLEMS)}", file=sys.stderr)
-        return 2
     design = ENGINEERING_PROBLEMS[pid]()
     grouped = execute_campaign(config)
     # a run whose best is not finite never scored a point: its position is just its first tree
@@ -392,29 +392,34 @@ def cmd_list() -> int:
     return 0
 
 
-_CONFIG_KEYS = {
-    "schema",
-    "problems",
-    "runs",
-    "seed",
-    "out",
-    "trace",
-    "eta_units",
-    "eta0",
-    "trees",
-    "figs_per_tree",
-    "wasps_per_fig",
-    "wind_threshold",
-    "wind_fraction",
-    "iterations",
-    "decay_scale",
-    "stagnation_window",
-    "penalty_coefficient",
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0", "yes", "no", "on", "off"):
+        raise ValueError(text)
+    return text.lower() in ("true", "1", "yes", "on")
+
+
+# Config key -> (ExperimentConfig field or "params.<FwscParams field>", parser
+# of its text). Defaults live only in the dataclasses: a key that is absent or
+# empty keeps its field's default. `schema` sets no field; it is checked on read.
+CONFIG_KEYS = {
+    "schema": (None, None),
+    "problems": ("problems", lambda text: [t.strip() for t in text.split(",") if t.strip()]),
+    "runs": ("runs", int),
+    "seed": ("master_seed", int),
+    "out": ("out_dir", str),
+    "trace": ("trace", _flag),
+    "eta_units": ("eta_units", str),
+    "eta0": ("params.eta0", float),
+    "trees": ("params.num_trees", int),
+    "figs_per_tree": ("params.figs_per_tree", int),
+    "wasps_per_fig": ("params.wasps_per_fig", int),
+    "wind_threshold": ("params.wind_threshold", float),
+    "wind_fraction": ("params.wind_fraction", float),
+    "iterations": ("params.max_iterations", int),
+    "decay_scale": ("params.decay_scale", float),
+    "stagnation_window": ("params.stagnation_window", int),
+    "penalty_coefficient": ("penalty_coefficient", float),
 }
-
-
-# FwscParams fields whose config key has another name
-_RENAMED_PARAM_KEYS = {"num_trees": "trees", "max_iterations": "iterations"}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -428,8 +433,10 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
         values[key] = value
     if "schema" in values and values["schema"] != str(SCHEMA_VERSION):
         raise ConfigError(f"schema: unsupported value {values['schema']!r} in {path} (expected {SCHEMA_VERSION})")
@@ -437,6 +444,7 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def parse_problem_token(token: str, default_dim: int | None) -> tuple[str, int]:
+    """(id, dimension) of a token such as F1@30 or F16; ``default_dim`` fills in only a scalable one."""
     if "@" in token:
         pid, _, dim_text = token.partition("@")
         try:
@@ -444,70 +452,42 @@ def parse_problem_token(token: str, default_dim: int | None) -> tuple[str, int]:
         except ValueError as exc:
             raise ConfigError(f"problems: bad dimension in {token!r}") from exc
     else:
-        pid, dim = token, default_dim
+        spec = benchmarks.SPECS.get(token)
+        pid, dim = token, default_dim if spec and len(spec.dimensions) > 1 else None
     return pid, resolve_dimension(pid, dim)
 
 
 def _config_from_args(args: argparse.Namespace, problem_tokens: list[str]) -> ExperimentConfig:
-    file_values = parse_config_file(args.config) if args.config else {}
-
-    def pick(cli_value, key, cast, fallback):
-        if cli_value is not None:
-            return cli_value
-        if key in file_values and file_values[key] != "":
+    """The campaign of the config file; problem ids and the --runs, --seed,
+    --out and --trace flags given on the command line override its keys."""
+    text = parse_config_file(args.config) if args.config else {}
+    flags = {"runs": args.runs, "seed": args.seed, "out": args.out, "trace": args.trace or None}
+    config, params = {}, {}
+    for key, (target, parse) in CONFIG_KEYS.items():
+        if flags.get(key) is not None:
+            value = flags[key]
+        elif target and text.get(key):
             try:
-                return cast(file_values[key])
+                value = parse(text[key])
             except ValueError as exc:
-                raise ConfigError(f"{key}: invalid value {file_values[key]!r}") from exc
-        return fallback
-
-    tokens = problem_tokens or (
-        [t.strip() for t in file_values.get("problems", "").split(",") if t.strip()]
-    )
-    default_dim = pick(args.dim, "", int, None)
-
-    def as_bool(text: str) -> bool:
-        return text.lower() in ("1", "true", "yes", "on")
-
-    def opt_int(text: str) -> int | None:
-        return int(text) if text else None
-
-    def opt_float(text: str) -> float | None:
-        return float(text) if text else None
-
-    param_values = dict(
-        eta0=pick(None, "eta0", float, 0.8),
-        num_trees=pick(None, "trees", int, 3),
-        figs_per_tree=pick(None, "figs_per_tree", int, 4),
-        wasps_per_fig=pick(None, "wasps_per_fig", int, 8),
-        wind_threshold=pick(None, "wind_threshold", float, 0.5),
-        wind_fraction=pick(None, "wind_fraction", float, 0.10),
-        max_iterations=pick(None, "iterations", int, 500),
-        decay_scale=pick(None, "decay_scale", opt_float, None),
-        stagnation_window=pick(None, "stagnation_window", opt_int, None),
-    )
+                raise ConfigError(f"{key}: invalid value {text[key]!r}") from exc
+        else:
+            continue
+        owner, _, name = target.rpartition(".")
+        (params if owner else config)[name] = value
     try:
-        params = FwscParams(**param_values)
+        config["params"] = FwscParams(**params)
     except ValueError as exc:
         # FwscParams names its own field first; report the config key instead
-        field_name, _, rest = str(exc).partition(" ")
-        if field_name not in param_values:
-            raise ConfigError(str(exc)) from exc
-        raise ConfigError(f"{_RENAMED_PARAM_KEYS.get(field_name, field_name)}: {rest}") from exc
-    return ExperimentConfig(
-        problems=[parse_problem_token(t, default_dim) for t in tokens],
-        runs=pick(args.runs, "runs", int, 30),
-        master_seed=pick(args.seed, "seed", int, 42),
-        out_dir=pick(args.out, "out", str, "results"),
-        trace=bool(args.trace) or pick(None, "trace", as_bool, False),
-        eta_units=pick(None, "eta_units", str, "relative"),
-        params=params,
-        penalty_coefficient=pick(None, "penalty_coefficient", float, DEFAULT_PENALTY_COEFFICIENT),
-    )
+        name, _, rest = str(exc).partition(" ")
+        key = next((k for k, (target, _) in CONFIG_KEYS.items() if target == f"params.{name}"), None)
+        raise ConfigError(f"{key}: {rest}" if key else str(exc)) from exc
+    config["problems"] = [parse_problem_token(t, args.dim) for t in problem_tokens or config.get("problems", [])]
+    return ExperimentConfig(**config)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="campaign config file (key = value, schema 1)")
+    parser.add_argument("--config", help=f"campaign config file of key = value lines; keys: {', '.join(CONFIG_KEYS)}")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--runs", type=int, default=None, help="runs per problem")
     parser.add_argument("--dim", type=int, default=None, help="dimension for scalable benchmarks")
@@ -539,8 +519,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(_config_from_args(args, list(args.problems)))
         if args.command == "engineering":
-            config = _config_from_args(args, [args.problem])
-            return cmd_engineering(args.problem, config)
+            if args.problem not in ENGINEERING_PROBLEMS:
+                raise ConfigError(f"problem: {args.problem!r} is not one of {sorted(ENGINEERING_PROBLEMS)}")
+            return cmd_engineering(args.problem, _config_from_args(args, [args.problem]))
         if args.command == "stats":
             return cmd_stats(args.inputs, args.out, args.baseline)
         if args.command == "list":

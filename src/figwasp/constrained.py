@@ -103,8 +103,8 @@ def repair_discrete(position: Vector, kinds: Sequence[VariableKind]) -> Vector:
 def penalize(problem: ConstrainedProblem, position: Vector, coefficient: float):
     """Static quadratic penalty f(x) + coefficient * sum(max(0, g_j(x))^2),
     for one point (d,) or row-wise for (n, d) points."""
-    if not coefficient > 0:
-        raise ValueError("penalty coefficient must be positive")
+    if not (coefficient > 0 and np.isfinite(coefficient)):
+        raise ValueError("penalty coefficient must be positive and finite")
     violation = problem.violations(position)
     return problem.objective(position) + coefficient * np.sum(violation**2, axis=-1)
 

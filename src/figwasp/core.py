@@ -1,9 +1,10 @@
 """Problem model, bounds arithmetic, and the seeded random-stream contract.
 
 Everything downstream (engine, benchmarks, harness) builds on three pieces:
-a validated box-constraint type, a batched objective wrapper with an
-evaluation counter, and a counter-based random stream so that any run is
-reproducible from a single 64-bit seed.
+a validated box-constraint type, a batched objective wrapper, and a
+counter-based random stream so that any run is reproducible from a single
+64-bit seed. Noise terms of a stochastic objective are drawn by the caller
+from its run's stream and passed in; evaluation itself draws nothing.
 """
 
 from __future__ import annotations
@@ -132,14 +133,6 @@ class RandomStream:
         return self._gen.choice(n, size=k, replace=False)
 
 
-@dataclass
-class EvalContext:
-    """Per-run context: the run's stream plus its evaluation counter."""
-
-    rng: RandomStream | None = None
-    evaluations: int = 0
-
-
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable 64-bit seed from a master seed and arbitrary labels.
 
@@ -151,18 +144,13 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") & _MASK64
 
 
-def evaluate_batch(
-    problem: ObjectiveProblem,
-    positions: np.ndarray,
-    ctx: EvalContext | None = None,
-    noise: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate every row of an (n, dimension) array, counting n evaluations
-    against ``ctx``.
+def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate every row of an (n, dimension) array.
 
     Rows must already lie inside the problem bounds; internal callers clamp
-    before evaluating, so a violation here is a caller bug. Stochastic
-    problems add n noise terms: ``noise`` if given, else drawn from ctx.rng.
+    before evaluating, so a violation here is a caller bug. A stochastic
+    problem needs its n additive terms in ``noise``, which the caller draws
+    from its run's stream with the problem's ``noise`` hook.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != problem.dimension:
@@ -177,15 +165,11 @@ def evaluate_batch(
         values = np.array([float(problem.objective(x)) for x in positions], dtype=float)
     if problem.noise is not None:
         if noise is None:
-            if ctx is None or ctx.rng is None:
-                raise ValueError(f"{problem.name} is stochastic and needs a RandomStream to evaluate")
-            noise = problem.noise(ctx.rng, len(values))
+            raise ValueError(f"{problem.name} is stochastic and needs its noise terms to evaluate")
         values = values + noise
-    if ctx is not None:
-        ctx.evaluations += len(values)
     return values
 
 
-def evaluate(problem: ObjectiveProblem, position: Vector, ctx: EvalContext | None = None) -> float:
+def evaluate(problem: ObjectiveProblem, position: Vector, noise: np.ndarray | None = None) -> float:
     """Evaluate the objective at one ``position``: a one-row `evaluate_batch`."""
-    return float(evaluate_batch(problem, np.asarray(position, dtype=float)[None], ctx)[0])
+    return float(evaluate_batch(problem, np.asarray(position, dtype=float)[None], noise)[0])

@@ -139,17 +139,30 @@ def chi2_sf(x: float, df: int) -> float:
     Each term is the previous one times a finite factor, starting from a
     finite multiple of exp(-x/2); every term is a probability, so none
     overflows, a far tail underflows to 0 and no step forms inf * 0.
+
+    Beyond x = 1400 exp(-x/2) nears the subnormal range and loses bits, so
+    the sum starts from exp(-700) and takes the rest of the exponent in
+    slices of at most 700 whenever a term passes 1; the odd-df erfc term,
+    below 1e-306 there, is added last. Up to x = 1400 the sum is the plain one.
     """
     if x <= 0.0:
         return 1.0
     odd = df % 2
     root = math.sqrt(x / 2.0)
-    total = math.erfc(root) if odd else 0.0
-    term = (2.0 / math.sqrt(math.pi) * root if odd else 1.0) * math.exp(-x / 2.0)
+    head = min(x / 2.0, 700.0)
+    deferred = x / 2.0 - head
+    erfc = math.erfc(root) if odd else 0.0
+    late = erfc if deferred else 0.0
+    total = erfc - late
+    term = (2.0 / math.sqrt(math.pi) * root if odd else 1.0) * math.exp(-head)
     for i in range(df // 2):
         total += term
         term *= x / (2 * i + 2 + odd)
-    return min(1.0, total)
+        if deferred and term > 1.0:
+            cut = min(deferred, 700.0)
+            deferred, scale = deferred - cut, math.exp(-cut)
+            total, term = total * scale, term * scale
+    return min(1.0, total * math.exp(-deferred) + late)
 
 
 def friedman_mean_ranks(matrix: ResultMatrix) -> tuple[np.ndarray, np.ndarray]:

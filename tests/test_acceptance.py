@@ -17,7 +17,7 @@ import pytest
 from figwasp.benchmarks import BENCHMARK_IDS, SPECS, known_optimum, make_benchmark, optimum_witness
 from figwasp.cli import ExperimentConfig, execute_campaign, main, resolved_params
 from figwasp.constrained import pressure_vessel, repair_discrete, stepped_beam, to_objective, welded_beam
-from figwasp.core import Bounds, EvalContext, ObjectiveProblem, RandomStream, derive_seed, evaluate
+from figwasp.core import Bounds, ObjectiveProblem, RandomStream, derive_seed, evaluate
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,

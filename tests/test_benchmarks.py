@@ -11,7 +11,7 @@ from figwasp.benchmarks import (
     rastrigin,
     sphere,
 )
-from figwasp.core import EvalContext, RandomStream, evaluate
+from figwasp.core import RandomStream, evaluate
 
 
 class TestTableData:
@@ -85,15 +85,15 @@ class TestQuarticNoise:
     def test_noise_comes_from_run_stream(self):
         p = make_benchmark("F7", 30)
         x = np.zeros(30)
-        a = evaluate(p, x, EvalContext(rng=RandomStream(11)))
-        b = evaluate(p, x, EvalContext(rng=RandomStream(11)))
+        a = evaluate(p, x, noise=p.noise(RandomStream(11), 1))
+        b = evaluate(p, x, noise=p.noise(RandomStream(11), 1))
         assert a == b
         assert 0.0 <= a < 1.0
 
     def test_noise_advances_with_stream(self):
         p = make_benchmark("F7", 30)
-        ctx = EvalContext(rng=RandomStream(11))
-        draws = {evaluate(p, np.zeros(30), ctx) for _ in range(8)}
+        rng = RandomStream(11)
+        draws = {evaluate(p, np.zeros(30), noise=p.noise(rng, 1)) for _ in range(8)}
         assert len(draws) > 1
 
     def test_noise_free_switch(self):

@@ -1,17 +1,18 @@
+import argparse
 import concurrent.futures
 import csv
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import figwasp
-from figwasp import cli
+from figwasp import benchmarks, cli
 from figwasp.cli import (
     ConfigError,
     main,
@@ -91,6 +92,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="schema"):
             parse_config_file(cfg)
 
+    def test_duplicate_key_named_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("schema = 1\nruns = 2\nruns = 3\n")
+        assert main(["run", "F16", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: duplicate config key 'runs'\n"
+
     def test_bad_cli_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("schema = 1\nnope = 1\n")
@@ -110,6 +117,10 @@ BAD_INPUTS = [
     pytest.param(
         "config", "schema = 1\npenalty_coefficient = nan\n", "error: penalty_coefficient: ", id="penalty_coefficient"
     ),
+    pytest.param(
+        "config", "schema = 1\npenalty_coefficient = inf\n", "error: penalty_coefficient: ", id="penalty-inf"
+    ),
+    pytest.param("config", "schema = 1\ntrace = tru\n", "error: trace: invalid value 'tru'", id="trace"),
     pytest.param("stats", "nan", "error: ", id="mean"),
 ]
 
@@ -133,6 +144,41 @@ def test_bad_input_names_its_key_and_exits_2(tmp_path, capsys, kind, text, prefi
         assert str(a) in err and "F1@30" in err and "mean" in err
     assert "max_iterations" not in err
     assert not (tmp_path / "o").exists()
+
+
+def config_of(tmp_path, text, problems=("F16",)):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text(text)
+    args = argparse.Namespace(config=str(cfg), runs=None, seed=None, out=None, trace=False, dim=None)
+    return cli._config_from_args(args, list(problems))
+
+
+class TestConfigTable:
+    def test_every_target_is_a_field(self):
+        config_fields = {f.name for f in fields(cli.ExperimentConfig)}
+        param_fields = {f.name for f in fields(cli.FwscParams)}
+        for key, (target, _) in cli.CONFIG_KEYS.items():
+            if target is None:
+                assert key == "schema"
+            elif target.startswith("params."):
+                assert target.removeprefix("params.") in param_fields, key
+            else:
+                assert target in config_fields and target != "params", key
+
+    def test_every_param_has_a_key(self):
+        targets = {target for target, _ in cli.CONFIG_KEYS.values()}
+        assert {f"params.{f.name}" for f in fields(cli.FwscParams)} <= targets
+
+    def test_schema_only_config_is_the_dataclass_defaults(self, tmp_path):
+        assert config_of(tmp_path, "schema = 1\n") == cli.ExperimentConfig(problems=[("F16", 2)])
+
+    def test_empty_values_keep_the_defaults(self, tmp_path):
+        text = "".join(f"{key} =\n" for key in cli.CONFIG_KEYS if key not in ("schema", "problems"))
+        assert config_of(tmp_path, text) == cli.ExperimentConfig(problems=[("F16", 2)])
+
+    @pytest.mark.parametrize("text, value", [("TRUE", True), ("yes", True), ("1", True), ("Off", False), ("0", False)])
+    def test_trace_words(self, tmp_path, text, value):
+        assert config_of(tmp_path, f"trace = {text}\n").trace is value
 
 
 class TestRunCommand:
@@ -187,6 +233,22 @@ class TestRunCommand:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_dim_applies_only_to_scalable_problems(self, tmp_path):
+        out = tmp_path / "out"
+        tokens = [f"F{i}" for i in range(1, 24)]
+        args = ["run", "--dim", "30", *tokens, "--runs", "1", "--config", small_config(tmp_path, iterations=2)]
+        assert main(args + ["--out", str(out)]) == 0
+        rows = read_csv(out / "summary.csv")
+        assert [r["problem"] for r in rows] == tokens
+        for row in rows:
+            dims = benchmarks.SPECS[row["problem"]].dimensions
+            assert int(row["dimension"]) == (30 if len(dims) > 1 else dims[0])
+        assert [r["dimension"] for r in rows[13:]] == ["2", "4", "2", "2", "2", "3", "6", "4", "4", "4"]
+
+    def test_explicit_fixed_dimension_still_checked(self, tmp_path, capsys):
+        assert main(["run", "--dim", "30", "F16@30", "--runs", "1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: dim: F16 allows dimensions [2], not 30")
 
     def test_no_partial_summary_on_missing_dim(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -292,6 +354,13 @@ class TestEngineeringCommand:
 
     def test_unknown_problem_exits_nonzero(self, tmp_path, capsys):
         assert main(["engineering", "gear-train", "--runs", "1"]) == 2
+
+    @pytest.mark.parametrize("pid", ["F1", "F16"])
+    def test_benchmark_id_is_not_a_design(self, pid, capsys):
+        assert main(["engineering", pid, "--runs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: problem: '{pid}' is not one of ")
+        assert all(design in err for design in ("pressure-vessel", "stepped-beam", "welded-beam"))
 
     def test_all_non_finite_runs_report_no_design(self, tmp_path, monkeypatch, capsys):
         # every evaluation NaN: each run's position is just its first tree

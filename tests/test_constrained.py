@@ -87,6 +87,11 @@ class TestPenalize:
         with pytest.raises(ValueError):
             penalize(self.problem(), np.array([0.2, 3.5, 9.0, 0.21]), 0.0)
 
+    def test_infinite_coefficient_rejected(self):
+        # inf * 0 would turn every feasible point's fitness into NaN
+        with pytest.raises(ValueError, match="finite"):
+            penalize(self.problem(), np.array([0.25, 4.0, 9.0, 0.3]), coefficient=np.inf)
+
     def test_continuous_across_feasibility_boundary(self):
         # quadratic hinge: the penalty vanishes smoothly as the geometry
         # constraint h - b <= 0 becomes active

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from figwasp.core import (
     Bounds,
-    EvalContext,
     ObjectiveProblem,
     RandomStream,
     derive_seed,
@@ -141,13 +140,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(p, np.array([0.0, 1.5]))
 
-    def test_counter_increments(self):
-        p = sphere_problem(dim=2)
-        ctx = EvalContext()
-        evaluate(p, np.zeros(2), ctx)
-        evaluate(p, np.ones(2), ctx)
-        assert ctx.evaluations == 2
-
     def test_noise_needs_stream(self):
         p = ObjectiveProblem(
             name="noisy",
@@ -158,19 +150,17 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError):
             evaluate(p, np.zeros(1))
-        v1 = evaluate(p, np.zeros(1), EvalContext(rng=RandomStream(5)))
-        v2 = evaluate(p, np.zeros(1), EvalContext(rng=RandomStream(5)))
+        v1 = evaluate(p, np.zeros(1), noise=p.noise(RandomStream(5), 1))
+        v2 = evaluate(p, np.zeros(1), noise=p.noise(RandomStream(5), 1))
         assert v1 == v2  # same noise seed, same value
 
 
 class TestEvaluateBatch:
-    def test_rows_match_single_evaluations_and_count(self):
+    def test_rows_match_single_evaluations(self):
         p = sphere_problem(dim=3)
         rows = RandomStream(1).uniform(size=(5, 3))
-        ctx = EvalContext()
-        values = evaluate_batch(p, rows, ctx)
+        values = evaluate_batch(p, rows)
         assert values.tolist() == [evaluate(p, x) for x in rows]
-        assert ctx.evaluations == 5
 
     def test_rowwise_objective_is_called_once(self):
         calls = []
@@ -201,8 +191,8 @@ class TestEvaluateBatch:
         p = ObjectiveProblem(
             "noisy", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda rng, n: rng.uniform(size=n)
         )
-        drawn = evaluate_batch(p, np.zeros((4, 1)), EvalContext(rng=RandomStream(5)))
-        ctx = EvalContext(rng=RandomStream(5))
-        assert drawn.tolist() == [evaluate(p, np.zeros(1), ctx) for _ in range(4)]
+        drawn = evaluate_batch(p, np.zeros((4, 1)), noise=p.noise(RandomStream(5), 4))
+        rng = RandomStream(5)
+        assert drawn.tolist() == [evaluate(p, np.zeros(1), noise=p.noise(rng, 1)) for _ in range(4)]
         given_noise = np.array([0.5, 0.25, 0.0, 1.0])
         assert evaluate_batch(p, np.zeros((4, 1)), noise=given_noise).tolist() == given_noise.tolist()

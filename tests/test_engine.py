@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from figwasp import engine
-from figwasp.core import Bounds, EvalContext, ObjectiveProblem, RandomStream
+from figwasp.core import Bounds, ObjectiveProblem, RandomStream
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,

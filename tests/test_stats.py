@@ -375,6 +375,16 @@ class TestTails:
                 continue
             assert ulps_from(chi2_sf(float(x), df), exact) <= 8, x
 
+    @pytest.mark.parametrize("df", [1000, 1001, 1480, 1500, 2000, 2999, 3001])
+    def test_chi2_large_df_relative_error(self, df):
+        # beyond x = 1400 exp(-x/2) alone is subnormal or 0; the tail near
+        # x = df is still about 1/2 (chi2_sf(1500, 1500) = 0.49514)
+        for x in df * np.linspace(0.5, 2.0, 31):
+            exact = self.exact_chi2_sf(x, df)
+            if exact < 1e-300:
+                continue
+            assert abs(mpmath.mpf(chi2_sf(float(x), df)) - exact) <= 1e-12 * exact, x
+
     def test_chi2_one_df_is_erfc_at_rounded_root(self):
         # with df = 1 the tail is erfc(sqrt(x/2)); rounding sqrt(x/2) costs
         # about x/3 ULP far out, as it does scipy's chdtrc, so the tail is
