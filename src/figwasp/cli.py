@@ -78,8 +78,12 @@ class ExperimentConfig:
             raise ConfigError("penalty_coefficient: must be positive and finite")
         if not self.problems:
             raise ConfigError("problems: at least one problem id is required")
+        listed = set()
         for pid, dim in self.problems:
-            resolve_problem(pid, dim, self.penalty_coefficient)
+            problem = resolve_problem(pid, dim, self.penalty_coefficient)
+            if (pid, problem.dimension) in listed:
+                raise ConfigError(f"problems: {pid}@{problem.dimension} is listed twice")
+            listed.add((pid, problem.dimension))
 
 
 def resolve_dimension(pid: str, dim: int | None) -> int:
@@ -185,11 +189,16 @@ def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[tup
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    """Write-then-rename so a crash never leaves a partial file behind."""
+    """Write-then-rename so a crash never leaves a partial file behind. The
+    file gets the mode a plain open would give it (0o666 less the umask),
+    not the 0o600 of the temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             writer = csv.writer(handle, lineterminator="\r\n")
             writer.writerow(header)
             writer.writerows(rows)

@@ -5,10 +5,16 @@ beam, welded beam) in the g_j(x) <= 0 convention, plus the static
 quadratic penalty and discrete-lattice repair that make them solvable by
 the unconstrained search core. Discrete repair happens inside the fitness
 wrapper, so the engine itself stays purely continuous.
+
+Everything is row-wise: a design's objective and its one constraint
+function take one point (d,) or a batch (n, d), and repair snaps all the
+columns of one lattice step, or of one value set, in a single pass.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,9 +39,21 @@ class LatticeStep:
 
 @dataclass(frozen=True)
 class ValueSet:
-    """Values restricted to an explicit sorted set."""
+    """Values restricted to an explicit set of finite members, given in
+    strictly increasing order. Members are stored as floats, -0.0 as 0.0,
+    so equal value sets snap to the same bits."""
 
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        members = np.asarray(self.values, dtype=float) + 0.0
+        if members.ndim != 1 or members.size == 0:
+            raise ValueError("values: a value set needs a sequence of at least one member")
+        object.__setattr__(self, "values", tuple(members.tolist()))
+        if not np.isfinite(members).all():
+            raise ValueError(f"values: {self.values} has a non-finite member")
+        if not (np.diff(members) > 0.0).all():
+            raise ValueError(f"values: {self.values} is not sorted without repeats")
 
 
 VariableKind = Continuous | LatticeStep | ValueSet
@@ -43,16 +61,17 @@ VariableKind = Continuous | LatticeStep | ValueSet
 
 @dataclass(frozen=True)
 class ConstrainedProblem:
-    """A design problem. ``objective`` and every constraint map one point
-    (d,) to a value and (n, d) points to (n,) values, so the penalized
-    fitness is evaluated row-wise."""
+    """A design problem. ``objective`` maps points (..., d) to values (...),
+    and the one function ``constraints`` maps them to the m constraint
+    values g_j(x) (..., m), so the penalized fitness of one point (d,) or of
+    n points (n, d) is evaluated row-wise."""
 
     name: str
     variable_names: tuple[str, ...]
     bounds: Bounds
     variable_kinds: tuple[VariableKind, ...]
-    objective: Callable[[Vector], float]
-    constraints: tuple[Callable[[Vector], float], ...]
+    objective: Callable[[Vector], np.ndarray]
+    constraints: Callable[[Vector], np.ndarray]
 
     def __post_init__(self):
         n = self.bounds.dimension
@@ -66,24 +85,54 @@ class ConstrainedProblem:
     def violations(self, position: Vector) -> np.ndarray:
         """max(0, g_j(x)) for every constraint: shape (m,) for one point,
         (n, m) for n points. A NaN g_j counts as no violation."""
-        g = np.stack([np.asarray(c(position), dtype=float) for c in self.constraints], axis=-1)
+        g = self.constraints(position)
         return np.where(g > 0.0, g, 0.0)
 
     def max_violation(self, position: Vector) -> float:
         return float(self.violations(position).max())
 
 
-def _snap_to_set(column: np.ndarray, values: tuple[float, ...]) -> np.ndarray:
-    arr = np.asarray(values)
-    dist = np.abs(arr - column[..., None])
-    best = dist.min(axis=-1, keepdims=True)
-    # equidistant between two members: take the larger one
-    return np.where(dist == best, arr, -np.inf).max(axis=-1)
+def _columns(indices: list[int]) -> slice | list[int]:
+    """A slice (a view) when the column indices are evenly spaced, else the list."""
+    step = indices[1] - indices[0] if len(indices) > 1 else 1
+    if indices == list(range(indices[0], indices[-1] + 1, step)):
+        return slice(indices[0], indices[-1] + 1, step)
+    return indices
+
+
+@functools.lru_cache(maxsize=None)
+def _repair_plan(kinds: tuple[VariableKind, ...]):
+    """The discrete columns grouped by kind, once per kinds tuple: each
+    lattice step with its columns and each value set (as an array) with its
+    columns."""
+    groups: dict[VariableKind, list[int]] = {}
+    for i, kind in enumerate(kinds):
+        if isinstance(kind, (LatticeStep, ValueSet)):
+            groups.setdefault(kind, []).append(i)
+    lattices = tuple((kind.step, _columns(cols)) for kind, cols in groups.items() if isinstance(kind, LatticeStep))
+    value_sets = tuple(
+        (np.array(kind.values), _columns(cols)) for kind, cols in groups.items() if isinstance(kind, ValueSet)
+    )
+    return lattices, value_sets
+
+
+def _snap_to_set(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The member of the sorted ``values`` nearest to each element of ``x``;
+    equidistant between two members, the larger. NaN stays NaN, and +-inf
+    snaps to the end member on its side."""
+    i = np.searchsorted(values, x)
+    hi = values.take(i, mode="clip")
+    lo = values.take(i - 1, mode="clip")
+    # |hi - x| and |lo - x|: inside the set's range lo < x <= hi, and
+    # outside it hi == lo, so the choice does not matter
+    snapped = np.where(hi - x <= x - lo, hi, lo)
+    np.copyto(snapped, x, where=np.isnan(x))
+    return snapped
 
 
 def repair_discrete(position: Vector, kinds: Sequence[VariableKind]) -> Vector:
     """Snap discrete coordinates of one point (d,) or of (n, d) points onto
-    their lattice; continuous ones pass through.
+    their lattice or value set; continuous ones pass through.
 
     Lattice rounding is to the nearest multiple with half-steps rounding up.
     Idempotent, and never moves a coordinate past the adjacent lattice point.
@@ -91,19 +140,19 @@ def repair_discrete(position: Vector, kinds: Sequence[VariableKind]) -> Vector:
     position = np.asarray(position, dtype=float)
     if position.shape[-1] != len(kinds):
         raise ValueError("position length does not match variable kinds")
+    lattices, value_sets = _repair_plan(tuple(kinds))
     repaired = position.copy()
-    for i, kind in enumerate(kinds):
-        if isinstance(kind, LatticeStep):
-            repaired[..., i] = np.floor(position[..., i] / kind.step + 0.5) * kind.step
-        elif isinstance(kind, ValueSet):
-            repaired[..., i] = _snap_to_set(position[..., i], kind.values)
+    for step, cols in lattices:
+        repaired[..., cols] = np.floor(position[..., cols] / step + 0.5) * step
+    for values, cols in value_sets:
+        repaired[..., cols] = _snap_to_set(position[..., cols], values)
     return repaired
 
 
 def penalize(problem: ConstrainedProblem, position: Vector, coefficient: float):
     """Static quadratic penalty f(x) + coefficient * sum(max(0, g_j(x))^2),
     for one point (d,) or row-wise for (n, d) points."""
-    if not (coefficient > 0 and np.isfinite(coefficient)):
+    if not (coefficient > 0 and math.isfinite(coefficient)):
         raise ValueError("penalty coefficient must be positive and finite")
     violation = problem.violations(position)
     return problem.objective(position) + coefficient * np.sum(violation**2, axis=-1)
@@ -138,24 +187,17 @@ def pressure_vessel() -> ConstrainedProblem:
 
     def cost(x):
         ts, th, r, length = x.T
-        return (
-            0.6224 * ts * r * length
-            + 1.7781 * th * power(r, 2)
-            + 3.1661 * power(ts, 2) * length
-            + 19.84 * power(ts, 2) * r
-        )
+        ts2 = power(ts, 2)
+        return 0.6224 * ts * r * length + 1.7781 * th * power(r, 2) + 3.1661 * ts2 * length + 19.84 * ts2 * r
 
-    def g1(x):
-        return -x[..., 0] + 0.0193 * x[..., 2]
-
-    def g2(x):
-        return -x[..., 1] + 0.00954 * x[..., 2]
-
-    def g3(x):
-        return -np.pi * power(x[..., 2], 2) * x[..., 3] - (4.0 / 3.0) * np.pi * power(x[..., 2], 3) + 1296000.0
-
-    def g4(x):
-        return x[..., 3] - 240.0
+    def constraints(x):
+        r, length = x[..., 2], x[..., 3]
+        g = np.empty(x.shape[:-1] + (4,))
+        g[..., 0] = -x[..., 0] + 0.0193 * r
+        g[..., 1] = -x[..., 1] + 0.00954 * r
+        g[..., 2] = -np.pi * power(r, 2) * length - (4.0 / 3.0) * np.pi * power(r, 3) + 1296000.0
+        g[..., 3] = length - 240.0
+        return g
 
     return ConstrainedProblem(
         name="pressure-vessel",
@@ -163,7 +205,7 @@ def pressure_vessel() -> ConstrainedProblem:
         bounds=Bounds(np.array([0.0625, 0.0625, 10.0, 10.0]), np.array([6.1875, 6.1875, 200.0, 200.0])),
         variable_kinds=(LatticeStep(0.0625), LatticeStep(0.0625), Continuous(), Continuous()),
         objective=cost,
-        constraints=(g1, g2, g3, g4),
+        constraints=constraints,
     )
 
 
@@ -176,7 +218,9 @@ _BEAM_L = 100.0
 _BEAM_E = 2.0e7
 _BEAM_SIGMA = 14000.0
 _BEAM_DEFLECTION = 2.7
-_BEAM_WEIGHTS = (61.0, 37.0, 19.0, 7.0, 1.0)
+_BEAM_WEIGHTS = np.array([61.0, 37.0, 19.0, 7.0, 1.0])
+# 6 P times the distance from the tip to each segment root
+_BEAM_ROOT_MOMENTS = 6.0 * _BEAM_P * ((5 - np.arange(5)) * _BEAM_L)
 
 
 def stepped_beam() -> ConstrainedProblem:
@@ -192,26 +236,14 @@ def stepped_beam() -> ConstrainedProblem:
         widths, heights = x[..., 0::2], x[..., 1::2]
         return _BEAM_L * np.sum(widths * heights, axis=-1)
 
-    def stress(segment):
-        moment_arm = (5 - segment) * _BEAM_L  # distance from tip to segment root
-
-        def g(x):
-            b, h = x[..., 2 * segment], x[..., 2 * segment + 1]
-            return 6.0 * _BEAM_P * moment_arm / (b * power(h, 2)) - _BEAM_SIGMA
-
-        return g
-
-    def deflection(x):
+    def constraints(x):
         widths, heights = x[..., 0::2], x[..., 1::2]
+        g = np.empty(x.shape[:-1] + (11,))
+        g[..., 0:5] = _BEAM_ROOT_MOMENTS / (widths * power(heights, 2)) - _BEAM_SIGMA
         inertia = widths * heights**3 / 12.0
-        tip = _BEAM_P * _BEAM_L**3 / (3.0 * _BEAM_E) * np.sum(np.array(_BEAM_WEIGHTS) / inertia, axis=-1)
-        return tip - _BEAM_DEFLECTION
-
-    def aspect(segment):
-        def g(x):
-            b, h = x[..., 2 * segment], x[..., 2 * segment + 1]
-            return h - 20.0 * b
-
+        tip = _BEAM_P * _BEAM_L**3 / (3.0 * _BEAM_E) * np.sum(_BEAM_WEIGHTS / inertia, axis=-1)
+        g[..., 5] = tip - _BEAM_DEFLECTION
+        g[..., 6:11] = heights - 20.0 * widths
         return g
 
     heights_set = ValueSet((45.0, 50.0, 55.0, 60.0))
@@ -236,7 +268,7 @@ def stepped_beam() -> ConstrainedProblem:
             Continuous(),
         ),
         objective=volume,
-        constraints=tuple([stress(i) for i in range(5)] + [deflection] + [aspect(i) for i in range(5)]),
+        constraints=constraints,
     )
 
 
@@ -252,29 +284,6 @@ _WELD_SIGMA_MAX = 30000.0
 _WELD_DELTA_MAX = 0.25
 
 
-def _weld_shear(x):
-    h, l, t, _ = x.T
-    tau_primary = _WELD_P / (np.sqrt(2.0) * h * l)
-    moment = _WELD_P * (_WELD_L + l / 2.0)
-    radius = np.sqrt(power(l, 2) / 4.0 + power((h + t) / 2.0, 2))
-    polar = 2.0 * (np.sqrt(2.0) * h * l * (power(l, 2) / 12.0 + power((h + t) / 2.0, 2)))
-    tau_secondary = moment * radius / polar
-    return np.sqrt(
-        power(tau_primary, 2) + 2.0 * tau_primary * tau_secondary * l / (2.0 * radius) + power(tau_secondary, 2)
-    )
-
-
-def _weld_buckling_load(x):
-    _, _, t, b = x.T
-    return (
-        4.013
-        * _WELD_E
-        * np.sqrt(power(t, 2) * power(b, 6) / 36.0)
-        / _WELD_L**2
-        * (1.0 - t / (2.0 * _WELD_L) * np.sqrt(_WELD_E / (4.0 * _WELD_G)))
-    )
-
-
 def welded_beam() -> ConstrainedProblem:
     """Welded beam cost design with four continuous variables (h, l, t, b)."""
 
@@ -282,29 +291,37 @@ def welded_beam() -> ConstrainedProblem:
         h, l, t, b = x.T
         return 1.10471 * power(h, 2) * l + 0.04811 * t * b * (14.0 + l)
 
-    def g_shear(x):
-        return _weld_shear(x) - _WELD_TAU_MAX
-
-    def g_bending(x):
-        _, _, t, b = x.T
-        return 6.0 * _WELD_P * _WELD_L / (b * power(t, 2)) - _WELD_SIGMA_MAX
-
-    def g_geometry(x):
-        return x[..., 0] - x[..., 3]
-
-    def g_budget(x):
-        h, l, t, b = x.T
-        return 0.10471 * power(h, 2) + 0.04811 * t * b * (14.0 + l) - 5.0
-
-    def g_min_weld(x):
-        return 0.125 - x[..., 0]
-
-    def g_deflection(x):
-        _, _, t, b = x.T
-        return 4.0 * _WELD_P * _WELD_L**3 / (_WELD_E * power(t, 3) * b) - _WELD_DELTA_MAX
-
-    def g_buckling(x):
-        return _WELD_P - _weld_buckling_load(x)
+    def constraints(x):
+        h, l, t, b = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+        weld_area = np.sqrt(2.0) * h * l
+        l2 = power(l, 2)
+        half_sum2 = power((h + t) / 2.0, 2)
+        t2 = power(t, 2)
+        g = np.empty(x.shape[:-1] + (7,))
+        # shear stress in the weld: primary, plus the secondary from the torque
+        tau_primary = _WELD_P / weld_area
+        moment = _WELD_P * (_WELD_L + l / 2.0)
+        radius = np.sqrt(l2 / 4.0 + half_sum2)
+        polar = 2.0 * (weld_area * (l2 / 12.0 + half_sum2))
+        tau_secondary = moment * radius / polar
+        tau = np.sqrt(
+            power(tau_primary, 2) + 2.0 * tau_primary * tau_secondary * l / (2.0 * radius) + power(tau_secondary, 2)
+        )
+        g[..., 0] = tau - _WELD_TAU_MAX
+        g[..., 1] = 6.0 * _WELD_P * _WELD_L / (b * t2) - _WELD_SIGMA_MAX
+        g[..., 2] = h - b
+        g[..., 3] = 0.10471 * power(h, 2) + 0.04811 * t * b * (14.0 + l) - 5.0
+        g[..., 4] = 0.125 - h
+        g[..., 5] = 4.0 * _WELD_P * _WELD_L**3 / (_WELD_E * power(t, 3) * b) - _WELD_DELTA_MAX
+        buckling_load = (
+            4.013
+            * _WELD_E
+            * np.sqrt(t2 * power(b, 6) / 36.0)
+            / _WELD_L**2
+            * (1.0 - t / (2.0 * _WELD_L) * np.sqrt(_WELD_E / (4.0 * _WELD_G)))
+        )
+        g[..., 6] = _WELD_P - buckling_load
+        return g
 
     return ConstrainedProblem(
         name="welded-beam",
@@ -312,15 +329,7 @@ def welded_beam() -> ConstrainedProblem:
         bounds=Bounds(np.array([0.1, 0.1, 0.1, 0.1]), np.array([2.0, 10.0, 10.0, 2.0])),
         variable_kinds=(Continuous(), Continuous(), Continuous(), Continuous()),
         objective=cost,
-        constraints=(
-            g_shear,
-            g_bending,
-            g_geometry,
-            g_budget,
-            g_min_weld,
-            g_deflection,
-            g_buckling,
-        ),
+        constraints=constraints,
     )
 
 

@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -122,6 +123,15 @@ BAD_INPUTS = [
     ),
     pytest.param("config", "schema = 1\ntrace = tru\n", "error: trace: invalid value 'tru'", id="trace"),
     pytest.param("stats", "nan", "error: ", id="mean"),
+    pytest.param("problems", "F16 F16", "error: problems: F16@2 is listed twice", id="problem-twice"),
+    pytest.param("problems", "F16 F16@2", "error: problems: F16@2 is listed twice", id="problem-twice-dim"),
+    pytest.param("problems", "F1@30 F1 --dim 30", "error: problems: F1@30 is listed twice", id="problem-twice-flag"),
+    pytest.param(
+        "problems",
+        "pressure-vessel pressure-vessel@4",
+        "error: problems: pressure-vessel@4 is listed twice",
+        id="design-twice",
+    ),
 ]
 
 
@@ -131,6 +141,8 @@ def test_bad_input_names_its_key_and_exits_2(tmp_path, capsys, kind, text, prefi
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
         argv = ["run", "F16", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    elif kind == "problems":
+        argv = ["run", *text.split(), "--runs", "1", "--out", str(tmp_path / "o")]
     else:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_result_file(a, [["F1", "30", "0", "0", text, "0"], ["F9", "30", "0", "0", "1.0", "0"]])
@@ -212,6 +224,18 @@ class TestRunCommand:
         assert float(summary["best"]) == pytest.approx(min(finals), rel=1e-6)
         assert float(summary["worst"]) == pytest.approx(max(finals), rel=1e-6)
         assert float(summary["mean"]) == pytest.approx(np.mean(finals), rel=1e-6)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o007, 0o660)], ids=["umask-022", "umask-007"])
+    def test_output_files_follow_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            code = main(["run", "F16", *SMALL, small_config(tmp_path, iterations=2), "--out", str(out), "--trace"])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for path in (out / "summary.csv", next(out.glob("trace_F16_*.csv"))):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -66,6 +66,97 @@ class TestRepairDiscrete:
         assert once[0] == pytest.approx(lattice_scan_oracle(value, step), abs=1e-9)
 
 
+def full_distance_snap(column, values):
+    """The nearest member by every member's distance, ties to the larger one."""
+    arr = np.asarray(values)
+    dist = np.abs(arr - column[..., None])
+    best = dist.min(axis=-1, keepdims=True)
+    return np.where(dist == best, arr, -np.inf).max(axis=-1)
+
+
+# Sorted value sets, members at least 1e-6 apart. Two members closer than
+# the rounding of their distances to x tie in the full-distance oracle, which
+# then takes the larger one even when it is the farther; the far-outside
+# test below pins the sorted search's answer there instead.
+value_sets = st.builds(
+    lambda start, gaps: tuple(np.cumsum([start, *gaps]).tolist()),
+    st.floats(-1e3, 1e3),
+    st.lists(st.floats(1e-6, 1e2), max_size=7),
+)
+
+
+@st.composite
+def set_and_column(draw):
+    """A value set and a column of its members, the midpoints between
+    neighbours, the next floats on both sides of each, and points outside."""
+    values = draw(value_sets)
+    arr = np.array(values)
+    span = arr[-1] - arr[0] + 1.0
+    anchors = np.concatenate([arr, (arr[:-1] + arr[1:]) / 2.0])
+    near = np.concatenate([anchors, np.nextafter(anchors, -np.inf), np.nextafter(anchors, np.inf)])
+    outside = draw(st.lists(st.floats(0.0, 5.0), max_size=4))
+    extra = draw(st.lists(st.floats(arr[0] - 2 * span, arr[-1] + 2 * span), max_size=8))
+    beyond = [arr[0] - k * span for k in outside] + [arr[-1] + k * span for k in outside]
+    return values, np.concatenate([near, beyond, extra])
+
+
+class TestValueSetRepair:
+    @given(set_and_column())
+    def test_sorted_search_equals_full_distance_oracle(self, case):
+        values, column = case
+        kinds = (ValueSet(values),)
+        expected = full_distance_snap(column, kinds[0].values)
+        assert repair_discrete(column[:, None], kinds)[:, 0].tobytes() == expected.tobytes()
+        one_by_one = np.array([repair_discrete(np.array([x]), kinds)[0] for x in column])
+        assert one_by_one.tobytes() == expected.tobytes()
+
+    def test_members_are_floats_and_zero_has_one_sign(self):
+        # equal value sets share one repair plan, so they must snap to the same bits
+        members = ValueSet((-0.0, 1)).values
+        assert all(type(v) is float for v in members)
+        assert np.array(members).tobytes() == np.array([0.0, 1.0]).tobytes()
+        for values in [(-0.0, 1.0), (0.0, 1.0)]:
+            snapped = repair_discrete(np.array([-0.1]), (ValueSet(values),))
+            assert snapped.tobytes() == np.array([0.0]).tobytes()
+
+    def test_grouped_columns_equal_one_column_at_a_time(self):
+        # set a sits on unevenly spaced columns (an index list), the 0.5
+        # lattice on evenly spaced ones (a slice), set b on one column
+        a, b = (1.0, 2.0, 4.0), (-3.0, 0.5)
+        kinds = (ValueSet(a), Continuous(), ValueSet(a), ValueSet(a), LatticeStep(0.5), ValueSet(b), LatticeStep(0.5))
+        points = np.random.default_rng(5).uniform(-6.0, 6.0, size=(40, len(kinds)))
+        expected = points.copy()
+        for i, kind in enumerate(kinds):
+            if isinstance(kind, ValueSet):
+                expected[:, i] = full_distance_snap(points[:, i], kind.values)
+            elif isinstance(kind, LatticeStep):
+                expected[:, i] = np.floor(points[:, i] / kind.step + 0.5) * kind.step
+        assert repair_discrete(points, kinds).tobytes() == expected.tobytes()
+        assert repair_discrete(points[3], kinds).tobytes() == expected[3].tobytes()
+
+    def test_non_finite_coordinates(self):
+        widths = ValueSet((2.4, 2.6, 2.8, 3.1))
+        kinds = (widths, LatticeStep(0.5))
+        repaired = repair_discrete(np.array([[np.nan, np.nan], [np.inf, 1.2], [-np.inf, 1.2]]), kinds)
+        assert np.isnan(repaired[0]).all()
+        assert repaired[1, 0] == 3.1 and repaired[2, 0] == 2.4
+
+    def test_far_outside_snaps_to_the_nearest_end(self):
+        # every member's rounded distance to -1e20 is 1e20: the end member wins
+        kinds = (ValueSet((2.4, 2.6, 2.8, 3.1)),)
+        assert repair_discrete(np.array([-1e20]), kinds)[0] == 2.4
+        assert repair_discrete(np.array([1e20]), kinds)[0] == 3.1
+
+    @pytest.mark.parametrize(
+        "values",
+        [(3.0, 1.0, 2.0), (1.0, 1.0, 2.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1.0), (), 2.0],
+        ids=["unsorted", "repeated", "nan", "inf", "minus-inf", "empty", "scalar"],
+    )
+    def test_bad_value_sets_rejected(self, values):
+        with pytest.raises(ValueError, match="^values: "):
+            ValueSet(values)
+
+
 class TestPenalize:
     def problem(self):
         return welded_beam()

@@ -26,7 +26,15 @@ FIXTURE = Path(__file__).with_name("golden_traces.json")
 GENERATIONS = 100
 CASES = [
     (pid, dim, seed)
-    for pid, dim in [("F1", 30), ("F7", 30), ("F9", 30), ("F16", 2), ("pressure-vessel", 4)]
+    for pid, dim in [
+        ("F1", 30),
+        ("F7", 30),
+        ("F9", 30),
+        ("F16", 2),
+        ("pressure-vessel", 4),
+        ("welded-beam", 4),
+        ("stepped-beam", 10),
+    ]
     for seed in (11, 2024)
 ]
 

@@ -19,6 +19,7 @@ CASES = [
     for fid in BENCHMARK_IDS
     for dim in sorted({min(SPECS[fid].dimensions), max(SPECS[fid].dimensions)})
 ] + [(pid, None) for pid in ENGINEERING_PROBLEMS]
+CONSTRAINT_COUNTS = {"pressure-vessel": 4, "stepped-beam": 11, "welded-beam": 7}
 
 
 def _problem(pid, dim):
@@ -62,15 +63,16 @@ def test_rowwise_equals_one_point_calls(pid, dim, n, seed, mode):
     assert problem.rowwise
     assume(n <= 500 or n * problem.dimension <= GROUP_FLOATS)
     points = _points(problem, n, seed, mode)
-    functions = [problem.objective]
+    functions = [(problem.objective, (n,))]
     if dim is None:
         # the raw design terms too: the penalty can round a last-bit
-        # difference in one term away
+        # difference in one term away. The constraint kernel's (n, m) rows
+        # must equal its one-point (m,) calls stacked.
         design = ENGINEERING_PROBLEMS[pid]()
-        functions += [design.objective, *design.constraints]
-    for function in functions:
+        functions += [(design.objective, (n,)), (design.constraints, (n, CONSTRAINT_COUNTS[pid]))]
+    for function, shape in functions:
         with np.errstate(all="ignore"):
             rows = np.asarray(function(points), dtype=float)
             one_by_one = np.array([function(x) for x in points], dtype=float)
-        assert rows.shape == (n,)
+        assert rows.shape == one_by_one.shape == shape
         assert rows.tobytes() == one_by_one.tobytes()
