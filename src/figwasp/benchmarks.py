@@ -20,12 +20,6 @@ import numpy as np
 
 from .core import Bounds, ObjectiveProblem, RandomStream, Vector, power
 
-UNIMODAL_SEPARABLE = "unimodal-separable"
-UNIMODAL_NONSEPARABLE = "unimodal-nonseparable"
-MULTIMODAL_SEPARABLE = "multimodal-separable"
-MULTIMODAL_NONSEPARABLE = "multimodal-nonseparable"
-FIXED_DIMENSION = "fixed-dimension"
-
 SCALABLE_DIMENSIONS = (30, 100, 500, 1000)
 
 
@@ -260,7 +254,6 @@ def _minus_ones(n: int) -> Vector:
 class BenchmarkSpec:
     fid: str
     name: str
-    category: str
     dimensions: tuple[int, ...]
     low: float
     high: float
@@ -272,29 +265,29 @@ class BenchmarkSpec:
 
 
 _SPEC_LIST = [
-    BenchmarkSpec("F1", "Sphere", UNIMODAL_SEPARABLE, SCALABLE_DIMENSIONS, -100, 100, 0.0, sphere, witness=_origin),
-    BenchmarkSpec("F2", "Schwefel 2.22", UNIMODAL_NONSEPARABLE, SCALABLE_DIMENSIONS, -10, 10, 0.0, schwefel_222, witness=_origin),
-    BenchmarkSpec("F3", "Schwefel 1.2", UNIMODAL_NONSEPARABLE, SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_12, witness=_origin),
-    BenchmarkSpec("F4", "Schwefel 2.21", UNIMODAL_SEPARABLE, SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_221, witness=_origin),
-    BenchmarkSpec("F5", "Rosenbrock", UNIMODAL_NONSEPARABLE, SCALABLE_DIMENSIONS, -30, 30, 0.0, rosenbrock, witness=_ones),
-    BenchmarkSpec("F6", "Step", UNIMODAL_SEPARABLE, SCALABLE_DIMENSIONS, -100, 100, 0.0, step, witness=_origin),
-    BenchmarkSpec("F7", "Quartic", UNIMODAL_SEPARABLE, SCALABLE_DIMENSIONS, -128, 128, 0.0, quartic, witness=_origin, noisy=True),
-    BenchmarkSpec("F8", "Schwefel", MULTIMODAL_SEPARABLE, SCALABLE_DIMENSIONS, -500, 500, -418.9829, schwefel, f_min_times_n=True),
-    BenchmarkSpec("F9", "Rastrigin", MULTIMODAL_SEPARABLE, SCALABLE_DIMENSIONS, -5.12, 5.12, 0.0, rastrigin, witness=_origin),
-    BenchmarkSpec("F10", "Ackley", MULTIMODAL_NONSEPARABLE, SCALABLE_DIMENSIONS, -32, 32, 0.0, ackley, witness=_origin),
-    BenchmarkSpec("F11", "Griewank", MULTIMODAL_NONSEPARABLE, SCALABLE_DIMENSIONS, -600, 600, 0.0, griewank, witness=_origin),
-    BenchmarkSpec("F12", "Penalized", MULTIMODAL_NONSEPARABLE, SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized, witness=_minus_ones),
-    BenchmarkSpec("F13", "Penalized2", MULTIMODAL_NONSEPARABLE, SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized2, witness=_ones),
-    BenchmarkSpec("F14", "Foxholes", FIXED_DIMENSION, (2,), -65, 65, 1.0, foxholes),
-    BenchmarkSpec("F15", "Kowalik", FIXED_DIMENSION, (4,), -5, 5, 0.0003, kowalik),
-    BenchmarkSpec("F16", "Six Hump Camel", FIXED_DIMENSION, (2,), -5, 5, -1.0316, six_hump_camel),
-    BenchmarkSpec("F17", "Branin", FIXED_DIMENSION, (2,), -5, 5, 0.398, branin),
-    BenchmarkSpec("F18", "Goldstein-Price", FIXED_DIMENSION, (2,), -2, 2, 3.0, goldstein_price, witness=lambda n: np.array([0.0, -1.0])),
-    BenchmarkSpec("F19", "Hartman 3", FIXED_DIMENSION, (3,), 1, 3, -3.86, hartman3),
-    BenchmarkSpec("F20", "Hartman 6", FIXED_DIMENSION, (6,), 0, 1, -3.32, hartman6),
-    BenchmarkSpec("F21", "Shekel 5", FIXED_DIMENSION, (4,), 0, 10, -10.1532, shekel5),
-    BenchmarkSpec("F22", "Shekel 7", FIXED_DIMENSION, (4,), 0, 10, -10.4028, shekel7),
-    BenchmarkSpec("F23", "Shekel 10", FIXED_DIMENSION, (4,), 0, 10, -10.5363, shekel10),
+    BenchmarkSpec("F1", "Sphere", SCALABLE_DIMENSIONS, -100, 100, 0.0, sphere, witness=_origin),
+    BenchmarkSpec("F2", "Schwefel 2.22", SCALABLE_DIMENSIONS, -10, 10, 0.0, schwefel_222, witness=_origin),
+    BenchmarkSpec("F3", "Schwefel 1.2", SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_12, witness=_origin),
+    BenchmarkSpec("F4", "Schwefel 2.21", SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_221, witness=_origin),
+    BenchmarkSpec("F5", "Rosenbrock", SCALABLE_DIMENSIONS, -30, 30, 0.0, rosenbrock, witness=_ones),
+    BenchmarkSpec("F6", "Step", SCALABLE_DIMENSIONS, -100, 100, 0.0, step, witness=_origin),
+    BenchmarkSpec("F7", "Quartic", SCALABLE_DIMENSIONS, -128, 128, 0.0, quartic, witness=_origin, noisy=True),
+    BenchmarkSpec("F8", "Schwefel", SCALABLE_DIMENSIONS, -500, 500, -418.9829, schwefel, f_min_times_n=True),
+    BenchmarkSpec("F9", "Rastrigin", SCALABLE_DIMENSIONS, -5.12, 5.12, 0.0, rastrigin, witness=_origin),
+    BenchmarkSpec("F10", "Ackley", SCALABLE_DIMENSIONS, -32, 32, 0.0, ackley, witness=_origin),
+    BenchmarkSpec("F11", "Griewank", SCALABLE_DIMENSIONS, -600, 600, 0.0, griewank, witness=_origin),
+    BenchmarkSpec("F12", "Penalized", SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized, witness=_minus_ones),
+    BenchmarkSpec("F13", "Penalized2", SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized2, witness=_ones),
+    BenchmarkSpec("F14", "Foxholes", (2,), -65, 65, 1.0, foxholes),
+    BenchmarkSpec("F15", "Kowalik", (4,), -5, 5, 0.0003, kowalik),
+    BenchmarkSpec("F16", "Six Hump Camel", (2,), -5, 5, -1.0316, six_hump_camel),
+    BenchmarkSpec("F17", "Branin", (2,), -5, 5, 0.398, branin),
+    BenchmarkSpec("F18", "Goldstein-Price", (2,), -2, 2, 3.0, goldstein_price, witness=lambda n: np.array([0.0, -1.0])),
+    BenchmarkSpec("F19", "Hartman 3", (3,), 1, 3, -3.86, hartman3),
+    BenchmarkSpec("F20", "Hartman 6", (6,), 0, 1, -3.32, hartman6),
+    BenchmarkSpec("F21", "Shekel 5", (4,), 0, 10, -10.1532, shekel5),
+    BenchmarkSpec("F22", "Shekel 7", (4,), 0, 10, -10.4028, shekel7),
+    BenchmarkSpec("F23", "Shekel 10", (4,), 0, 10, -10.5363, shekel10),
 ]
 
 SPECS: dict[str, BenchmarkSpec] = {s.fid: s for s in _SPEC_LIST}

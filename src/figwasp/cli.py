@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -50,7 +51,7 @@ _FLOAT_FMT = "{:.6E}"
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
+    """Bad input; the message names the field or file at fault."""
 
 
 @dataclass
@@ -80,10 +81,10 @@ class ExperimentConfig:
             raise ConfigError("problems: at least one problem id is required")
         listed = set()
         for pid, dim in self.problems:
-            problem = resolve_problem(pid, dim, self.penalty_coefficient)
-            if (pid, problem.dimension) in listed:
-                raise ConfigError(f"problems: {pid}@{problem.dimension} is listed twice")
-            listed.add((pid, problem.dimension))
+            key = (pid, resolve_dimension(pid, dim))
+            if key in listed:
+                raise ConfigError(f"problems: {pid}@{key[1]} is listed twice")
+            listed.add(key)
 
 
 def resolve_dimension(pid: str, dim: int | None) -> int:
@@ -138,10 +139,9 @@ def group_width(runs: int, total_runs: int, workers: int, params: FwscParams, di
     return max(1, min(runs, math.ceil(total_runs / workers), GROUP_FLOATS // wasp_floats))
 
 
-def _run_group(task) -> tuple[str, int, list[tuple[int, int, RunResult]]]:
-    pid, dim, run_indices, seeds, params, penalty = task
-    problem = resolve_problem(pid, dim, penalty)
-    return pid, dim, list(zip(run_indices, seeds, run_many(problem, params, seeds)))
+def _run_group(task) -> list[RunResult]:
+    pid, dim, seeds, params, penalty = task
+    return run_many(resolve_problem(pid, dim, penalty), params, seeds)
 
 
 def worker_count() -> int:
@@ -153,12 +153,14 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[tuple[int, int, RunResult]]]:
-    """Run every (problem, run index); ordered, seeded, optionally parallel.
+def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[RunResult]]:
+    """Every problem's results in run-index order; seeded, optionally parallel.
 
     A task is a group of one problem's runs (see `group_width`) advanced in
     lockstep by `run_many`, which gives each run exactly what a run of its
     own gives, so the results do not depend on grouping or worker count.
+    Tasks go in problem order, then run order, and `pool.map` keeps that
+    order, so joining their results in task order is the run-index order.
     """
     workers = worker_count()
     total_runs = config.runs * len(config.problems)
@@ -168,9 +170,9 @@ def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[tup
         params = resolved_params(config, problem)
         width = group_width(config.runs, total_runs, workers, params, problem.dimension)
         for first in range(0, config.runs, width):
-            run_indices = list(range(first, min(first + width, config.runs)))
-            seeds = [derive_seed(config.master_seed, pid, dim, i) for i in run_indices]
-            tasks.append((pid, dim, run_indices, seeds, params, config.penalty_coefficient))
+            indices = range(first, min(first + width, config.runs))
+            seeds = [derive_seed(config.master_seed, pid, dim, i) for i in indices]
+            tasks.append((pid, dim, seeds, params, config.penalty_coefficient))
     workers = min(workers, len(tasks))
     if workers > 1:
         # imported here so that processes which never fork do not load it
@@ -180,11 +182,9 @@ def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[tup
             outcomes = list(pool.map(_run_group, tasks))
     else:
         outcomes = [_run_group(t) for t in tasks]
-    grouped: dict[tuple[str, int], list[tuple[int, int, RunResult]]] = {}
-    for pid, dim, runs in outcomes:
-        grouped.setdefault((pid, dim), []).extend(runs)
-    for runs in grouped.values():
-        runs.sort(key=lambda item: item[0])
+    grouped: dict[tuple[str, int], list[RunResult]] = {}
+    for (pid, dim, *_), results in zip(tasks, outcomes):
+        grouped.setdefault((pid, dim), []).extend(results)
     return grouped
 
 
@@ -216,24 +216,18 @@ def _fmt(value: float) -> str:
 def write_summary(out_dir: Path, grouped) -> Path:
     rows = []
     for (pid, dim), runs in grouped.items():
-        bests = np.array([result.best_fitness for _, _, result in runs])
-        rows.append(
-            [pid, str(dim), _fmt(bests.min()), _fmt(bests.max()), _fmt(bests.mean()), _fmt(bests.std())]
-        )
+        bests = np.array([result.best_fitness for result in runs])
+        rows.append([pid, str(dim), _fmt(bests.min()), _fmt(bests.max()), _fmt(bests.mean()), _fmt(bests.std())])
     path = out_dir / "summary.csv"
     _write_csv(path, ["problem", "dimension", "best", "worst", "mean", "std"], rows)
     return path
 
 
-def write_traces(out_dir: Path, grouped) -> list[Path]:
-    paths = []
+def write_traces(out_dir: Path, grouped) -> None:
     for (pid, _dim), runs in grouped.items():
-        for _run_index, seed, result in runs:
+        for result in runs:
             rows = [[str(i + 1), _fmt(v)] for i, v in enumerate(result.trace)]
-            path = out_dir / f"trace_{pid}_{seed}.csv"
-            _write_csv(path, ["iteration", "best_so_far"], rows)
-            paths.append(path)
-    return paths
+            _write_csv(out_dir / f"trace_{pid}_{result.seed}.csv", ["iteration", "best_so_far"], rows)
 
 
 def cmd_run(config: ExperimentConfig) -> int:
@@ -250,17 +244,16 @@ def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
     design = ENGINEERING_PROBLEMS[pid]()
     grouped = execute_campaign(config)
     # a run whose best is not finite never scored a point: its position is just its first tree
-    runs = [(seed, r) for _, seed, r in grouped[(pid, design.dimension)] if math.isfinite(r.best_fitness)]
+    runs = [r for r in grouped[(pid, design.dimension)] if math.isfinite(r.best_fitness)]
     if not runs:
-        print(f"error: {pid}: every evaluation was non-finite", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{pid}: every evaluation was non-finite")
 
     candidates = []
-    for seed, result in runs:
+    for result in runs:
         position = repair_discrete(result.best_position, design.variable_kinds)
         violation = design.max_violation(position)
         objective = design.objective(position)
-        candidates.append((violation > FEASIBLE_TOL, objective, seed, position, violation))
+        candidates.append((violation > FEASIBLE_TOL, objective, result.seed, position, violation))
     # feasible designs first, then by raw objective
     infeasible, objective, seed, position, violation = min(candidates, key=lambda c: (c[0], c[1]))
 
@@ -279,68 +272,60 @@ def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
     return 0
 
 
-def _read_result_file(path: Path) -> tuple[list[tuple[str, str]], dict[tuple[str, str], float]]:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"problem", "dimension", "mean"} <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: expected columns problem, dimension, mean")
-        keys, values = [], {}
-        for row in reader:
-            key = (row["problem"], row["dimension"])
-            try:
-                mean = float(row["mean"])
-            except (TypeError, ValueError):
-                mean = math.nan
-            if not math.isfinite(mean):
-                raise ConfigError(f"{path}: {key[0]}@{key[1]}: mean: {row['mean']!r} is not a finite number")
-            keys.append(key)
-            values[key] = mean
-    if len(keys) != len(set(keys)):
-        raise ConfigError(f"{path}: duplicate problem rows")
-    return keys, values
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of a config or result file; `main` reports an `OSError`."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _read_result_file(path: Path) -> dict[tuple[str, str], float]:
+    """The mean of each (problem, dimension) row of a summary file, in file order."""
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    if reader.fieldnames is None or not {"problem", "dimension", "mean"} <= set(reader.fieldnames):
+        raise ConfigError(f"{path}: expected columns problem, dimension, mean")
+    values = {}
+    for row in reader:
+        key = (row["problem"], row["dimension"])
+        try:
+            mean = float(row["mean"])
+        except (TypeError, ValueError):
+            mean = math.nan
+        if not math.isfinite(mean):
+            raise ConfigError(f"{path}: {key[0]}@{key[1]}: mean: {row['mean']!r} is not a finite number")
+        if key in values:
+            raise ConfigError(f"{path}: {key[0]}@{key[1]}: duplicate problem row")
+        values[key] = mean
+    return values
 
 
 def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
-    algorithms = []
-    for item in inputs:
-        if "=" in item:
-            name, path = item.split("=", 1)
-        else:
-            path = item
-            name = Path(path).stem
-        algorithms.append((name, Path(path)))
+    # name=path, or a bare path named after its file
+    pairs = [item.split("=", 1) if "=" in item else (Path(item).stem, item) for item in inputs]
+    algorithms = [(name, Path(path)) for name, path in pairs]
     names = [name for name, _ in algorithms]
     if len(set(names)) != len(names):
-        print("stats: algorithm names must be unique (use name=path)", file=sys.stderr)
-        return 2
+        raise ConfigError("stats: algorithm names must be unique (use name=path)")
     if len(names) < 2:
-        print("stats: need at least two result files", file=sys.stderr)
-        return 2
+        raise ConfigError("stats: need at least two result files")
     if baseline is None:
         baseline = names[0]
     if baseline not in names:
-        print(f"stats: baseline {baseline!r} is not among {names}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"stats: baseline {baseline!r} is not among {names}")
 
     loaded = {}
-    key_order = None
     for name, path in algorithms:
-        keys, values = _read_result_file(path)
-        if key_order is None:
-            key_order = keys
-        elif set(keys) != set(key_order):
-            missing = sorted(set(key_order) - set(keys))
-            extra = sorted(set(keys) - set(key_order))
-            print(
-                f"stats: {name} rows do not match {names[0]}:"
-                f" missing {missing or 'none'}, extra {extra or 'none'}",
-                file=sys.stderr,
+        values = loaded[name] = _read_result_file(path)
+        first = loaded[names[0]].keys()
+        if values.keys() != first:
+            missing, extra = sorted(first - values.keys()), sorted(values.keys() - first)
+            raise ConfigError(
+                f"stats: {name} rows do not match {names[0]}: missing {missing or 'none'}, extra {extra or 'none'}"
             )
-            return 2
-        loaded[name] = values
+    key_order = list(loaded[names[0]])
     if len(key_order) < 2:
-        print(f"stats: need at least two problem rows, {names[0]} has {len(key_order)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"stats: need at least two problem rows, {names[0]} has {len(key_order)}")
 
     matrix = ResultMatrix(
         problems=tuple(f"{pid}@{dim}" for pid, dim in key_order),
@@ -351,21 +336,14 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
     statistic, p_value = friedman_statistic(matrix)
 
     out = Path(out_dir)
-    _write_csv(
-        out / "friedman.csv",
-        ["metric"] + names,
-        [
-            ["mean_rank"] + [_fmt(v) for v in mean_ranks],
-            ["ranking"] + [str(int(v)) for v in ordinals],
-        ],
-    )
+    ranks = [["mean_rank"] + [_fmt(v) for v in mean_ranks], ["ranking"] + [str(int(v)) for v in ordinals]]
+    _write_csv(out / "friedman.csv", ["metric"] + names, ranks)
 
-    base_values = np.array([loaded[baseline][key] for key in key_order])
+    base_values = matrix.values[:, names.index(baseline)]
     wilcoxon_rows = []
-    for name in names:
+    for name, other in zip(names, matrix.values.T):
         if name == baseline:
             continue
-        other = np.array([loaded[name][key] for key in key_order])
         label = f"{name} vs {baseline}"
         try:
             res = wilcoxon_signed_rank(PairedSamples(other, base_values))
@@ -434,7 +412,7 @@ CONFIG_KEYS = {
 def parse_config_file(path: str | Path) -> dict:
     """Parse the key=value campaign format (schema 1, '#' comments)."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -524,6 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list available problem ids")
 
     args = parser.parse_args(argv)
+    # the one exit for bad input: one line on stderr and exit code 2
     try:
         if args.command == "run":
             return cmd_run(_config_from_args(args, list(args.problems)))
@@ -533,11 +512,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_engineering(args.problem, _config_from_args(args, [args.problem]))
         if args.command == "stats":
             return cmd_stats(args.inputs, args.out, args.baseline)
-        if args.command == "list":
-            return cmd_list()
+        return cmd_list()
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OSError as exc:  # a file that cannot be read or written
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    print(f"error: {message}", file=sys.stderr)
     return 2
 
 

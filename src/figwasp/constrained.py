@@ -36,6 +36,10 @@ class LatticeStep:
 
     step: float
 
+    def __post_init__(self):
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError(f"step: {self.step} is not positive and finite")
+
 
 @dataclass(frozen=True)
 class ValueSet:

@@ -77,8 +77,6 @@ class FwscParams:
             raise ValueError("figs_per_tree must be positive")
         if self.wasps_per_fig < 2 or self.wasps_per_fig % 2 != 0:
             raise ValueError("wasps_per_fig must be an even integer >= 2")
-        if self.num_trees > self.num_trees * self.figs_per_tree * (self.wasps_per_fig // 2):
-            raise ValueError("offspring pool smaller than the number of trees")
         if not (self.eta0 > 0 and np.isfinite(self.eta0)):
             raise ValueError("eta0 must be positive and finite")
         if not 0.0 <= self.wind_threshold <= 1.0:
@@ -150,7 +148,7 @@ def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int 
 
 
 def draw_generation(
-    rng: RandomStream, problem: ObjectiveProblem, params: FwscParams, buffers: tuple | None = None
+    rng, problem: ObjectiveProblem, params: FwscParams, buffers: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Every draw of one generation before pollination, in stream order.
 
@@ -160,20 +158,25 @@ def draw_generation(
     variable number of bits, so the per-fig draws cannot be merged into
     one block.
 
-    The draws fill ``buffers`` from `generation_buffers` (fresh ones when
-    None). Returns the fig uniforms (T, A, 2, d), wasp uniforms
-    (T, A, W, d), noise (T*A*W,) or None, and permutations (T, A, W).
+    ``rng`` is one `RandomStream` or a group's sequence of R streams; run i
+    draws from its own stream into rows i*T to (i+1)*T of ``buffers`` from
+    `generation_buffers` (fresh ones when None), which may hold more rows.
+    Returns those R*T rows: fig uniforms (R*T, A, 2, d), wasp uniforms
+    (R*T, A, W, d), noise (R*T*A*W,) or None, and permutations (R*T, A, W).
     """
-    figs, wasp_uniforms, noise, permutations = buffers or generation_buffers(problem, params)
-    w_count = params.wasps_per_fig
-    for t in range(params.num_trees):
-        rng.uniform(out=figs[t])
-        for a in range(params.figs_per_tree):
-            rng.uniform(out=wasp_uniforms[t, a])
-            if noise is not None:
-                noise[t, a] = problem.noise(rng, w_count)
-            permutations[t, a] = rng.permutation(w_count)
-    return figs, wasp_uniforms, None if noise is None else noise.reshape(-1), permutations
+    streams = _streams(rng)
+    figs, wasp_uniforms, noise, permutations = buffers or generation_buffers(problem, params, len(streams))
+    t_count, w_count = params.num_trees, params.wasps_per_fig
+    for i, stream in enumerate(streams):
+        for t in range(i * t_count, (i + 1) * t_count):
+            stream.uniform(out=figs[t])
+            for a in range(params.figs_per_tree):
+                stream.uniform(out=wasp_uniforms[t, a])
+                if noise is not None:
+                    noise[t, a] = problem.noise(stream, w_count)
+                permutations[t, a] = stream.permutation(w_count)
+    rows = len(streams) * t_count
+    return figs[:rows], wasp_uniforms[:rows], None if noise is None else noise[:rows].reshape(-1), permutations[:rows]
 
 
 def spawn_figs(
@@ -366,21 +369,17 @@ def _wasp_half(
     trees: np.ndarray,
     eta: float,
     buffers: tuple,
-    slots: list[tuple],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first half of a generation for a group of R runs, their (R*T, d)
     trees end to end: draw each run's figs and wasps from its own stream
-    into its slot (its T rows) of ``buffers``, spawn them, evaluate every
-    wasp of every run as one batch and mate them. Returns the wasps
-    (R, T*A*W, d), their ranked fitness (R, T*A*W) and the offspring pools
-    (R, P, d)."""
-    for rng, slot in zip(rngs, slots):
-        draw_generation(rng, problem, params, slot)
+    into its T rows of ``buffers``, spawn them, evaluate every wasp of every
+    run as one batch and mate them. Returns the wasps (R, T*A*W, d), their
+    ranked fitness (R, T*A*W) and the offspring pools (R, P, d)."""
+    figs, wasp_uniforms, noise, permutations = draw_generation(rngs, problem, params, buffers)
     gb, n, d = problem.bounds, len(rngs), problem.dimension
-    figs, wasp_uniforms, noise, permutations = buffers
     wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
     rows = wasps.reshape(-1, d)
-    fitness = _ranked(evaluate(problem, rows, noise=None if noise is None else noise.reshape(-1)))
+    fitness = _ranked(evaluate(problem, rows, noise=noise))
     h = params.wasps_per_fig // 2  # each permutation's first half is female
     females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
     grid = build_mating_grid(females, fitness.reshape(permutations.shape))
@@ -403,14 +402,11 @@ def _lockstep(
         trees.append(spawn_trees(rng, problem, params, eta))
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
     trees = np.concatenate(trees)  # (R*T, d): the live runs' trees end to end
-    buffers = generation_buffers(problem, params, len(runs))
-    t = params.num_trees
-    # the i-th live run draws into slot i: rows i*T to (i+1)*T of every buffer
-    slots = [tuple(None if b is None else b[i * t : (i + 1) * t] for b in buffers) for i in range(len(runs))]
+    buffers = generation_buffers(problem, params, len(runs))  # the live runs fill the first rows
     live, rngs = runs, [run.rng for run in runs]
 
     for k in range(1, max(params.max_iterations, 1) + 1):
-        wasps, fitness, pools = _wasp_half(rngs, problem, params, trees, eta, buffers, slots)
+        wasps, fitness, pools = _wasp_half(rngs, problem, params, trees, eta, buffers)
         for run, rows, values in zip(live, wasps, fitness):
             run.tally(rows, values)
         if params.max_iterations == 0:
@@ -441,7 +437,6 @@ def _lockstep(
             if not live:
                 break
             rngs = [run.rng for run in live]
-            buffers = tuple(None if b is None else b[: len(live) * t] for b in buffers)
         trees = trees.reshape(-1, d)
 
     return [

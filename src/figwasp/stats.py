@@ -183,11 +183,8 @@ def friedman_mean_ranks(matrix: ResultMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def friedman_statistic(matrix: ResultMatrix) -> tuple[float, float]:
     """Tie-corrected Friedman chi-square and its chi-square tail p-value."""
-    if len(matrix.algorithms) < 2 or len(matrix.problems) < 2:
-        raise ValueError("friedman test needs >= 2 algorithms and >= 2 problems")
+    mean_ranks, _ = friedman_mean_ranks(matrix)
     n_problems, k = matrix.values.shape
-    row_ranks = np.vstack([mid_ranks(row) for row in matrix.values])
-    mean_ranks = row_ranks.mean(axis=0)
     raw = 12.0 * n_problems / (k * (k + 1)) * np.sum((mean_ranks - (k + 1) / 2.0) ** 2)
 
     tie_sum = 0.0

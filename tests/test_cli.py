@@ -158,6 +158,45 @@ def test_bad_input_names_its_key_and_exits_2(tmp_path, capsys, kind, text, prefi
     assert not (tmp_path / "o").exists()
 
 
+# (command line, what its one error line starts with); {tmp} is the test's
+# directory, which holds a.csv and b.csv (the same two problem rows), one.csv
+# (one row), other.csv (other rows), twice.csv (a row twice), ok.cfg,
+# latin1.cfg (not UTF-8) and plain, a regular file. A file error that escaped
+# main would end in a traceback and exit code 1.
+ONE_EXIT = [
+    pytest.param("stats {tmp}/a.csv {tmp}/missing.csv", "error: {tmp}/missing.csv: ", id="stats-missing"),
+    pytest.param("stats {tmp}/a.csv d={tmp}", "error: {tmp}: ", id="stats-directory"),
+    pytest.param("run F16 --config {tmp}/missing.cfg", "error: {tmp}/missing.cfg: ", id="config-missing"),
+    pytest.param("run F16 --config {tmp}", "error: {tmp}: ", id="config-directory"),
+    pytest.param("run F16 --config {tmp}/latin1.cfg", "error: {tmp}/latin1.cfg: not UTF-8", id="config-not-utf8"),
+    pytest.param("run F16 --runs 1 --config {tmp}/ok.cfg --out {tmp}/plain/o", "error: {tmp}/plain/o: ", id="out"),
+    pytest.param("stats {tmp}/a.csv {tmp}/b.csv --out {tmp}/plain/o", "error: {tmp}/plain/o: ", id="stats-out"),
+    pytest.param("stats x={tmp}/a.csv x={tmp}/b.csv", "error: stats: algorithm names must be unique", id="names"),
+    pytest.param("stats {tmp}/a.csv", "error: stats: need at least two result files", id="one-file"),
+    pytest.param("stats {tmp}/a.csv {tmp}/b.csv --baseline c", "error: stats: baseline 'c' is not", id="baseline"),
+    pytest.param("stats {tmp}/a.csv {tmp}/other.csv", "error: stats: other rows do not match a", id="rows"),
+    pytest.param("stats x={tmp}/one.csv y={tmp}/one.csv", "error: stats: need at least two problem rows", id="one-row"),
+    pytest.param("stats {tmp}/twice.csv {tmp}/a.csv", "error: {tmp}/twice.csv: F1@30: duplicate", id="twice"),
+]
+
+
+@pytest.mark.parametrize("command, prefix", ONE_EXIT)
+def test_unusable_file_or_stats_input_exits_2_with_one_line(tmp_path, capsys, command, prefix):
+    rows = [["F1", "30", "0", "0", "1.0", "0"], ["F9", "30", "0", "0", "2.0", "0"]]
+    other = [rows[0], ["F11", "30", "0", "0", "3.0", "0"]]
+    for name, content in (("a", rows), ("b", rows[::-1]), ("one", rows[:1]), ("other", other), ("twice", rows + rows)):
+        write_result_file(tmp_path / f"{name}.csv", content)
+    (tmp_path / "ok.cfg").write_text("schema = 1\niterations = 1\n")
+    (tmp_path / "latin1.cfg").write_bytes("schema = 1\n# caf\xe9\n".encode("latin-1"))
+    (tmp_path / "plain").write_text("")
+    argv = command.format(tmp=tmp_path).split()
+    assert main(argv if "--out" in argv else argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(tmp=tmp_path)), err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "o").exists()
+
+
 def config_of(tmp_path, text, problems=("F16",)):
     cfg = tmp_path / "table.cfg"
     cfg.write_text(text)

@@ -65,6 +65,13 @@ class TestRepairDiscrete:
         assert abs(once[0] - value) <= step / 2 + 1e-9
         assert once[0] == pytest.approx(lattice_scan_oracle(value, step), abs=1e-9)
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+    def test_bad_lattice_steps_rejected(self, step):
+        # a zero, infinite or NaN step would repair every coordinate to NaN,
+        # and a negative one would round half-steps down
+        with pytest.raises(ValueError, match="^step: "):
+            LatticeStep(step)
+
 
 def full_distance_snap(column, values):
     """The nearest member by every member's distance, ties to the larger one."""

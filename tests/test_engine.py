@@ -425,6 +425,21 @@ class TestBuffers:
                 assert np.array_equal(got, want)
         assert np.array_equal(reused.uniform(size=2), fresh.uniform(size=2))
 
+    def test_group_draw_equals_one_draw_per_stream(self):
+        # run i of a group draws from its own stream into rows i*T to
+        # (i+1)*T, and buffers sized for more runs give back only the drawn rows
+        base = sphere_problem(dim=3)
+        noisy = ObjectiveProblem("noisy", 3, base.bounds, base.objective, noise=lambda rng, n: rng.uniform(size=n))
+        params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4)
+        group, alone = [RandomStream(s) for s in (5, 6, 7)], [RandomStream(s) for s in (5, 6, 7)]
+        drawn = draw_generation(group, noisy, params, generation_buffers(noisy, params, 5))
+        singles = [draw_generation(stream, noisy, params) for stream in alone]
+        for got, parts in zip(drawn, zip(*singles)):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
+        assert drawn[0].shape[0] == drawn[3].shape[0] == 3 * params.num_trees
+        for a, b in zip(group, alone):
+            assert a.uniform(size=3).tobytes() == b.uniform(size=3).tobytes()
+
     def test_snapshots_and_result_outlive_the_buffers(self, monkeypatch):
         made, held, copies = [], [], []
 
