@@ -88,22 +88,18 @@ class ExperimentConfig:
 
 
 def resolve_dimension(pid: str, dim: int | None) -> int:
-    """Fill in the dimension for fixed-dimension problems; validate others."""
+    """``dim`` if the problem allows it, or the only dimension it allows when ``dim`` is None."""
     if pid in ENGINEERING_PROBLEMS:
-        implied = ENGINEERING_PROBLEMS[pid]().dimension
-        if dim is not None and dim != implied:
-            raise ConfigError(f"problems: {pid} has fixed dimension {implied}, not {dim}")
-        return implied
-    if pid in benchmarks.SPECS:
+        allowed = (ENGINEERING_PROBLEMS[pid]().dimension,)
+    elif pid in benchmarks.SPECS:
         allowed = benchmarks.SPECS[pid].dimensions
-        if dim is None:
-            if len(allowed) == 1:
-                return allowed[0]
-            raise ConfigError(f"dim: {pid} needs an explicit dimension from {sorted(allowed)}")
-        if dim not in allowed:
-            raise ConfigError(f"dim: {pid} allows dimensions {sorted(allowed)}, not {dim}")
-        return dim
-    raise ConfigError(f"problems: unknown problem id {pid!r} (see `figwasp list`)")
+    else:
+        raise ConfigError(f"problems: unknown problem id {pid!r} (see `figwasp list`)")
+    if dim is None and len(allowed) > 1:
+        raise ConfigError(f"dim: {pid} needs an explicit dimension from {sorted(allowed)}")
+    if dim is not None and dim not in allowed:
+        raise ConfigError(f"dim: {pid} allows dimensions {sorted(allowed)}, not {dim}")
+    return allowed[0] if dim is None else dim
 
 
 def resolve_problem(pid: str, dim: int, penalty_coefficient: float) -> ObjectiveProblem:
@@ -188,11 +184,19 @@ def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[Run
     return grouped
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, made if missing before any work writes into it."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"{out}: not a directory")
+    out.mkdir(parents=True, exist_ok=True)  # `main` reports one that cannot be made
+    return out
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    """Write-then-rename so a crash never leaves a partial file behind. The
-    file gets the mode a plain open would give it (0o666 less the umask),
-    not the 0o600 of the temporary file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write-then-rename into an existing directory, so a crash never leaves
+    a partial file behind. The file gets the mode a plain open would give it
+    (0o666 less the umask), not the 0o600 of the temporary file."""
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".csv")
@@ -231,8 +235,8 @@ def write_traces(out_dir: Path, grouped) -> None:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
+    out_dir = _out_dir(config.out_dir)
     grouped = execute_campaign(config)
-    out_dir = Path(config.out_dir)
     summary = write_summary(out_dir, grouped)
     if config.trace:
         write_traces(out_dir, grouped)
@@ -242,6 +246,7 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
     design = ENGINEERING_PROBLEMS[pid]()
+    out_dir = _out_dir(config.out_dir)
     grouped = execute_campaign(config)
     # a run whose best is not finite never scored a point: its position is just its first tree
     runs = [r for r in grouped[(pid, design.dimension)] if math.isfinite(r.best_fitness)]
@@ -266,7 +271,7 @@ def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
 
     header = list(design.variable_names) + ["objective", "max_violation", "seed"]
     row = [_fmt(v) for v in position] + [_fmt(objective), _fmt(violation), str(seed)]
-    path = Path(config.out_dir) / f"engineering_{pid}.csv"
+    path = out_dir / f"engineering_{pid}.csv"
     _write_csv(path, header, [row])
     print(f"wrote {path}")
     return 0
@@ -326,6 +331,7 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
     key_order = list(loaded[names[0]])
     if len(key_order) < 2:
         raise ConfigError(f"stats: need at least two problem rows, {names[0]} has {len(key_order)}")
+    out = _out_dir(out_dir)
 
     matrix = ResultMatrix(
         problems=tuple(f"{pid}@{dim}" for pid, dim in key_order),
@@ -335,7 +341,6 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
     mean_ranks, ordinals = friedman_mean_ranks(matrix)
     statistic, p_value = friedman_statistic(matrix)
 
-    out = Path(out_dir)
     ranks = [["mean_rank"] + [_fmt(v) for v in mean_ranks], ["ranking"] + [str(int(v)) for v in ordinals]]
     _write_csv(out / "friedman.csv", ["metric"] + names, ranks)
 

@@ -22,9 +22,9 @@ as +inf: never the best-so-far, last in the mating grid and in selection.
 its one-seed case. The group's trees are stacked as R*T trees, so spawning,
 mating and the bounds check work on all runs at once, and each generation
 still has two evaluations: every wasp of every run, then every pool. Each
-run keeps its own stream and draw order, best, trace, evaluation count
-and stagnation count; a run whose stagnation window runs out leaves the
-group. So every result equals, bit for bit, the run made alone.
+run keeps its own stream and draw order, best, trace and evaluation count;
+a run whose stagnation window runs out leaves the group. So every result
+equals, bit for bit, the run made alone.
 
 A group allocates its generation buffers once and draws into them in
 place. Snapshots and results never alias them; the wasp rows an objective
@@ -346,12 +346,12 @@ def select_trees(
 class _Run:
     """One run's own state inside a lockstep group."""
 
-    __slots__ = ("seed", "rng", "best_position", "best_fitness", "evaluations", "stagnant", "trace")
+    __slots__ = ("seed", "rng", "best_position", "best_fitness", "evaluations", "trace")
 
     def __init__(self, seed: int, rng: RandomStream, first_tree: Vector):
         self.seed, self.rng = seed, rng
         self.best_position, self.best_fitness = first_tree, math.inf  # until it scores a finite point
-        self.evaluations, self.stagnant, self.trace = 0, 0, []
+        self.evaluations, self.trace = 0, []
 
     def tally(self, rows: np.ndarray, fitness: np.ndarray) -> None:
         """Count an evaluated batch of this run's ``rows`` (m, d) and keep
@@ -362,39 +362,16 @@ class _Run:
             self.best_fitness, self.best_position = float(fitness[i]), rows[i].copy()
 
 
-def _wasp_half(
-    rngs: list[RandomStream],
-    problem: ObjectiveProblem,
-    params: FwscParams,
-    trees: np.ndarray,
-    eta: float,
-    buffers: tuple,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first half of a generation for a group of R runs, their (R*T, d)
-    trees end to end: draw each run's figs and wasps from its own stream
-    into its T rows of ``buffers``, spawn them, evaluate every wasp of every
-    run as one batch and mate them. Returns the wasps (R, T*A*W, d), their
-    ranked fitness (R, T*A*W) and the offspring pools (R, P, d)."""
-    figs, wasp_uniforms, noise, permutations = draw_generation(rngs, problem, params, buffers)
-    gb, n, d = problem.bounds, len(rngs), problem.dimension
-    wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
-    rows = wasps.reshape(-1, d)
-    fitness = _ranked(evaluate(problem, rows, noise=noise))
-    h = params.wasps_per_fig // 2  # each permutation's first half is female
-    females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
-    grid = build_mating_grid(females, fitness.reshape(permutations.shape))
-    pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, params.wasps_per_fig)]))
-    return rows.reshape(n, -1, d), fitness.reshape(n, -1), pools.reshape(n, -1, d)
-
-
 def _lockstep(
     problem: ObjectiveProblem,
     params: FwscParams,
     seeds: list[int],
     on_generation: Callable[[GenerationSnapshot], None] | None,
 ) -> list[RunResult]:
-    """Advance one run per seed together; see `run` and `run_many`."""
-    gb, d = problem.bounds, problem.dimension
+    """Advance one run per seed together; see `run` and `run_many`. The
+    group's R runs hold their trees end to end, (R*T, d), and run i draws
+    from its own stream into its T rows of the generation buffers."""
+    gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
     runs, trees = [], []
     for seed in seeds:
@@ -403,16 +380,22 @@ def _lockstep(
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
     trees = np.concatenate(trees)  # (R*T, d): the live runs' trees end to end
     buffers = generation_buffers(problem, params, len(runs))  # the live runs fill the first rows
-    live, rngs = runs, [run.rng for run in runs]
+    live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
 
     for k in range(1, max(params.max_iterations, 1) + 1):
-        wasps, fitness, pools = _wasp_half(rngs, problem, params, trees, eta, buffers)
-        for run, rows, values in zip(live, wasps, fitness):
+        figs, wasp_uniforms, noise, permutations = draw_generation(rngs, problem, params, buffers)
+        wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
+        fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=noise))
+        for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
             run.tally(rows, values)
         if params.max_iterations == 0:
             for run in live:
                 run.trace.append(run.best_fitness)
             break
+        h = w // 2  # each permutation's first half is female
+        females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
+        grid = build_mating_grid(females, fitness.reshape(permutations.shape))
+        pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)])).reshape(len(live), -1, d)
         # per run: the pool uniforms, then the wind's gate, choice and kick,
         # then the pool's noise terms
         pools = search_directions(rngs, pools, gb)
@@ -425,18 +408,20 @@ def _lockstep(
         trees, pool_fitness = select_trees(problem, pools, params.num_trees, noise=noise)
         for run, pool, values in zip(live, pools, pool_fitness):
             run.tally(pool, values)
-            run.stagnant = 0 if not run.trace or run.best_fitness < run.trace[-1] else run.stagnant + 1
             run.trace.append(run.best_fitness)
         if on_generation is not None:
             on_generation(GenerationSnapshot(k, trees[0], pools[0], live[0].best_fitness))
 
-        window = params.stagnation_window
-        if window is not None and any(run.stagnant >= window for run in live):
-            stays = [run.stagnant < window for run in live]  # a stagnant run leaves the group
-            live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
-            if not live:
-                break
-            rngs = [run.rng for run in live]
+        # a trace never rises and only a strict drop improves it, so a run has
+        # gone `window` generations without improving when its value `window`
+        # generations back equals its last; such a run leaves the group
+        if window is not None and k > window:
+            stays = [run.trace[-1 - window] != run.trace[-1] for run in live]
+            if not all(stays):
+                live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
+                if not live:
+                    break
+                rngs = [run.rng for run in live]
         trees = trees.reshape(-1, d)
 
     return [
@@ -475,9 +460,9 @@ def run_many(problem: ObjectiveProblem, params: FwscParams, seeds) -> list[RunRe
     ``[run(problem, params, seed) for seed in seeds]``.
 
     The runs share each generation's array work and objective batches, and
-    each keeps its own stream, draw order, best, trace, evaluation count
-    and stagnation count. A run whose stagnation window runs out leaves the
-    group; the others go on.
+    each keeps its own stream, draw order, best, trace and evaluation
+    count. A run whose stagnation window runs out leaves the group; the
+    others go on.
     """
     seeds = list(seeds)
     return _lockstep(problem, params, seeds, None) if seeds else []

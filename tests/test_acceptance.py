@@ -143,13 +143,9 @@ def test_criterion_3_byte_identical_campaigns(tmp_path, monkeypatch):
 
 
 def _campaign_mean_best(fid: str, threshold: float) -> float:
+    # the campaign path: one lockstep group of the 30 runs, equal to one run per seed
     config = ExperimentConfig(problems=[(fid, 30)], runs=30, master_seed=42, out_dir="unused")
-    problem = make_benchmark(fid, 30)
-    params = resolved_params(config, problem)
-    bests = [
-        run(problem, params, derive_seed(config.master_seed, fid, 30, index)).best_fitness
-        for index in range(config.runs)
-    ]
+    bests = [result.best_fitness for result in execute_campaign(config)[(fid, 30)]]
     mean_best = float(np.mean(bests))
     report("C4 desk-scale quality", f"{fid} dim 30, 30 runs: mean best = {mean_best:.3e} (<= {threshold:g})")
     return mean_best

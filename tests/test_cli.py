@@ -132,6 +132,9 @@ BAD_INPUTS = [
         "error: problems: pressure-vessel@4 is listed twice",
         id="design-twice",
     ),
+    pytest.param(
+        "problems", "pressure-vessel@5", "error: dim: pressure-vessel allows dimensions [4], not 5", id="design-dim"
+    ),
 ]
 
 
@@ -171,6 +174,14 @@ ONE_EXIT = [
     pytest.param("run F16 --config {tmp}/latin1.cfg", "error: {tmp}/latin1.cfg: not UTF-8", id="config-not-utf8"),
     pytest.param("run F16 --runs 1 --config {tmp}/ok.cfg --out {tmp}/plain/o", "error: {tmp}/plain/o: ", id="out"),
     pytest.param("stats {tmp}/a.csv {tmp}/b.csv --out {tmp}/plain/o", "error: {tmp}/plain/o: ", id="stats-out"),
+    pytest.param(
+        "run F16 --runs 1 --config {tmp}/ok.cfg --out {tmp}/plain",
+        "error: {tmp}/plain: not a directory\n",
+        id="out-file",
+    ),
+    pytest.param(
+        "stats {tmp}/a.csv {tmp}/b.csv --out {tmp}/plain", "error: {tmp}/plain: not a directory\n", id="stats-out-file"
+    ),
     pytest.param("stats x={tmp}/a.csv x={tmp}/b.csv", "error: stats: algorithm names must be unique", id="names"),
     pytest.param("stats {tmp}/a.csv", "error: stats: need at least two result files", id="one-file"),
     pytest.param("stats {tmp}/a.csv {tmp}/b.csv --baseline c", "error: stats: baseline 'c' is not", id="baseline"),
@@ -195,6 +206,20 @@ def test_unusable_file_or_stats_input_exits_2_with_one_line(tmp_path, capsys, co
     assert err.startswith(prefix.format(tmp=tmp_path)), err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["plain", "plain/o"])
+@pytest.mark.parametrize("command", [["run", "F16"], ["engineering", "pressure-vessel"]])
+def test_bad_out_fails_before_any_run(tmp_path, monkeypatch, capsys, command, out):
+    def run_many(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_many", run_many)
+    (tmp_path / "plain").write_text("")
+    assert main([*command, "--runs", "1", "--out", str(tmp_path / out)]) == 2
+    reason = "not a directory" if out == "plain" else "Not a directory"
+    assert capsys.readouterr().err == f"error: {tmp_path / out}: {reason}\n"
+    assert (tmp_path / "plain").read_text() == ""
 
 
 def config_of(tmp_path, text, problems=("F16",)):

@@ -523,7 +523,7 @@ class TestRun:
     def test_stagnation_window_stops_early(self):
         flat = ObjectiveProblem("flat", 2, Bounds.box(-1.0, 1.0, 2), lambda x: 0.0)
         result = run(flat, FwscParams(max_iterations=500, stagnation_window=5), seed=0)
-        assert result.iterations_run <= 7
+        assert result.iterations_run == 6  # generations 2 to 6 add nothing to generation 1's best
 
     def test_zero_budget_still_well_formed(self):
         result = run(sphere_problem(), FwscParams(max_iterations=0), seed=2)

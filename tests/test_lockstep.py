@@ -128,3 +128,26 @@ def test_select_trees_group_equals_each_pool():
         alone_trees, alone_fitness = select_trees(problem, pool, 3)
         assert trees[r].tobytes() == alone_trees.tobytes()
         assert fitness[r].tobytes() == alone_fitness.tobytes()
+
+
+@pytest.mark.parametrize("window", range(1, 6))
+def test_stagnation_stop_follows_the_counter(window):
+    # oracle: a counter replayed over each trace, 0 at generation 1, reset by a
+    # strict drop and otherwise one more; a run stops at the first generation
+    # where it reaches the window, or runs its whole budget
+    budget, early = 60, set()
+    for case in ("F16", "pressure-vessel", "F7@30-noisy"):
+        problem, params = CASES[case]()
+        params = replace(params, max_iterations=budget, stagnation_window=window)
+        for result in run_many(problem, params, SEEDS):
+            expected, counter = budget, 0
+            for k in range(2, len(result.trace) + 1):
+                counter = 0 if result.trace[k - 1] < result.trace[k - 2] else counter + 1
+                if counter >= window:
+                    expected = k
+                    break
+            assert result.iterations_run == expected == len(result.trace)
+            early.add(expected < budget)
+    # some runs stop early; from window 2 on, others run their whole budget
+    # (at window 1 every run here stops by generation 5)
+    assert early == ({True} if window == 1 else {True, False})
