@@ -295,12 +295,14 @@ SPECS: dict[str, BenchmarkSpec] = {s.fid: s for s in _SPEC_LIST}
 BENCHMARK_IDS = tuple(SPECS)
 
 
-def _check_dimension(spec: BenchmarkSpec, dimension: int) -> None:
+def _spec(fid: str, dimension: int) -> BenchmarkSpec:
+    """The spec of benchmark ``fid``, checked to be defined at ``dimension``."""
+    spec = SPECS.get(fid)
+    if spec is None:
+        raise ValueError(f"unknown benchmark id {fid!r}; known ids are F1..F23")
     if dimension not in spec.dimensions:
-        raise ValueError(
-            f"{spec.fid} ({spec.name}) is defined for dimensions {sorted(spec.dimensions)},"
-            f" not {dimension}"
-        )
+        raise ValueError(f"{fid} ({spec.name}) is defined for dimensions {sorted(spec.dimensions)}, not {dimension}")
+    return spec
 
 
 def _noise_term(rng: RandomStream, n: int) -> np.ndarray:
@@ -313,10 +315,7 @@ def make_benchmark(fid: str, dimension: int, include_noise: bool = True) -> Obje
     ``include_noise=False`` turns off the Quartic function's additive
     uniform noise so witness points can be checked exactly.
     """
-    if fid not in SPECS:
-        raise ValueError(f"unknown benchmark id {fid!r}; known ids are F1..F23")
-    spec = SPECS[fid]
-    _check_dimension(spec, dimension)
+    spec = _spec(fid, dimension)
     noise = _noise_term if (spec.noisy and include_noise) else None
     return ObjectiveProblem(
         name=f"{spec.fid} {spec.name}",
@@ -330,15 +329,13 @@ def make_benchmark(fid: str, dimension: int, include_noise: bool = True) -> Obje
 
 def known_optimum(fid: str, dimension: int) -> float:
     """The tabulated minimum, scaled by n where the table says so."""
-    spec = SPECS[fid]
-    _check_dimension(spec, dimension)
+    spec = _spec(fid, dimension)
     return spec.f_min * dimension if spec.f_min_times_n else spec.f_min
 
 
 def optimum_witness(fid: str, dimension: int) -> Vector | None:
     """A point achieving the tabulated minimum exactly, when one exists."""
-    spec = SPECS[fid]
-    _check_dimension(spec, dimension)
+    spec = _spec(fid, dimension)
     if spec.witness is None:
         return None
     return spec.witness(dimension)

@@ -27,7 +27,7 @@ power = np.float_power
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-dimension box constraints with strict lower < upper."""
+    """Per-dimension finite box constraints with strict lower < upper."""
 
     lower: Vector
     upper: Vector
@@ -39,6 +39,8 @@ class Bounds:
             raise ValueError("bounds must be 1-D vectors")
         if lower.shape != upper.shape:
             raise ValueError("lower and upper must have the same length")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError("bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("degenerate bounds: need lower < upper in every dimension")
         lower.setflags(write=False)

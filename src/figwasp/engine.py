@@ -19,12 +19,12 @@ each batch is one call, else one call per row. NaN objective values rank
 as +inf: never the best-so-far, last in the mating grid and in selection.
 
 `run_many` advances several runs of one problem in lockstep, and `run` is
-its one-seed case. The group's trees are stacked as R*T trees, so spawning,
-mating and the bounds check work on all runs at once, and each generation
-still has two evaluations: every wasp of every run, then every pool. Each
-run keeps its own stream and draw order, best, trace and evaluation count;
-a run whose stagnation window runs out leaves the group. So every result
-equals, bit for bit, the run made alone.
+its one-seed case, a group of one. Every phase takes the group: its R
+streams, one per run with its own draw order, and its (R, ...) arrays,
+the trees stacked as R*T trees. Each generation has two evaluations:
+every wasp of every run, then every pool. Each run keeps its own best,
+trace and evaluation count; a run whose stagnation window runs out leaves
+the group. So every result equals, bit for bit, the run made alone.
 
 A group allocates its generation buffers once and draws into them in
 place. Snapshots and results never alias them; the wasp rows an objective
@@ -148,7 +148,7 @@ def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int 
 
 
 def draw_generation(
-    rng, problem: ObjectiveProblem, params: FwscParams, buffers: tuple | None = None
+    rngs: list[RandomStream], problem: ObjectiveProblem, params: FwscParams, buffers: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Every draw of one generation before pollination, in stream order.
 
@@ -158,16 +158,14 @@ def draw_generation(
     variable number of bits, so the per-fig draws cannot be merged into
     one block.
 
-    ``rng`` is one `RandomStream` or a group's sequence of R streams; run i
-    draws from its own stream into rows i*T to (i+1)*T of ``buffers`` from
-    `generation_buffers` (fresh ones when None), which may hold more rows.
-    Returns those R*T rows: fig uniforms (R*T, A, 2, d), wasp uniforms
-    (R*T, A, W, d), noise (R*T*A*W,) or None, and permutations (R*T, A, W).
+    Run i draws from ``rngs[i]`` into rows i*T to (i+1)*T of ``buffers``
+    from `generation_buffers`, which may hold more rows. Returns those R*T
+    rows: fig uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise
+    (R*T*A*W,) or None, and permutations (R*T, A, W).
     """
-    streams = _streams(rng)
-    figs, wasp_uniforms, noise, permutations = buffers or generation_buffers(problem, params, len(streams))
+    figs, wasp_uniforms, noise, permutations = buffers
     t_count, w_count = params.num_trees, params.wasps_per_fig
-    for i, stream in enumerate(streams):
+    for i, stream in enumerate(rngs):
         for t in range(i * t_count, (i + 1) * t_count):
             stream.uniform(out=figs[t])
             for a in range(params.figs_per_tree):
@@ -175,7 +173,7 @@ def draw_generation(
                 if noise is not None:
                     noise[t, a] = problem.noise(stream, w_count)
                 permutations[t, a] = stream.permutation(w_count)
-    rows = len(streams) * t_count
+    rows = len(rngs) * t_count
     return figs[:rows], wasp_uniforms[:rows], None if noise is None else noise[:rows].reshape(-1), permutations[:rows]
 
 
@@ -260,26 +258,19 @@ def pool_offsprings(offspring: np.ndarray) -> np.ndarray:
     return offspring.reshape(-1, offspring.shape[-1])
 
 
-def _streams(rng) -> list[RandomStream]:
-    """One stream as a list of one, or a group's sequence of streams as is."""
-    return [rng] if isinstance(rng, RandomStream) else rng
-
-
-def search_directions(rng, pool: np.ndarray, global_bounds: Bounds) -> np.ndarray:
+def search_directions(rngs: list[RandomStream], pools: np.ndarray, global_bounds: Bounds) -> np.ndarray:
     """Re-spread every offspring uniformly across its pool's envelope.
 
     Each coordinate is redrawn on [min_i, max_i] over the pool, which
     keeps the pool inside its own convex bounding box while decorrelating
-    offspring from their parents' figs. ``pool`` is one (P, d) pool and
-    ``rng`` its `RandomStream`, or a group's (R, P, d) pools and a sequence
-    of their R streams: each pool draws from its own stream and keeps its
-    own envelope.
+    offspring from their parents' figs. Each of a group's (R, P, d)
+    ``pools`` draws from its stream in ``rngs`` and keeps its own envelope.
     """
-    fresh = np.empty(pool.shape)
-    for stream, out in zip(_streams(rng), fresh.reshape((-1,) + pool.shape[-2:])):
+    fresh = np.empty(pools.shape)
+    for stream, out in zip(rngs, fresh):
         stream.uniform(out=out)
-    low = pool.min(axis=-2)[..., None, :]
-    fresh *= pool.max(axis=-2)[..., None, :] - low
+    low = pools.min(axis=1)[:, None]
+    fresh *= pools.max(axis=1)[:, None] - low
     fresh += low
     return global_bounds.clamp(fresh)
 
@@ -288,30 +279,29 @@ def wind_count(pool_size: int, wind_fraction: float) -> int:
     return math.ceil(wind_fraction * pool_size)
 
 
-def wind_effect(rng, pool: np.ndarray, params: FwscParams, global_bounds: Bounds) -> np.ndarray:
-    """Occasionally drift a fixed fraction of the pool.
+def wind_effect(rngs: list[RandomStream], pools: np.ndarray, params: FwscParams, global_bounds: Bounds) -> np.ndarray:
+    """Occasionally drift a fixed fraction of each pool.
 
     One gate uniform is drawn per iteration; when it falls at or below the
     wind threshold, ceil(wind_fraction * |pool|) offspring chosen without
     replacement get every coordinate inflated by x <- x + x * rand(0, 1).
-    ``pool`` and ``rng`` are one (P, d) pool and its stream, or a group's
-    (R, P, d) pools and their R streams, each pool with its own gate, choice
-    and kick. Returns ``pool`` itself when no wind blows, else a new array.
+    ``pools`` are a group's (R, P, d) pools and ``rngs`` their R streams,
+    each pool with its own gate, choice and kick. Returns ``pools`` itself
+    when no wind blows, else a new array.
     """
-    size, d = pool.shape[-2:]
+    _, size, d = pools.shape
     m = wind_count(size, params.wind_fraction)
     drifted = None
-    for i, stream in enumerate(_streams(rng)):
+    for i, stream in enumerate(rngs):
         gate = stream.uniform()
         if params.wind_threshold <= 0.0 or gate > params.wind_threshold or m == 0:
             continue
         idx = np.sort(stream.choose_without_replacement(size, m))
         if drifted is None:
-            drifted = pool.copy()
-        blown = drifted.reshape(-1, size, d)[i]
-        blown[idx] = blown[idx] * (1.0 + stream.uniform(size=(m, d)))
+            drifted = pools.copy()
+        drifted[i, idx] = drifted[i, idx] * (1.0 + stream.uniform(size=(m, d)))
     # pools come in clamped, so clamping the calm ones again leaves their bits
-    return pool if drifted is None else global_bounds.clamp(drifted)
+    return pools if drifted is None else global_bounds.clamp(drifted)
 
 
 def _ranked(fitness: np.ndarray) -> np.ndarray:

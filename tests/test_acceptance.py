@@ -343,15 +343,15 @@ def test_criterion_8_structural_invariants():
 
         # wind gate invariants on this case's pool shape
         pool = rng.uniform(0.5, half, size=(trees * figs * (wasps // 2), dim))
-        calm = wind_effect(RandomStream(case), pool, FwscParams(wind_threshold=0.0), problem.bounds)
+        calm = wind_effect([RandomStream(case)], pool[None], FwscParams(wind_threshold=0.0), problem.bounds)[0]
         assert np.array_equal(calm, pool)
         wide = Bounds.box(-1e9, 1e9, dim)
         storm = wind_effect(
-            RandomStream(case),
-            pool,
+            [RandomStream(case)],
+            pool[None],
             FwscParams(wind_threshold=1.0, wind_fraction=params.wind_fraction),
             wide,
-        )
+        )[0]
         changed = int(np.any(storm != pool, axis=1).sum())
         expected = wind_count(len(pool), params.wind_fraction)
         if expected > 0:

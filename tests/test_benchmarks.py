@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from figwasp.benchmarks import (
     BENCHMARK_IDS,
     SPECS,
+    hartman3,
     known_optimum,
     make_benchmark,
     optimum_witness,
@@ -41,8 +42,22 @@ class TestTableData:
             make_benchmark("F1", 17)
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError):
-            make_benchmark("F99", 30)
+        for lookup in (make_benchmark, known_optimum, optimum_witness):
+            with pytest.raises(ValueError, match="unknown benchmark id 'F99'"):
+                lookup("F99", 30)
+
+    def test_hartman3_tabulated_minimum_lies_outside_its_box(self):
+        # F19's tabulated -3.86 is attained near (0.1146, 0.5556, 0.8525),
+        # outside the tabulated box [1, 3]^3; inside the box the minimum on
+        # an 81^3 grid is -0.300476, at the corner (1, 1, 1)
+        spec = SPECS["F19"]
+        assert (spec.low, spec.high, known_optimum("F19", 3)) == (1, 3, -3.86)
+        assert hartman3(np.array([0.114614, 0.555649, 0.852547])) == pytest.approx(-3.86278, abs=1e-5)
+        axis = np.linspace(1.0, 3.0, 81)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        values = hartman3(grid)
+        assert values.min() == pytest.approx(-0.300476, abs=1e-6)
+        assert np.array_equal(grid[values.argmin()], [1.0, 1.0, 1.0])
 
     def test_every_spec_constructs_at_every_allowed_dimension(self):
         for fid in BENCHMARK_IDS:

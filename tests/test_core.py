@@ -30,6 +30,16 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(np.array([0.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("limit", [-np.inf, np.inf])
+    def test_rejects_infinite_limit(self, side, limit):
+        # an infinite limit would plant NaN trees and fail mid-run; it fails
+        # here, before any run
+        ends = {"lower": np.array([-1.0, -1.0]), "upper": np.array([1.0, 1.0])}
+        ends[side][1] = limit
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            Bounds(ends["lower"], ends["upper"])
+
     def test_neighborhood_is_clipped_to_box(self):
         b = Bounds.box(-1.0, 1.0, 2)
         lower, upper = b.neighborhood(np.array([0.9, -0.9]), 0.5)

@@ -147,7 +147,7 @@ class TestSpawning:
         eta = 1.5
         trees = spawn_trees(RandomStream(9), problem, params, eta)
         tree_lower, tree_upper = problem.bounds.neighborhood(trees, eta)
-        figs, _, _, _ = draw_generation(RandomStream(10), problem, params)
+        figs, _, _, _ = draw_generation([RandomStream(10)], problem, params, generation_buffers(problem, params))
         fig_lower, fig_upper = spawn_figs(figs, tree_lower, tree_upper, eta, problem.bounds)
         assert fig_lower.shape == fig_upper.shape == (3, 4, 3)
         # the fig point sits in its tree's neighborhood inflated by eta, so
@@ -163,7 +163,9 @@ class TestSpawning:
         params = FwscParams()
         eta = 1.0
         trees = spawn_trees(RandomStream(5), problem, params, eta)
-        figs, uniforms, noise, permutations = draw_generation(RandomStream(6), problem, params)
+        figs, uniforms, noise, permutations = draw_generation(
+            [RandomStream(6)], problem, params, generation_buffers(problem, params)
+        )
         fig_lower, fig_upper = spawn_figs(figs, *problem.bounds.neighborhood(trees, eta), eta, problem.bounds)
         wasps = spawn_wasps(uniforms, fig_lower, fig_upper)
         assert wasps.shape == (3, 4, 8, 3)
@@ -179,7 +181,9 @@ class TestSpawning:
         base = sphere_problem(dim=2)
         noisy = ObjectiveProblem("noisy", 2, base.bounds, base.objective, noise=lambda rng, n: rng.uniform(size=n))
         params = FwscParams(num_trees=1, figs_per_tree=2, wasps_per_fig=4)
-        figs, uniforms, noise, permutations = draw_generation(RandomStream(4), noisy, params)
+        figs, uniforms, noise, permutations = draw_generation(
+            [RandomStream(4)], noisy, params, generation_buffers(noisy, params)
+        )
         rng = RandomStream(4)
         assert np.array_equal(rng.uniform(size=(2, 2, 2)), figs[0])
         for a in range(2):
@@ -284,7 +288,7 @@ class TestPool:
         # the envelope of a one-member pool is that member, so re-spreading
         # leaves it in place
         pool = pool_offsprings(np.array([[[[1.0, -2.0]]]]))
-        fresh = search_directions(RandomStream(0), pool, Bounds.box(-5.0, 5.0, 2))
+        fresh = search_directions([RandomStream(0)], pool[None], Bounds.box(-5.0, 5.0, 2))[0]
         assert np.array_equal(fresh, [[1.0, -2.0]])
 
     @given(st.integers(0, 2**31))
@@ -294,7 +298,7 @@ class TestPool:
         offspring = RandomStream(seed).uniform(size=(2, 3, 4, 4)) * 20 - 10
         pool = pool_offsprings(offspring)
         assert np.array_equal(pool, np.concatenate([block for tree in offspring for block in tree]))
-        fresh = search_directions(RandomStream(seed + 1), pool, Bounds.box(-10.0, 10.0, 4))
+        fresh = search_directions([RandomStream(seed + 1)], pool[None], Bounds.box(-10.0, 10.0, 4))[0]
         assert np.all(fresh >= pool.min(axis=0))
         assert np.all(fresh <= pool.max(axis=0))
 
@@ -303,7 +307,7 @@ class TestSearchDirections:
     def test_identical_offspring_unchanged(self):
         bounds = Bounds.box(-10.0, 10.0, 3)
         pool = np.tile([1.0, 2.0, 3.0], (5, 1))
-        fresh = search_directions(RandomStream(0), pool, bounds)
+        fresh = search_directions([RandomStream(0)], pool[None], bounds)[0]
         assert np.array_equal(fresh, pool)
 
     @given(st.integers(0, 2**31))
@@ -311,15 +315,15 @@ class TestSearchDirections:
         bounds = Bounds.box(-50.0, 50.0, 3)
         rng = RandomStream(seed)
         pool = rng.uniform(size=(8, 3)) * 40 - 20
-        fresh = search_directions(rng, pool, bounds)
+        fresh = search_directions([rng], pool[None], bounds)[0]
         assert np.all(fresh >= pool.min(axis=0) - 1e-12)
         assert np.all(fresh <= pool.max(axis=0) + 1e-12)
 
     def test_deterministic(self):
         bounds = Bounds.box(-50.0, 50.0, 2)
         pool = np.array([[0.0, 1.0], [5.0, -3.0], [2.0, 2.0]])
-        a = search_directions(RandomStream(11), pool, bounds)
-        b = search_directions(RandomStream(11), pool, bounds)
+        a = search_directions([RandomStream(11)], pool[None], bounds)[0]
+        b = search_directions([RandomStream(11)], pool[None], bounds)[0]
         assert np.array_equal(a, b)
 
 
@@ -329,14 +333,14 @@ class TestWindEffect:
         pool = RandomStream(3).uniform(size=(48, 2)) * 50
         params = FwscParams(wind_threshold=0.0)
         for seed in range(20):
-            out = wind_effect(RandomStream(seed), pool, params, bounds)
+            out = wind_effect([RandomStream(seed)], pool[None], params, bounds)[0]
             assert np.array_equal(out, pool)
 
     def test_origin_is_fixed_point(self):
         bounds = Bounds.box(-100.0, 100.0, 3)
         pool = np.zeros((10, 3))
         params = FwscParams(wind_threshold=1.0)
-        out = wind_effect(RandomStream(1), pool, params, bounds)
+        out = wind_effect([RandomStream(1)], pool[None], params, bounds)[0]
         assert np.array_equal(out, pool)
 
     def test_always_on_perturbs_exact_count(self):
@@ -345,7 +349,7 @@ class TestWindEffect:
         bounds = Bounds.box(-1e9, 1e9, 4)
         pool = 1.0 + RandomStream(5).uniform(size=(48, 4))
         params = FwscParams(wind_threshold=1.0, wind_fraction=0.10)
-        out = wind_effect(RandomStream(6), pool, params, bounds)
+        out = wind_effect([RandomStream(6)], pool[None], params, bounds)[0]
         changed = np.any(out != pool, axis=1).sum()
         assert wind_count(48, 0.10) == 5
         assert changed == 5
@@ -419,8 +423,9 @@ class TestBuffers:
         reused, fresh = RandomStream(8), RandomStream(8)
         buffers = generation_buffers(noisy, params)
         for _ in range(3):  # refilled, not appended to, every generation
-            into = draw_generation(reused, noisy, params, buffers)
-            for got, want, buffer in zip(into, draw_generation(fresh, noisy, params), buffers):
+            into = draw_generation([reused], noisy, params, buffers)
+            expected = draw_generation([fresh], noisy, params, generation_buffers(noisy, params))
+            for got, want, buffer in zip(into, expected, buffers):
                 assert np.shares_memory(got, buffer)
                 assert np.array_equal(got, want)
         assert np.array_equal(reused.uniform(size=2), fresh.uniform(size=2))
@@ -433,7 +438,7 @@ class TestBuffers:
         params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4)
         group, alone = [RandomStream(s) for s in (5, 6, 7)], [RandomStream(s) for s in (5, 6, 7)]
         drawn = draw_generation(group, noisy, params, generation_buffers(noisy, params, 5))
-        singles = [draw_generation(stream, noisy, params) for stream in alone]
+        singles = [draw_generation([stream], noisy, params, generation_buffers(noisy, params)) for stream in alone]
         for got, parts in zip(drawn, zip(*singles)):
             assert got.tobytes() == np.concatenate(parts).tobytes()
         assert drawn[0].shape[0] == drawn[3].shape[0] == 3 * params.num_trees
