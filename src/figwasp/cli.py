@@ -114,7 +114,10 @@ def resolved_params(config: ExperimentConfig, problem: ObjectiveProblem) -> Fwsc
     if config.eta_units == "absolute":
         return config.params
     half_width = float(np.mean((problem.bounds.upper - problem.bounds.lower) / 2.0))
-    return replace(config.params, eta0=config.params.eta0 * half_width)
+    try:
+        return replace(config.params, eta0=config.params.eta0 * half_width)
+    except ValueError as exc:  # only eta0 changed: scaled by the box, it left its range
+        raise ConfigError(f"eta0: {config.params.eta0:g} relative to {problem.name} {str(exc).partition(' ')[2]}") from exc
 
 
 # Most floats the wasp block (R*T*A*W*d) of one lockstep group may hold.

@@ -3,8 +3,8 @@
 Everything downstream (engine, benchmarks, harness) builds on three pieces:
 a validated box-constraint type, a batched objective wrapper, and a
 counter-based random stream so that any run is reproducible from a single
-64-bit seed. Noise terms of a stochastic objective are drawn by the caller
-from its run's stream and passed in; evaluation itself draws nothing.
+64-bit seed. Evaluation draws nothing: a stochastic objective maps uniform
+draws, which the caller takes from its run's stream, to its noise terms.
 """
 
 from __future__ import annotations
@@ -88,17 +88,17 @@ class ObjectiveProblem:
 
     ``objective`` maps a position vector to a scalar; with ``rowwise=True``
     it also maps an (n, dimension) array to its (n,) row values, bit-equal
-    to one call per row, and a batch is one call. Stochastic objectives
-    carry a ``noise`` hook drawing n additive terms from the caller's
-    stream, so runs stay reproducible (noise never comes from a global
-    source).
+    to one call per row, and a batch is one call. A stochastic objective
+    carries a ``noise`` map from n uniform draws on [0, 1) to its n additive
+    terms; the draws come from the caller's stream, never a global source,
+    so runs stay reproducible.
     """
 
     name: str
     dimension: int
     bounds: Bounds
     objective: Callable[[Vector], float]
-    noise: Callable[["RandomStream", int], np.ndarray] | None = None
+    noise: Callable[[np.ndarray], np.ndarray] | None = None
     rowwise: bool = False
 
     def __post_init__(self):
@@ -151,8 +151,8 @@ def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.n
 
     Rows must already lie inside the problem bounds; internal callers clamp
     before evaluating, so a violation here is a caller bug. A stochastic
-    problem needs its n additive terms in ``noise``, which the caller draws
-    from its run's stream with the problem's ``noise`` hook.
+    problem needs one uniform draw per row in ``noise``, taken from the
+    caller's stream; the problem's ``noise`` map turns them into its terms.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != problem.dimension:
@@ -166,9 +166,10 @@ def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.n
     else:
         values = np.array([float(problem.objective(x)) for x in positions], dtype=float)
     if problem.noise is not None:
-        if noise is None:
-            raise ValueError(f"{problem.name} is stochastic and needs its noise terms to evaluate")
-        values = values + noise
+        terms = None if noise is None else np.asarray(problem.noise(noise), dtype=float)
+        if terms is None or terms.shape != values.shape:
+            raise ValueError(f"{problem.name} is stochastic and needs one noise draw and term per row ({len(values)})")
+        values = values + terms
     return values
 
 

@@ -11,20 +11,21 @@ narrows from global exploration to local refinement.
 
 A generation is held as arrays: trees (T, d), fig boxes (T, A, d), wasps
 (T, A, W, d) and an offspring pool (T*A*W/2, d). Its random draws come in
-a fixed order (see `draw_generation`), and the objective is evaluated in
-two batches: every wasp, then the whole pool. A user problem declares
-``ObjectiveProblem(..., rowwise=True)`` when its objective maps an (n, d)
-array to the (n,) values of its rows, bit-equal to one call per row; then
-each batch is one call, else one call per row. NaN objective values rank
-as +inf: never the best-so-far, last in the mating grid and in selection.
+a fixed order (see `draw_generation`), and the generation loop, the only
+code that calls the problem's, evaluates two batches: every wasp, then the
+whole pool. A user problem declares ``ObjectiveProblem(..., rowwise=True)``
+when its objective maps an (n, d) array to the (n,) values of its rows,
+bit-equal to one call per row; then each batch is one call, else one call
+per row. NaN objective values rank as +inf: never the best-so-far, last in
+the mating grid and in selection.
 
 `run_many` advances several runs of one problem in lockstep, and `run` is
 its one-seed case, a group of one. Every phase takes the group: its R
 streams, one per run with its own draw order, and its (R, ...) arrays,
-the trees stacked as R*T trees. Each generation has two evaluations:
-every wasp of every run, then every pool. Each run keeps its own best,
-trace and evaluation count; a run whose stagnation window runs out leaves
-the group. So every result equals, bit for bit, the run made alone.
+the trees stacked as R*T trees; a batch holds the rows of every run. Each
+run keeps its own best, trace and evaluation count; a run whose stagnation
+window runs out leaves the group. So every result equals, bit for bit, the
+run made alone.
 
 A group allocates its generation buffers once and draws into them in
 place. Snapshots and results never alias them; the wasp rows an objective
@@ -77,8 +78,8 @@ class FwscParams:
             raise ValueError("figs_per_tree must be positive")
         if self.wasps_per_fig < 2 or self.wasps_per_fig % 2 != 0:
             raise ValueError("wasps_per_fig must be an even integer >= 2")
-        if not (self.eta0 > 0 and np.isfinite(self.eta0)):
-            raise ValueError("eta0 must be positive and finite")
+        if not (self.eta0 > 0 and math.isfinite(self.eta0 * math.e)):
+            raise ValueError(f"eta0 must be positive with eta0 * e finite, not {self.eta0!r}")
         if not 0.0 <= self.wind_threshold <= 1.0:
             raise ValueError("wind_threshold must lie in [0, 1]")
         if not 0.0 <= self.wind_fraction <= 1.0:
@@ -140,20 +141,18 @@ def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
 
 def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int = 1) -> tuple:
     """Empty fig uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise
-    (R*T, A, W) or None, and permutations (R*T, A, W) for `draw_generation`:
-    the trees of ``runs`` runs end to end, T rows per run."""
+    draws (R*T, A, W) or None, and permutations (R*T, A, W) for
+    `draw_generation`: the trees of ``runs`` runs end to end, T rows per run."""
     shape, d = (runs * params.num_trees, params.figs_per_tree, params.wasps_per_fig), problem.dimension
     noise = None if problem.noise is None else np.empty(shape)
     return np.empty(shape[:2] + (2, d)), np.empty(shape + (d,)), noise, np.empty(shape, dtype=np.intp)
 
 
-def draw_generation(
-    rngs: list[RandomStream], problem: ObjectiveProblem, params: FwscParams, buffers: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple) -> tuple:
     """Every draw of one generation before pollination, in stream order.
 
     Per tree: the (A, 2, d) fig uniforms. Then per fig of that tree: its
-    (W, d) wasp uniforms, W noise terms if the problem is stochastic, and
+    (W, d) wasp uniforms, W noise draws if the buffers hold noise, and
     the permutation(W) that sexes its wasps. A permutation consumes a
     variable number of bits, so the per-fig draws cannot be merged into
     one block.
@@ -161,7 +160,7 @@ def draw_generation(
     Run i draws from ``rngs[i]`` into rows i*T to (i+1)*T of ``buffers``
     from `generation_buffers`, which may hold more rows. Returns those R*T
     rows: fig uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise
-    (R*T*A*W,) or None, and permutations (R*T, A, W).
+    draws (R*T*A*W,) or None, and permutations (R*T, A, W).
     """
     figs, wasp_uniforms, noise, permutations = buffers
     t_count, w_count = params.num_trees, params.wasps_per_fig
@@ -171,7 +170,7 @@ def draw_generation(
             for a in range(params.figs_per_tree):
                 stream.uniform(out=wasp_uniforms[t, a])
                 if noise is not None:
-                    noise[t, a] = problem.noise(stream, w_count)
+                    stream.uniform(out=noise[t, a])
                 permutations[t, a] = stream.permutation(w_count)
     rows = len(rngs) * t_count
     return figs[:rows], wasp_uniforms[:rows], None if noise is None else noise[:rows].reshape(-1), permutations[:rows]
@@ -309,28 +308,18 @@ def _ranked(fitness: np.ndarray) -> np.ndarray:
     return np.fmin(fitness, np.inf)
 
 
-def select_trees(
-    problem: ObjectiveProblem,
-    pool: np.ndarray,
-    count: int,
-    noise: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the whole pool and keep the ``count`` fittest as new trees.
+def select_trees(pool: np.ndarray, fitness: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` fittest of each pool as new trees, (..., count, d).
 
-    ``pool`` is one (P, d) pool or a group's (R, P, d) pools, evaluated as
-    one batch; a stochastic problem's additive terms come in ``noise``, one
-    per row. Each pool keeps its own fittest, ties breaking toward the lower
-    pool index. Returns the (..., count, d) tree positions plus the pools'
-    (..., P) ranked fitness so callers can track the generation's best
-    without re-evaluating.
+    ``pool`` is one (P, d) pool or a group's (R, P, d) pools and ``fitness``
+    their (..., P) values, NaN ranking as +inf. Each pool keeps its own
+    fittest, ties breaking toward the lower pool index.
     """
     size, d = pool.shape[-2:]
-    if size < count:
-        raise ValueError(f"pool of {size} cannot seed {count} trees")
-    rows = pool.reshape(-1, d)
-    fitness = _ranked(evaluate(problem, rows, noise=noise)).reshape(pool.shape[:-1])
-    fittest = np.argsort(fitness, axis=-1, kind="stable")[..., :count]
-    return rows[_flat(fittest, size)], fitness
+    if size < count or fitness.shape != pool.shape[:-1]:
+        raise ValueError(f"pools of shape {pool.shape} with fitness {fitness.shape} cannot seed {count} trees")
+    fittest = np.argsort(_ranked(fitness), axis=-1, kind="stable")[..., :count]
+    return pool.reshape(-1, d)[_flat(fittest, size)]
 
 
 class _Run:
@@ -373,7 +362,7 @@ def _lockstep(
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
 
     for k in range(1, max(params.max_iterations, 1) + 1):
-        figs, wasp_uniforms, noise, permutations = draw_generation(rngs, problem, params, buffers)
+        figs, wasp_uniforms, noise, permutations = draw_generation(rngs, params, buffers)
         wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
         fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=noise))
         for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
@@ -386,16 +375,15 @@ def _lockstep(
         females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
         grid = build_mating_grid(females, fitness.reshape(permutations.shape))
         pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)])).reshape(len(live), -1, d)
-        # per run: the pool uniforms, then the wind's gate, choice and kick,
-        # then the pool's noise terms
+        # per run: the pool uniforms, the wind's gate, choice and kick, then the pool's noise draws
         pools = search_directions(rngs, pools, gb)
         pools = wind_effect(rngs, pools, params, gb)
-        noise = None
-        if problem.noise is not None:
-            noise = np.concatenate([problem.noise(rng, pools.shape[1]) for rng in rngs])
+        if noise is not None:
+            noise = np.concatenate([rng.uniform(size=pools.shape[1]) for rng in rngs])
 
         eta = neighborhood_width(k + 1, params)
-        trees, pool_fitness = select_trees(problem, pools, params.num_trees, noise=noise)
+        pool_fitness = _ranked(evaluate(problem, pools.reshape(-1, d), noise=noise)).reshape(pools.shape[:2])
+        trees = select_trees(pools, pool_fitness, params.num_trees)
         for run, pool, values in zip(live, pools, pool_fitness):
             run.tally(pool, values)
             run.trace.append(run.best_fitness)

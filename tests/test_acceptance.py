@@ -10,6 +10,7 @@ hard failures the day the engine actually achieves them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from figwasp.benchmarks import BENCHMARK_IDS, SPECS, known_optimum, make_benchmark, optimum_witness
 from figwasp.cli import ExperimentConfig, execute_campaign, main, resolved_params
 from figwasp.constrained import pressure_vessel, repair_discrete, stepped_beam, to_objective, welded_beam
-from figwasp.core import Bounds, ObjectiveProblem, RandomStream, derive_seed, evaluate
+from figwasp.core import Bounds, ObjectiveProblem, RandomStream, derive_seed, evaluate, evaluate_batch
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,
@@ -51,7 +52,7 @@ def test_criterion_1_benchmark_fidelity():
             witness = optimum_witness(fid, dim)
             if witness is None:
                 continue
-            problem = make_benchmark(fid, dim, include_noise=False)
+            problem = replace(make_benchmark(fid, dim), noise=None)
             gap = abs(evaluate(problem, witness) - known_optimum(fid, dim))
             worst = max(worst, gap)
             checked += 1
@@ -105,7 +106,8 @@ def test_criterion_2_engine_exactness_micro_oracles():
         size = int(rng.integers(1, 13))
         count = int(rng.integers(1, size + 1))
         positions = rng.uniform(-50, 50, size=(size, 3))
-        trees, fitnesses = select_trees(problem, positions, count)
+        fitnesses = evaluate_batch(problem, positions)
+        trees = select_trees(positions, fitnesses, count)
         order = sorted(range(size), key=lambda i: (fitnesses[i], i))[:count]
         if not np.array_equal(trees, positions[order]):
             select_mismatches += 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -75,7 +77,7 @@ class TestWitnesses:
             witness = optimum_witness(fid, dim)
             if witness is None:
                 continue
-            problem = make_benchmark(fid, dim, include_noise=False)
+            problem = replace(make_benchmark(fid, dim), noise=None)
             assert abs(evaluate(problem, witness) - known_optimum(fid, dim)) <= 1e-9
 
     def test_sphere_witness_is_origin(self):
@@ -100,20 +102,26 @@ class TestQuarticNoise:
     def test_noise_comes_from_run_stream(self):
         p = make_benchmark("F7", 30)
         x = np.zeros(30)
-        a = evaluate(p, x, noise=p.noise(RandomStream(11), 1))
-        b = evaluate(p, x, noise=p.noise(RandomStream(11), 1))
+        a = evaluate(p, x, noise=RandomStream(11).uniform(size=1))
+        b = evaluate(p, x, noise=RandomStream(11).uniform(size=1))
         assert a == b
         assert 0.0 <= a < 1.0
 
     def test_noise_advances_with_stream(self):
         p = make_benchmark("F7", 30)
         rng = RandomStream(11)
-        draws = {evaluate(p, np.zeros(30), noise=p.noise(rng, 1)) for _ in range(8)}
+        draws = {evaluate(p, np.zeros(30), noise=rng.uniform(size=1)) for _ in range(8)}
         assert len(draws) > 1
 
     def test_noise_free_switch(self):
-        p = make_benchmark("F7", 30, include_noise=False)
+        p = replace(make_benchmark("F7", 30), noise=None)
         assert evaluate(p, np.zeros(30)) == 0.0
+
+    def test_noise_term_is_the_draw(self):
+        # Quartic's noise is U[0, 1): its map hands the draws back unchanged
+        draws = RandomStream(11).uniform(size=4)
+        assert make_benchmark("F7", 30).noise(draws) is draws
+        assert all(make_benchmark(fid, SPECS[fid].dimensions[0]).noise is None for fid in BENCHMARK_IDS if fid != "F7")
 
     def test_noisy_requires_stream(self):
         p = make_benchmark("F7", 30)
@@ -148,7 +156,7 @@ class TestCornerBehaviour:
         for fid in BENCHMARK_IDS:
             spec = SPECS[fid]
             dim = spec.dimensions[-1]
-            problem = make_benchmark(fid, dim, include_noise=False)
+            problem = replace(make_benchmark(fid, dim), noise=None)
             corner = np.full(dim, spec.high)
             value = evaluate(problem, corner)
             assert not np.isnan(value)
@@ -161,5 +169,5 @@ class TestCornerBehaviour:
         for fid in BENCHMARK_IDS:
             spec = SPECS[fid]
             dim = spec.dimensions[0]
-            problem = make_benchmark(fid, dim, include_noise=False)
+            problem = replace(make_benchmark(fid, dim), noise=None)
             assert np.isfinite(evaluate(problem, np.full(dim, spec.high)))

@@ -116,6 +116,12 @@ BAD_INPUTS = [
     pytest.param("config", "schema = 1\neta0 = nan\n", "error: eta0: ", id="eta0-nan"),
     pytest.param("config", "schema = 1\neta0 = inf\n", "error: eta0: ", id="eta0-inf"),
     pytest.param(
+        "config",
+        "schema = 1\neta0 = 1e308\neta_units = absolute\n",
+        "error: eta0: must be positive with eta0 * e finite",
+        id="eta0-radius-overflows",
+    ),
+    pytest.param(
         "config", "schema = 1\npenalty_coefficient = nan\n", "error: penalty_coefficient: ", id="penalty_coefficient"
     ),
     pytest.param(
@@ -220,6 +226,20 @@ def test_bad_out_fails_before_any_run(tmp_path, monkeypatch, capsys, command, ou
     reason = "not a directory" if out == "plain" else "Not a directory"
     assert capsys.readouterr().err == f"error: {tmp_path / out}: {reason}\n"
     assert (tmp_path / "plain").read_text() == ""
+
+
+def test_eta0_that_overflows_in_problem_units_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    # eta_units = relative scales eta0 by the box half-width, 100 for F1
+    def run_many(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_many", run_many)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("schema = 1\neta0 = 1e307\n")
+    assert main(["run", "F1@30", "--runs", "1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: eta0: 1e+307 relative to F1 Sphere must be positive with eta0 * e finite, not inf\n"
+    assert not (tmp_path / "o" / "summary.csv").exists()
 
 
 def config_of(tmp_path, text, problems=("F16",)):

@@ -156,12 +156,12 @@ class TestEvaluate:
             dimension=1,
             bounds=Bounds.box(-1.0, 1.0, 1),
             objective=lambda x: 0.0,
-            noise=lambda rng, n: rng.uniform(size=n),
+            noise=lambda draws: draws,
         )
         with pytest.raises(ValueError):
             evaluate(p, np.zeros(1))
-        v1 = evaluate(p, np.zeros(1), noise=p.noise(RandomStream(5), 1))
-        v2 = evaluate(p, np.zeros(1), noise=p.noise(RandomStream(5), 1))
+        v1 = evaluate(p, np.zeros(1), noise=RandomStream(5).uniform(size=1))
+        v2 = evaluate(p, np.zeros(1), noise=RandomStream(5).uniform(size=1))
         assert v1 == v2  # same noise seed, same value
 
 
@@ -198,11 +198,26 @@ class TestEvaluateBatch:
             evaluate_batch(p, np.array([[0.0, 0.0], [0.0, 1.5]]))
 
     def test_noise_drawn_as_one_vector_or_given(self):
-        p = ObjectiveProblem(
-            "noisy", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda rng, n: rng.uniform(size=n)
-        )
-        drawn = evaluate_batch(p, np.zeros((4, 1)), noise=p.noise(RandomStream(5), 4))
+        p = ObjectiveProblem("noisy", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda draws: draws)
+        drawn = evaluate_batch(p, np.zeros((4, 1)), noise=RandomStream(5).uniform(size=4))
         rng = RandomStream(5)
-        assert drawn.tolist() == [evaluate(p, np.zeros(1), noise=p.noise(rng, 1)) for _ in range(4)]
+        assert drawn.tolist() == [evaluate(p, np.zeros(1), noise=rng.uniform(size=1)) for _ in range(4)]
         given_noise = np.array([0.5, 0.25, 0.0, 1.0])
         assert evaluate_batch(p, np.zeros((4, 1)), noise=given_noise).tolist() == given_noise.tolist()
+
+    def test_noise_map_turns_draws_into_terms(self):
+        box = Bounds.box(-1.0, 1.0, 2)
+        p = ObjectiveProblem("scaled", 2, box, lambda x: np.sum(x * x, axis=-1), rowwise=True, noise=lambda u: 10 * u)
+        rows = RandomStream(3).uniform(size=(5, 2))
+        draws = RandomStream(4).uniform(size=5)
+        assert evaluate_batch(p, rows, noise=draws).tobytes() == (np.sum(rows * rows, axis=-1) + 10 * draws).tobytes()
+
+    def test_one_noise_draw_and_term_per_row(self):
+        # one draw for four rows was added to all four
+        p = ObjectiveProblem("noisy", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda draws: draws)
+        with pytest.raises(ValueError, match="noisy is stochastic .* per row"):
+            evaluate_batch(p, np.zeros((4, 1)), noise=np.array([0.5]))
+        # a map that gives one term for all rows
+        scalar = ObjectiveProblem("scalar", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda draws: 0.5)
+        with pytest.raises(ValueError, match="scalar is stochastic .* per row"):
+            evaluate_batch(scalar, np.zeros((4, 1)), noise=np.full(4, 0.5))

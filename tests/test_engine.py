@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from figwasp import engine
-from figwasp.core import Bounds, ObjectiveProblem, RandomStream
+from figwasp.benchmarks import make_benchmark
+from figwasp.core import Bounds, ObjectiveProblem, RandomStream, evaluate_batch
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,
@@ -15,6 +17,7 @@ from figwasp.engine import (
     neighborhood_width,
     pool_offsprings,
     run,
+    run_many,
     search_directions,
     select_trees,
     spawn_figs,
@@ -32,6 +35,15 @@ def sphere_problem(dim=2, half=100.0):
         bounds=Bounds.box(-half, half, dim),
         objective=lambda x: float(np.sum(x * x)),
     )
+
+
+def noisy_problem(dim, noise=lambda draws: draws):
+    base = sphere_problem(dim)
+    return ObjectiveProblem("noisy", dim, base.bounds, base.objective, noise=noise)
+
+
+# the largest eta0 whose radius eta0 * e is finite
+ETA0_LIMIT = 6.61334345850887e307
 
 
 def grid_of(females):
@@ -116,6 +128,21 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             FwscParams(eta0=0.0)
 
+    def test_eta_whose_radius_overflows_rejected(self):
+        # the radius reaches eta0 * e; past the largest float the wobble
+        # became NaN and the run failed midway with a bounds error
+        with pytest.raises(ValueError, match="eta0 must be positive with eta0 \\* e finite, not 1e\\+308"):
+            run(make_benchmark("F19", 3), FwscParams(eta0=1e308, max_iterations=100), 1)
+        with pytest.raises(ValueError, match="eta0"):
+            FwscParams(eta0=math.nextafter(ETA0_LIMIT, math.inf))
+
+    def test_eta_just_below_the_limit_runs(self):
+        assert math.isfinite(ETA0_LIMIT * math.e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value warning either
+            result = run(make_benchmark("F19", 3), FwscParams(eta0=ETA0_LIMIT, max_iterations=100), 1)
+        assert result.iterations_run == 100 and math.isfinite(result.best_fitness)
+
 
 class TestSpawning:
     def test_tree_count_and_containment(self):
@@ -147,7 +174,7 @@ class TestSpawning:
         eta = 1.5
         trees = spawn_trees(RandomStream(9), problem, params, eta)
         tree_lower, tree_upper = problem.bounds.neighborhood(trees, eta)
-        figs, _, _, _ = draw_generation([RandomStream(10)], problem, params, generation_buffers(problem, params))
+        figs, _, _, _ = draw_generation([RandomStream(10)], params, generation_buffers(problem, params))
         fig_lower, fig_upper = spawn_figs(figs, tree_lower, tree_upper, eta, problem.bounds)
         assert fig_lower.shape == fig_upper.shape == (3, 4, 3)
         # the fig point sits in its tree's neighborhood inflated by eta, so
@@ -164,7 +191,7 @@ class TestSpawning:
         eta = 1.0
         trees = spawn_trees(RandomStream(5), problem, params, eta)
         figs, uniforms, noise, permutations = draw_generation(
-            [RandomStream(6)], problem, params, generation_buffers(problem, params)
+            [RandomStream(6)], params, generation_buffers(problem, params)
         )
         fig_lower, fig_upper = spawn_figs(figs, *problem.bounds.neighborhood(trees, eta), eta, problem.bounds)
         wasps = spawn_wasps(uniforms, fig_lower, fig_upper)
@@ -176,13 +203,12 @@ class TestSpawning:
         assert np.all(wasps <= fig_upper[:, :, None])
 
     def test_noise_drawn_per_fig_in_stream_order(self):
-        # a stochastic problem draws each fig's W noise terms between its
-        # wasp uniforms and its permutation
-        base = sphere_problem(dim=2)
-        noisy = ObjectiveProblem("noisy", 2, base.bounds, base.objective, noise=lambda rng, n: rng.uniform(size=n))
+        # a stochastic problem's buffers take each fig's W noise draws
+        # between its wasp uniforms and its permutation
+        noisy = noisy_problem(dim=2)
         params = FwscParams(num_trees=1, figs_per_tree=2, wasps_per_fig=4)
         figs, uniforms, noise, permutations = draw_generation(
-            [RandomStream(4)], noisy, params, generation_buffers(noisy, params)
+            [RandomStream(4)], params, generation_buffers(noisy, params)
         )
         rng = RandomStream(4)
         assert np.array_equal(rng.uniform(size=(2, 2, 2)), figs[0])
@@ -364,35 +390,46 @@ class TestWindEffect:
 
 
 class TestSelectTrees:
-    def problem(self):
-        return sphere_problem(dim=1, half=100.0)
+    def select(self, pool, count, problem=None):
+        """Evaluate the pool, then rank it, as the generation loop does."""
+        problem = problem or sphere_problem(dim=1, half=100.0)
+        return select_trees(pool, evaluate_batch(problem, pool), count)
 
     def test_pool_of_exactly_t_selects_all(self):
         pool = np.array([[3.0], [1.0], [2.0]])
-        trees, _ = select_trees(self.problem(), pool, 3)
+        trees = self.select(pool, 3)
         assert sorted(trees[:, 0]) == [1.0, 2.0, 3.0]
 
     def test_order_statistics(self):
         pool = np.array([[-3.0], [1.0], [np.sqrt(5.0)], [np.sqrt(3.0)]])
-        trees, _ = select_trees(self.problem(), pool, 3)
+        trees = self.select(pool, 3)
         assert [round(t[0] ** 2, 9) for t in trees] == [1.0, 3.0, 5.0]
 
     def test_tie_breaks_by_pool_index(self):
         pool = np.array([[2.0], [-2.0], [1.0]])
-        trees, _ = select_trees(self.problem(), pool, 2)
+        trees = self.select(pool, 2)
         assert trees[0][0] == 1.0
         assert trees[1][0] == 2.0  # index 0 beats index 1 on the tie
 
     def test_pool_smaller_than_t_rejected(self):
         with pytest.raises(ValueError):
-            select_trees(self.problem(), np.array([[1.0]]), 2)
+            self.select(np.array([[1.0]]), 2)
+
+    def test_fitness_of_another_shape_rejected(self):
+        # a group's fitness must come per pool, (R, P), not flat
+        with pytest.raises(ValueError, match="cannot seed"):
+            select_trees(np.zeros((2, 3, 1)), np.zeros(6), 2)
 
     def test_nan_ranks_last(self):
         values = {1.0: 4.0, 2.0: float("nan"), 3.0: 9.0}
         problem = ObjectiveProblem("nan", 1, Bounds.box(-5.0, 5.0, 1), lambda x: values[float(x[0])])
-        trees, fitness = select_trees(problem, np.array([[2.0], [3.0], [1.0]]), 2)
+        pool = np.array([[2.0], [3.0], [1.0], [4.0]])
+        fitness = np.array([math.nan, 9.0, 4.0, math.inf])
+        trees = self.select(pool[:3], 2, problem)
         assert trees[:, 0].tolist() == [1.0, 3.0]
-        assert fitness.tolist() == [math.inf, 9.0, 4.0]
+        # NaN counts as +inf, so the tie with +inf breaks toward the lower index
+        assert select_trees(pool, fitness, 4)[:, 0].tolist() == [1.0, 3.0, 2.0, 4.0]
+        assert np.isnan(fitness[0])  # the caller's values are left as they were
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data(), size=st.integers(1, 12), count=st.integers(1, 6))
@@ -402,7 +439,7 @@ class TestSelectTrees:
         values = data.draw(
             st.lists(st.floats(-50, 50, allow_nan=False), min_size=size, max_size=size)
         )
-        trees, _ = select_trees(self.problem(), np.array(values)[:, None], count)
+        trees = self.select(np.array(values)[:, None], count)
         expected = select_oracle([v * v for v in values], count)
         assert trees[:, 0].tolist() == [values[i] for i in expected]
 
@@ -417,14 +454,13 @@ class TestBuffers:
         assert np.array_equal(a.uniform(size=4), b.uniform(size=4))
 
     def test_draw_generation_into_buffers_matches_fresh_arrays(self):
-        base = sphere_problem(dim=3)
-        noisy = ObjectiveProblem("noisy", 3, base.bounds, base.objective, noise=lambda rng, n: rng.uniform(size=n))
+        noisy = noisy_problem(dim=3)
         params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4)
         reused, fresh = RandomStream(8), RandomStream(8)
         buffers = generation_buffers(noisy, params)
         for _ in range(3):  # refilled, not appended to, every generation
-            into = draw_generation([reused], noisy, params, buffers)
-            expected = draw_generation([fresh], noisy, params, generation_buffers(noisy, params))
+            into = draw_generation([reused], params, buffers)
+            expected = draw_generation([fresh], params, generation_buffers(noisy, params))
             for got, want, buffer in zip(into, expected, buffers):
                 assert np.shares_memory(got, buffer)
                 assert np.array_equal(got, want)
@@ -433,12 +469,11 @@ class TestBuffers:
     def test_group_draw_equals_one_draw_per_stream(self):
         # run i of a group draws from its own stream into rows i*T to
         # (i+1)*T, and buffers sized for more runs give back only the drawn rows
-        base = sphere_problem(dim=3)
-        noisy = ObjectiveProblem("noisy", 3, base.bounds, base.objective, noise=lambda rng, n: rng.uniform(size=n))
+        noisy = noisy_problem(dim=3)
         params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4)
         group, alone = [RandomStream(s) for s in (5, 6, 7)], [RandomStream(s) for s in (5, 6, 7)]
-        drawn = draw_generation(group, noisy, params, generation_buffers(noisy, params, 5))
-        singles = [draw_generation([stream], noisy, params, generation_buffers(noisy, params)) for stream in alone]
+        drawn = draw_generation(group, params, generation_buffers(noisy, params, 5))
+        singles = [draw_generation([stream], params, generation_buffers(noisy, params)) for stream in alone]
         for got, parts in zip(drawn, zip(*singles)):
             assert got.tobytes() == np.concatenate(parts).tobytes()
         assert drawn[0].shape[0] == drawn[3].shape[0] == 3 * params.num_trees
@@ -469,6 +504,22 @@ class TestBuffers:
 
 
 class TestRun:
+    def test_noise_map_sees_the_wasp_draws_then_the_pool_draws(self):
+        # the map is called once per evaluation batch: every run's wasps
+        # (R*T*A*W draws), then every run's pool (R*P draws)
+        calls = []
+
+        def record(draws):
+            calls.append(draws.copy())
+            return draws
+
+        params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4, max_iterations=5)
+        results = run_many(noisy_problem(dim=2, noise=record), params, [3, 4])
+        wasps, pool = 2 * 2 * 3 * 4, 2 * (2 * 3 * 4 // 2)
+        assert [len(c) for c in calls] == [wasps, pool] * 5
+        assert all(c.min() >= 0.0 and c.max() < 1.0 for c in calls)
+        assert sum(r.evaluations for r in results) == 5 * (wasps + pool)
+
     def test_single_generation_trace(self):
         result = run(sphere_problem(), FwscParams(max_iterations=1), seed=1)
         assert result.iterations_run == 1

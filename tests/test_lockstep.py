@@ -14,7 +14,7 @@ import pytest
 
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
-from figwasp.core import Bounds, ObjectiveProblem, RandomStream
+from figwasp.core import Bounds, ObjectiveProblem, RandomStream, evaluate_batch
 from figwasp.engine import FwscParams, run, run_many, search_directions, select_trees, wind_effect
 
 SEEDS = [11, 2024, 7, 7, 123456789]  # a repeated seed too
@@ -123,9 +123,11 @@ def test_select_trees_group_equals_each_pool():
     problem = ObjectiveProblem("sphere", 3, BOX, lambda x: np.sum(x * x, axis=-1), rowwise=True)
     group = pools(9)
     group[1, 3] = group[1, 5]  # a tie, broken toward the lower index
-    trees, fitness = select_trees(problem, group, 3)
+    fitness = evaluate_batch(problem, group.reshape(-1, 3)).reshape(group.shape[:2])
+    trees = select_trees(group, fitness, 3)
     for r, pool in enumerate(group):
-        alone_trees, alone_fitness = select_trees(problem, pool, 3)
+        alone_fitness = evaluate_batch(problem, pool)
+        alone_trees = select_trees(pool, alone_fitness, 3)
         assert trees[r].tobytes() == alone_trees.tobytes()
         assert fitness[r].tobytes() == alone_fitness.tobytes()
 

@@ -6,6 +6,8 @@ is exact: ``objective(X)[i]`` has the same bits as ``objective(X[i])``, or
 row-wise runs would drift from the one-point definition of the function.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,7 +27,7 @@ CONSTRAINT_COUNTS = {"pressure-vessel": 4, "stepped-beam": 11, "welded-beam": 7}
 def _problem(pid, dim):
     if dim is None:
         return to_objective(ENGINEERING_PROBLEMS[pid]())
-    return make_benchmark(pid, dim, include_noise=False)
+    return replace(make_benchmark(pid, dim), noise=None)
 
 
 # where the points come from: anywhere in the box, near its centre (tiny
