@@ -243,18 +243,6 @@ def _uniform_noise(draws: np.ndarray) -> np.ndarray:  # Quartic's terms are U[0,
     return draws
 
 
-def _origin(n: int) -> Vector:
-    return np.zeros(n)
-
-
-def _ones(n: int) -> Vector:
-    return np.ones(n)
-
-
-def _minus_ones(n: int) -> Vector:
-    return -np.ones(n)
-
-
 @dataclass(frozen=True)
 class BenchmarkSpec:
     fid: str
@@ -270,19 +258,19 @@ class BenchmarkSpec:
 
 
 _SPEC_LIST = [
-    BenchmarkSpec("F1", "Sphere", SCALABLE_DIMENSIONS, -100, 100, 0.0, sphere, witness=_origin),
-    BenchmarkSpec("F2", "Schwefel 2.22", SCALABLE_DIMENSIONS, -10, 10, 0.0, schwefel_222, witness=_origin),
-    BenchmarkSpec("F3", "Schwefel 1.2", SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_12, witness=_origin),
-    BenchmarkSpec("F4", "Schwefel 2.21", SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_221, witness=_origin),
-    BenchmarkSpec("F5", "Rosenbrock", SCALABLE_DIMENSIONS, -30, 30, 0.0, rosenbrock, witness=_ones),
-    BenchmarkSpec("F6", "Step", SCALABLE_DIMENSIONS, -100, 100, 0.0, step, witness=_origin),
-    BenchmarkSpec("F7", "Quartic", SCALABLE_DIMENSIONS, -128, 128, 0.0, quartic, witness=_origin, noise=_uniform_noise),
+    BenchmarkSpec("F1", "Sphere", SCALABLE_DIMENSIONS, -100, 100, 0.0, sphere, witness=np.zeros),
+    BenchmarkSpec("F2", "Schwefel 2.22", SCALABLE_DIMENSIONS, -10, 10, 0.0, schwefel_222, witness=np.zeros),
+    BenchmarkSpec("F3", "Schwefel 1.2", SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_12, witness=np.zeros),
+    BenchmarkSpec("F4", "Schwefel 2.21", SCALABLE_DIMENSIONS, -100, 100, 0.0, schwefel_221, witness=np.zeros),
+    BenchmarkSpec("F5", "Rosenbrock", SCALABLE_DIMENSIONS, -30, 30, 0.0, rosenbrock, witness=np.ones),
+    BenchmarkSpec("F6", "Step", SCALABLE_DIMENSIONS, -100, 100, 0.0, step, witness=np.zeros),
+    BenchmarkSpec("F7", "Quartic", SCALABLE_DIMENSIONS, -128, 128, 0.0, quartic, witness=np.zeros, noise=_uniform_noise),
     BenchmarkSpec("F8", "Schwefel", SCALABLE_DIMENSIONS, -500, 500, -418.9829, schwefel, f_min_times_n=True),
-    BenchmarkSpec("F9", "Rastrigin", SCALABLE_DIMENSIONS, -5.12, 5.12, 0.0, rastrigin, witness=_origin),
-    BenchmarkSpec("F10", "Ackley", SCALABLE_DIMENSIONS, -32, 32, 0.0, ackley, witness=_origin),
-    BenchmarkSpec("F11", "Griewank", SCALABLE_DIMENSIONS, -600, 600, 0.0, griewank, witness=_origin),
-    BenchmarkSpec("F12", "Penalized", SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized, witness=_minus_ones),
-    BenchmarkSpec("F13", "Penalized2", SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized2, witness=_ones),
+    BenchmarkSpec("F9", "Rastrigin", SCALABLE_DIMENSIONS, -5.12, 5.12, 0.0, rastrigin, witness=np.zeros),
+    BenchmarkSpec("F10", "Ackley", SCALABLE_DIMENSIONS, -32, 32, 0.0, ackley, witness=np.zeros),
+    BenchmarkSpec("F11", "Griewank", SCALABLE_DIMENSIONS, -600, 600, 0.0, griewank, witness=np.zeros),
+    BenchmarkSpec("F12", "Penalized", SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized, witness=lambda n: -np.ones(n)),
+    BenchmarkSpec("F13", "Penalized2", SCALABLE_DIMENSIONS, -50, 50, 0.0, penalized2, witness=np.ones),
     BenchmarkSpec("F14", "Foxholes", (2,), -65, 65, 1.0, foxholes),
     BenchmarkSpec("F15", "Kowalik", (4,), -5, 5, 0.0003, kowalik),
     BenchmarkSpec("F16", "Six Hump Camel", (2,), -5, 5, -1.0316, six_hump_camel),

@@ -81,10 +81,11 @@ class ExperimentConfig:
             raise ConfigError("problems: at least one problem id is required")
         listed = set()
         for pid, dim in self.problems:
-            key = (pid, resolve_dimension(pid, dim))
-            if key in listed:
-                raise ConfigError(f"problems: {pid}@{key[1]} is listed twice")
-            listed.add(key)
+            problem = resolve_problem(pid, dim, self.penalty_coefficient)
+            if (pid, problem.dimension) in listed:
+                raise ConfigError(f"problems: {pid}@{problem.dimension} is listed twice")
+            listed.add((pid, problem.dimension))
+            resolved_params(self, problem)  # so an eta0 out of range in its units fails before any output
 
 
 def resolve_dimension(pid: str, dim: int | None) -> int:

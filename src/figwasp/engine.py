@@ -10,29 +10,27 @@ neighborhood radius shrinks with the iteration count, so the search
 narrows from global exploration to local refinement.
 
 A generation is held as arrays: trees (T, d), fig boxes (T, A, d), wasps
-(T, A, W, d) and an offspring pool (T*A*W/2, d). Its random draws come in
-a fixed order (see `draw_generation`), and the generation loop, the only
-code that calls the problem's, evaluates two batches: every wasp, then the
-whole pool. A user problem declares ``ObjectiveProblem(..., rowwise=True)``
-when its objective maps an (n, d) array to the (n,) values of its rows,
-bit-equal to one call per row; then each batch is one call, else one call
-per row. NaN objective values rank as +inf: never the best-so-far, last in
-the mating grid and in selection.
+(T, A, W, d) and an offspring pool (T*A*W/2, d). A run draws from its own
+`RandomStream` in the order that `draw_generation` and `draw_pool` state,
+and nowhere else, so a run is a pure function of (problem, params, seed);
+the phases are array code. The generation loop, the only code that calls
+the problem's, evaluates two batches: every wasp, then the whole pool. A
+user problem declares ``ObjectiveProblem(..., rowwise=True)`` when its
+objective maps an (n, d) array to the (n,) values of its rows, bit-equal
+to one call per row; then each batch is one call, else one call per row.
+NaN objective values rank as +inf: never the best-so-far, last in the
+mating grid and in selection.
 
 `run_many` advances several runs of one problem in lockstep, and `run` is
-its one-seed case, a group of one. Every phase takes the group: its R
-streams, one per run with its own draw order, and its (R, ...) arrays,
-the trees stacked as R*T trees; a batch holds the rows of every run. Each
-run keeps its own best, trace and evaluation count; a run whose stagnation
-window runs out leaves the group. So every result equals, bit for bit, the
-run made alone.
+its one-seed case, a group of one. Every phase takes the group's (R, ...)
+arrays, the trees stacked as R*T trees, and the draw functions its R
+streams; a batch holds the rows of every run. Each run keeps its own
+best, trace and evaluation count; a run whose stagnation window runs out
+leaves the group. So every result equals, bit for bit, the run made alone.
 
 A group allocates its generation buffers once and draws into them in
 place. Snapshots and results never alias them; the wasp rows an objective
 gets are overwritten next generation, so it must copy any row it keeps.
-
-All randomness of a run flows through its own `RandomStream`, so a run is
-a pure function of (problem, params, seed).
 """
 
 from __future__ import annotations
@@ -149,13 +147,12 @@ def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int 
 
 
 def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple) -> tuple:
-    """Every draw of one generation before pollination, in stream order.
-
-    Per tree: the (A, 2, d) fig uniforms. Then per fig of that tree: its
-    (W, d) wasp uniforms, W noise draws if the buffers hold noise, and
-    the permutation(W) that sexes its wasps. A permutation consumes a
-    variable number of bits, so the per-fig draws cannot be merged into
-    one block.
+    """The wasp half of a generation's draws, before mating; `draw_pool`
+    draws the rest. Per tree: the (A, 2, d) fig uniforms. Then per fig of
+    that tree: its (W, d) wasp uniforms, W noise draws if the buffers hold
+    noise, and the permutation(W) that sexes its wasps. A permutation
+    consumes a variable number of bits, so the per-fig draws cannot be
+    merged into one block.
 
     Run i draws from ``rngs[i]`` into rows i*T to (i+1)*T of ``buffers``
     from `generation_buffers`, which may hold more rows. Returns those R*T
@@ -257,50 +254,58 @@ def pool_offsprings(offspring: np.ndarray) -> np.ndarray:
     return offspring.reshape(-1, offspring.shape[-1])
 
 
-def search_directions(rngs: list[RandomStream], pools: np.ndarray, global_bounds: Bounds) -> np.ndarray:
+def wind_count(pool_size: int, wind_fraction: float) -> int:
+    return math.ceil(wind_fraction * pool_size)
+
+
+def draw_pool(rngs: list[RandomStream], pools: np.ndarray, params: FwscParams, noisy: bool) -> tuple:
+    """The pool half of a generation's draws, after mating; with
+    `draw_generation`, a run's whole draw order.
+
+    Run i draws from ``rngs[i]``: the (P, d) uniforms that re-spread its
+    pool; a wind gate, and if that falls at or below a positive threshold,
+    the ceil(wind_fraction * P) blown members, chosen without replacement,
+    and their (m, d) kicks; then P noise draws if ``noisy``. Returns, for
+    the group's (R, P, d) ``pools``, the uniforms (R, P, d), the winds as
+    (run, sorted members, kicks), and the noise draws (R*P,) or None.
+    """
+    _, size, d = pools.shape
+    m = wind_count(size, params.wind_fraction)
+    uniforms, winds, noise = np.empty(pools.shape), [], np.empty(pools.shape[:2]) if noisy else None
+    for i, stream in enumerate(rngs):
+        stream.uniform(out=uniforms[i])
+        if stream.uniform() <= params.wind_threshold and params.wind_threshold > 0.0 and m > 0:
+            winds.append((i, np.sort(stream.choose_without_replacement(size, m)), stream.uniform(size=(m, d))))
+        if noisy:
+            stream.uniform(out=noise[i])
+    return uniforms, winds, None if noise is None else noise.reshape(-1)
+
+
+def search_directions(uniforms: np.ndarray, pools: np.ndarray, global_bounds: Bounds) -> np.ndarray:
     """Re-spread every offspring uniformly across its pool's envelope.
 
     Each coordinate is redrawn on [min_i, max_i] over the pool, which
     keeps the pool inside its own convex bounding box while decorrelating
     offspring from their parents' figs. Each of a group's (R, P, d)
-    ``pools`` draws from its stream in ``rngs`` and keeps its own envelope.
-    """
-    fresh = np.empty(pools.shape)
-    for stream, out in zip(rngs, fresh):
-        stream.uniform(out=out)
+    ``pools`` keeps its own envelope; the new pools overwrite the
+    ``uniforms`` of `draw_pool`."""
     low = pools.min(axis=1)[:, None]
-    fresh *= pools.max(axis=1)[:, None] - low
-    fresh += low
-    return global_bounds.clamp(fresh)
+    uniforms *= pools.max(axis=1)[:, None] - low
+    uniforms += low
+    return global_bounds.clamp(uniforms)
 
 
-def wind_count(pool_size: int, wind_fraction: float) -> int:
-    return math.ceil(wind_fraction * pool_size)
-
-
-def wind_effect(rngs: list[RandomStream], pools: np.ndarray, params: FwscParams, global_bounds: Bounds) -> np.ndarray:
-    """Occasionally drift a fixed fraction of each pool.
-
-    One gate uniform is drawn per iteration; when it falls at or below the
-    wind threshold, ceil(wind_fraction * |pool|) offspring chosen without
-    replacement get every coordinate inflated by x <- x + x * rand(0, 1).
-    ``pools`` are a group's (R, P, d) pools and ``rngs`` their R streams,
-    each pool with its own gate, choice and kick. Returns ``pools`` itself
-    when no wind blows, else a new array.
-    """
-    _, size, d = pools.shape
-    m = wind_count(size, params.wind_fraction)
-    drifted = None
-    for i, stream in enumerate(rngs):
-        gate = stream.uniform()
-        if params.wind_threshold <= 0.0 or gate > params.wind_threshold or m == 0:
-            continue
-        idx = np.sort(stream.choose_without_replacement(size, m))
-        if drifted is None:
-            drifted = pools.copy()
-        drifted[i, idx] = drifted[i, idx] * (1.0 + stream.uniform(size=(m, d)))
+def wind_effect(winds: list[tuple], pools: np.ndarray, global_bounds: Bounds) -> np.ndarray:
+    """Drift each blown member x of a group's (R, P, d) ``pools`` to
+    x + x * kick, for the (run, members, kicks) ``winds`` of `draw_pool`.
+    Returns ``pools`` itself when no wind blows, else a new array."""
+    if not winds:
+        return pools
+    drifted = pools.copy()
+    for i, members, kicks in winds:
+        drifted[i, members] = drifted[i, members] * (1.0 + kicks)
     # pools come in clamped, so clamping the calm ones again leaves their bits
-    return pools if drifted is None else global_bounds.clamp(drifted)
+    return global_bounds.clamp(drifted)
 
 
 def _ranked(fitness: np.ndarray) -> np.ndarray:
@@ -375,11 +380,10 @@ def _lockstep(
         females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
         grid = build_mating_grid(females, fitness.reshape(permutations.shape))
         pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)])).reshape(len(live), -1, d)
-        # per run: the pool uniforms, the wind's gate, choice and kick, then the pool's noise draws
-        pools = search_directions(rngs, pools, gb)
-        pools = wind_effect(rngs, pools, params, gb)
-        if noise is not None:
-            noise = np.concatenate([rng.uniform(size=pools.shape[1]) for rng in rngs])
+        uniforms, winds, noise = draw_pool(rngs, pools, params, noise is not None)
+        pools = search_directions(uniforms, pools, gb)
+        del uniforms  # they hold the pools now; held here, they would outlive a wind's copy
+        pools = wind_effect(winds, pools, gb)
 
         eta = neighborhood_width(k + 1, params)
         pool_fitness = _ranked(evaluate(problem, pools.reshape(-1, d), noise=noise)).reshape(pools.shape[:2])

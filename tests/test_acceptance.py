@@ -22,6 +22,7 @@ from figwasp.core import Bounds, ObjectiveProblem, RandomStream, derive_seed, ev
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,
+    draw_pool,
     mate,
     neighborhood_width,
     run,
@@ -345,15 +346,13 @@ def test_criterion_8_structural_invariants():
 
         # wind gate invariants on this case's pool shape
         pool = rng.uniform(0.5, half, size=(trees * figs * (wasps // 2), dim))
-        calm = wind_effect([RandomStream(case)], pool[None], FwscParams(wind_threshold=0.0), problem.bounds)[0]
+        _, winds, _ = draw_pool([RandomStream(case)], pool[None], FwscParams(wind_threshold=0.0), noisy=False)
+        calm = wind_effect(winds, pool[None], problem.bounds)[0]
         assert np.array_equal(calm, pool)
         wide = Bounds.box(-1e9, 1e9, dim)
-        storm = wind_effect(
-            [RandomStream(case)],
-            pool[None],
-            FwscParams(wind_threshold=1.0, wind_fraction=params.wind_fraction),
-            wide,
-        )[0]
+        storm_params = FwscParams(wind_threshold=1.0, wind_fraction=params.wind_fraction)
+        _, winds, _ = draw_pool([RandomStream(case)], pool[None], storm_params, noisy=False)
+        storm = wind_effect(winds, pool[None], wide)[0]
         changed = int(np.any(storm != pool, axis=1).sum())
         expected = wind_count(len(pool), params.wind_fraction)
         if expected > 0:

@@ -239,7 +239,7 @@ def test_eta0_that_overflows_in_problem_units_fails_before_any_run(tmp_path, mon
     assert main(["run", "F1@30", "--runs", "1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err == "error: eta0: 1e+307 relative to F1 Sphere must be positive with eta0 * e finite, not inf\n"
-    assert not (tmp_path / "o" / "summary.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def config_of(tmp_path, text, problems=("F16",)):

@@ -12,6 +12,7 @@ from figwasp.engine import (
     FwscParams,
     build_mating_grid,
     draw_generation,
+    draw_pool,
     generation_buffers,
     mate,
     neighborhood_width,
@@ -35,6 +36,19 @@ def sphere_problem(dim=2, half=100.0):
         bounds=Bounds.box(-half, half, dim),
         objective=lambda x: float(np.sum(x * x)),
     )
+
+
+def respread(stream, pool, bounds):
+    """One (P, d) pool re-spread as the generation loop does it: its pool
+    draws from ``stream``, then `search_directions` over their uniforms."""
+    uniforms, _, _ = draw_pool([stream], pool[None], FwscParams(), noisy=False)
+    return search_directions(uniforms, pool[None], bounds)[0]
+
+
+def blow(stream, pool, params, bounds):
+    """One (P, d) pool after the wind of its pool draws from ``stream``."""
+    _, winds, _ = draw_pool([stream], pool[None], params, noisy=False)
+    return wind_effect(winds, pool[None], bounds)[0]
 
 
 def noisy_problem(dim, noise=lambda draws: draws):
@@ -314,7 +328,7 @@ class TestPool:
         # the envelope of a one-member pool is that member, so re-spreading
         # leaves it in place
         pool = pool_offsprings(np.array([[[[1.0, -2.0]]]]))
-        fresh = search_directions([RandomStream(0)], pool[None], Bounds.box(-5.0, 5.0, 2))[0]
+        fresh = respread(RandomStream(0), pool, Bounds.box(-5.0, 5.0, 2))
         assert np.array_equal(fresh, [[1.0, -2.0]])
 
     @given(st.integers(0, 2**31))
@@ -324,7 +338,7 @@ class TestPool:
         offspring = RandomStream(seed).uniform(size=(2, 3, 4, 4)) * 20 - 10
         pool = pool_offsprings(offspring)
         assert np.array_equal(pool, np.concatenate([block for tree in offspring for block in tree]))
-        fresh = search_directions([RandomStream(seed + 1)], pool[None], Bounds.box(-10.0, 10.0, 4))[0]
+        fresh = respread(RandomStream(seed + 1), pool, Bounds.box(-10.0, 10.0, 4))
         assert np.all(fresh >= pool.min(axis=0))
         assert np.all(fresh <= pool.max(axis=0))
 
@@ -333,7 +347,7 @@ class TestSearchDirections:
     def test_identical_offspring_unchanged(self):
         bounds = Bounds.box(-10.0, 10.0, 3)
         pool = np.tile([1.0, 2.0, 3.0], (5, 1))
-        fresh = search_directions([RandomStream(0)], pool[None], bounds)[0]
+        fresh = respread(RandomStream(0), pool, bounds)
         assert np.array_equal(fresh, pool)
 
     @given(st.integers(0, 2**31))
@@ -341,15 +355,15 @@ class TestSearchDirections:
         bounds = Bounds.box(-50.0, 50.0, 3)
         rng = RandomStream(seed)
         pool = rng.uniform(size=(8, 3)) * 40 - 20
-        fresh = search_directions([rng], pool[None], bounds)[0]
+        fresh = respread(rng, pool, bounds)
         assert np.all(fresh >= pool.min(axis=0) - 1e-12)
         assert np.all(fresh <= pool.max(axis=0) + 1e-12)
 
     def test_deterministic(self):
         bounds = Bounds.box(-50.0, 50.0, 2)
         pool = np.array([[0.0, 1.0], [5.0, -3.0], [2.0, 2.0]])
-        a = search_directions([RandomStream(11)], pool[None], bounds)[0]
-        b = search_directions([RandomStream(11)], pool[None], bounds)[0]
+        a = respread(RandomStream(11), pool, bounds)
+        b = respread(RandomStream(11), pool, bounds)
         assert np.array_equal(a, b)
 
 
@@ -359,14 +373,14 @@ class TestWindEffect:
         pool = RandomStream(3).uniform(size=(48, 2)) * 50
         params = FwscParams(wind_threshold=0.0)
         for seed in range(20):
-            out = wind_effect([RandomStream(seed)], pool[None], params, bounds)[0]
+            out = blow(RandomStream(seed), pool, params, bounds)
             assert np.array_equal(out, pool)
 
     def test_origin_is_fixed_point(self):
         bounds = Bounds.box(-100.0, 100.0, 3)
         pool = np.zeros((10, 3))
         params = FwscParams(wind_threshold=1.0)
-        out = wind_effect([RandomStream(1)], pool[None], params, bounds)[0]
+        out = blow(RandomStream(1), pool, params, bounds)
         assert np.array_equal(out, pool)
 
     def test_always_on_perturbs_exact_count(self):
@@ -375,7 +389,7 @@ class TestWindEffect:
         bounds = Bounds.box(-1e9, 1e9, 4)
         pool = 1.0 + RandomStream(5).uniform(size=(48, 4))
         params = FwscParams(wind_threshold=1.0, wind_fraction=0.10)
-        out = wind_effect([RandomStream(6)], pool[None], params, bounds)[0]
+        out = blow(RandomStream(6), pool, params, bounds)
         changed = np.any(out != pool, axis=1).sum()
         assert wind_count(48, 0.10) == 5
         assert changed == 5

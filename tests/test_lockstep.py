@@ -15,7 +15,7 @@ import pytest
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
 from figwasp.core import Bounds, ObjectiveProblem, RandomStream, evaluate_batch
-from figwasp.engine import FwscParams, run, run_many, search_directions, select_trees, wind_effect
+from figwasp.engine import FwscParams, draw_pool, run, run_many, search_directions, select_trees, wind_effect
 
 SEEDS = [11, 2024, 7, 7, 123456789]  # a repeated seed too
 
@@ -97,10 +97,17 @@ def pools(seed, runs=4, size=12):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_search_directions_group_equals_each_pool(seed):
+    # a group's pool draws and re-spread equal one run at a time
     group = pools(seed)
-    together = search_directions([RandomStream(seed + r) for r in range(4)], group, BOX)
+    streams = [RandomStream(seed + r) for r in range(4)]
+    uniforms, _, _ = draw_pool(streams, group, FwscParams(), noisy=False)
+    together = search_directions(uniforms, group, BOX)
     for r, pool in enumerate(group):
-        assert together[r].tobytes() == search_directions([RandomStream(seed + r)], pool[None], BOX)[0].tobytes()
+        alone_stream = RandomStream(seed + r)
+        alone, _, _ = draw_pool([alone_stream], pool[None], FwscParams(), noisy=False)
+        assert together[r].tobytes() == search_directions(alone, pool[None], BOX)[0].tobytes()
+        # and each stream stands where its own draws left it
+        assert streams[r].uniform() == alone_stream.uniform()
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
@@ -109,11 +116,15 @@ def test_wind_group_equals_each_pool(seed, threshold):
     params = FwscParams(wind_threshold=threshold)
     group = np.clip(pools(seed) * 1.5, -10.0, 10.0)  # some kicks reach the box edge
     streams = [RandomStream(seed + r) for r in range(4)]
-    together = wind_effect(streams, group, params, BOX)
+    _, winds, noise = draw_pool(streams, group, params, noisy=True)
+    together = wind_effect(winds, group, BOX)
+    size = group.shape[1]
     for r, pool in enumerate(group):
         alone_stream = RandomStream(seed + r)
-        assert together[r].tobytes() == wind_effect([alone_stream], pool[None], params, BOX)[0].tobytes()
-        # and each stream stands where its own call left it
+        _, alone, alone_noise = draw_pool([alone_stream], pool[None], params, noisy=True)
+        assert together[r].tobytes() == wind_effect(alone, pool[None], BOX)[0].tobytes()
+        assert noise[r * size : (r + 1) * size].tobytes() == alone_noise.tobytes()
+        # and each stream stands where its own draws left it
         assert streams[r].uniform() == alone_stream.uniform()
     if threshold == 0.0:
         assert together is group
