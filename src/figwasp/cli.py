@@ -153,8 +153,9 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[RunResult]]:
-    """Every problem's results in run-index order; seeded, optionally parallel.
+def execute_campaign(config: ExperimentConfig, workers: int) -> dict[tuple[str, int], list[RunResult]]:
+    """Every problem's results in run-index order; seeded, in at most
+    ``workers`` processes.
 
     A task is a group of one problem's runs (see `group_width`) advanced in
     lockstep by `run_many`, which gives each run exactly what a run of its
@@ -162,7 +163,6 @@ def execute_campaign(config: ExperimentConfig) -> dict[tuple[str, int], list[Run
     Tasks go in problem order, then run order, and `pool.map` keeps that
     order, so joining their results in task order is the run-index order.
     """
-    workers = worker_count()
     total_runs = config.runs * len(config.problems)
     tasks = []
     for pid, dim in config.problems:
@@ -239,8 +239,9 @@ def write_traces(out_dir: Path, grouped) -> None:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
+    workers = worker_count()  # a bad count fails before --out is made
     out_dir = _out_dir(config.out_dir)
-    grouped = execute_campaign(config)
+    grouped = execute_campaign(config, workers)
     summary = write_summary(out_dir, grouped)
     if config.trace:
         write_traces(out_dir, grouped)
@@ -249,9 +250,9 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
-    design = ENGINEERING_PROBLEMS[pid]()
+    design, workers = ENGINEERING_PROBLEMS[pid](), worker_count()
     out_dir = _out_dir(config.out_dir)
-    grouped = execute_campaign(config)
+    grouped = execute_campaign(config, workers)
     # a run whose best is not finite never scored a point: its position is just its first tree
     runs = [r for r in grouped[(pid, design.dimension)] if math.isfinite(r.best_fitness)]
     if not runs:

@@ -10,27 +10,29 @@ neighborhood radius shrinks with the iteration count, so the search
 narrows from global exploration to local refinement.
 
 A generation is held as arrays: trees (T, d), fig boxes (T, A, d), wasps
-(T, A, W, d) and an offspring pool (T*A*W/2, d). A run draws from its own
-`RandomStream` in the order that `draw_generation` and `draw_pool` state,
-and nowhere else, so a run is a pure function of (problem, params, seed);
-the phases are array code. The generation loop, the only code that calls
-the problem's, evaluates two batches: every wasp, then the whole pool. A
-user problem declares ``ObjectiveProblem(..., rowwise=True)`` when its
-objective maps an (n, d) array to the (n,) values of its rows, bit-equal
-to one call per row; then each batch is one call, else one call per row.
-NaN objective values rank as +inf: never the best-so-far, last in the
-mating grid and in selection.
+(T, A, W, d) and an offspring pool (T*A*W/2, d). After its first trees, a
+run draws from its own `RandomStream` only in `draw_generation`, once per
+generation and in the order it states, so a run is a pure function of
+(problem, params, seed). The phases are array code over the drawn arrays:
+`search_directions` returns new pools, and `wind_effect` kicks them. The
+generation loop, the only code that calls the problem's, evaluates two
+batches: every wasp, then the whole pool. A user problem declares
+``ObjectiveProblem(..., rowwise=True)`` when its objective maps an (n, d)
+array to the (n,) values of its rows, bit-equal to one call per row; then
+each batch is one call, else one call per row. NaN objective values rank
+as +inf: never the best-so-far, last in the mating grid and in selection.
 
 `run_many` advances several runs of one problem in lockstep, and `run` is
 its one-seed case, a group of one. Every phase takes the group's (R, ...)
-arrays, the trees stacked as R*T trees, and the draw functions its R
+arrays, the trees stacked as R*T trees, and `draw_generation` its R
 streams; a batch holds the rows of every run. Each run keeps its own
 best, trace and evaluation count; a run whose stagnation window runs out
 leaves the group. So every result equals, bit for bit, the run made alone.
 
-A group allocates its generation buffers once and draws into them in
-place. Snapshots and results never alias them; the wasp rows an objective
-gets are overwritten next generation, so it must copy any row it keeps.
+A group allocates its generation buffers once, and again each time runs
+leave it, and draws into them in place. Snapshots and results never alias
+them; the wasp rows an objective gets are overwritten next generation, so
+it must copy any row it keeps.
 """
 
 from __future__ import annotations
@@ -138,29 +140,42 @@ def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
 
 
 def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int = 1) -> tuple:
-    """Empty fig uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise
-    draws (R*T, A, W) or None, and permutations (R*T, A, W) for
-    `draw_generation`: the trees of ``runs`` runs end to end, T rows per run."""
+    """Empty buffers for `draw_generation` of a group of ``runs`` runs: fig
+    uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise draws
+    (R*T, A, W) or None, permutations (R*T, A, W), pool uniforms (R, P, d)
+    and pool noise draws (R, P) or None, with P = T*A*W/2."""
     shape, d = (runs * params.num_trees, params.figs_per_tree, params.wasps_per_fig), problem.dimension
-    noise = None if problem.noise is None else np.empty(shape)
-    return np.empty(shape[:2] + (2, d)), np.empty(shape + (d,)), noise, np.empty(shape, dtype=np.intp)
+    pool = (runs, params.num_trees * params.figs_per_tree * params.wasps_per_fig // 2)
+    noise, pool_noise = (None, None) if problem.noise is None else (np.empty(shape), np.empty(pool))
+    figs, wasps, pools = np.empty(shape[:2] + (2, d)), np.empty(shape + (d,)), np.empty(pool + (d,))
+    return figs, wasps, noise, np.empty(shape, dtype=np.intp), pools, pool_noise
 
 
 def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple) -> tuple:
-    """The wasp half of a generation's draws, before mating; `draw_pool`
-    draws the rest. Per tree: the (A, 2, d) fig uniforms. Then per fig of
-    that tree: its (W, d) wasp uniforms, W noise draws if the buffers hold
-    noise, and the permutation(W) that sexes its wasps. A permutation
-    consumes a variable number of bits, so the per-fig draws cannot be
-    merged into one block.
+    """Every draw of a generation after the first trees, run by run: the
+    wasp half, then the pool half. The phases only apply what it drew.
 
-    Run i draws from ``rngs[i]`` into rows i*T to (i+1)*T of ``buffers``
-    from `generation_buffers`, which may hold more rows. Returns those R*T
-    rows: fig uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise
-    draws (R*T*A*W,) or None, and permutations (R*T, A, W).
+    Wasp half, per tree: the (A, 2, d) fig uniforms; then per fig of that
+    tree, its (W, d) wasp uniforms, W noise draws if the buffers hold noise,
+    and the permutation(W) that sexes its wasps. A permutation consumes a
+    variable number of bits, so the per-fig draws cannot be merged into one
+    block. Pool half: the (P, d) uniforms that re-spread the pool; a wind
+    gate, and if that falls at or below a positive threshold, the
+    ceil(wind_fraction * P) blown members, chosen without replacement, and
+    their (m, d) kicks; then P noise draws if the buffers hold noise.
+
+    Run i draws from ``rngs[i]`` into its rows of ``buffers`` from
+    `generation_buffers` for R = len(rngs) runs. Returns fig uniforms
+    (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise draws (R*T*A*W,) or
+    None, permutations (R*T, A, W), pool uniforms (R, P, d), the winds as
+    (run, sorted members, kicks), and pool noise draws (R*P,) or None.
     """
-    figs, wasp_uniforms, noise, permutations = buffers
+    figs, wasp_uniforms, noise, permutations, uniforms, pool_noise = buffers
     t_count, w_count = params.num_trees, params.wasps_per_fig
+    if len(uniforms) != len(rngs):
+        raise ValueError(f"buffers for {len(uniforms)} runs cannot take the draws of {len(rngs)}")
+    size, d = uniforms.shape[1:]
+    m, winds = wind_count(size, params.wind_fraction), []
     for i, stream in enumerate(rngs):
         for t in range(i * t_count, (i + 1) * t_count):
             stream.uniform(out=figs[t])
@@ -169,8 +184,13 @@ def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple
                 if noise is not None:
                     stream.uniform(out=noise[t, a])
                 permutations[t, a] = stream.permutation(w_count)
-    rows = len(rngs) * t_count
-    return figs[:rows], wasp_uniforms[:rows], None if noise is None else noise[:rows].reshape(-1), permutations[:rows]
+        stream.uniform(out=uniforms[i])
+        if stream.uniform() <= params.wind_threshold and params.wind_threshold > 0.0 and m > 0:
+            winds.append((i, np.sort(stream.choose_without_replacement(size, m)), stream.uniform(size=(m, d))))
+        if pool_noise is not None:
+            stream.uniform(out=pool_noise[i])
+    flat = [None if a is None else a.reshape(-1) for a in (noise, pool_noise)]
+    return figs, wasp_uniforms, flat[0], permutations, uniforms, winds, flat[1]
 
 
 def spawn_figs(
@@ -258,47 +278,24 @@ def wind_count(pool_size: int, wind_fraction: float) -> int:
     return math.ceil(wind_fraction * pool_size)
 
 
-def draw_pool(rngs: list[RandomStream], pools: np.ndarray, params: FwscParams, noisy: bool) -> tuple:
-    """The pool half of a generation's draws, after mating; with
-    `draw_generation`, a run's whole draw order.
-
-    Run i draws from ``rngs[i]``: the (P, d) uniforms that re-spread its
-    pool; a wind gate, and if that falls at or below a positive threshold,
-    the ceil(wind_fraction * P) blown members, chosen without replacement,
-    and their (m, d) kicks; then P noise draws if ``noisy``. Returns, for
-    the group's (R, P, d) ``pools``, the uniforms (R, P, d), the winds as
-    (run, sorted members, kicks), and the noise draws (R*P,) or None.
-    """
-    _, size, d = pools.shape
-    m = wind_count(size, params.wind_fraction)
-    uniforms, winds, noise = np.empty(pools.shape), [], np.empty(pools.shape[:2]) if noisy else None
-    for i, stream in enumerate(rngs):
-        stream.uniform(out=uniforms[i])
-        if stream.uniform() <= params.wind_threshold and params.wind_threshold > 0.0 and m > 0:
-            winds.append((i, np.sort(stream.choose_without_replacement(size, m)), stream.uniform(size=(m, d))))
-        if noisy:
-            stream.uniform(out=noise[i])
-    return uniforms, winds, None if noise is None else noise.reshape(-1)
-
-
 def search_directions(uniforms: np.ndarray, pools: np.ndarray, global_bounds: Bounds) -> np.ndarray:
     """Re-spread every offspring uniformly across its pool's envelope.
 
     Each coordinate is redrawn on [min_i, max_i] over the pool, which
     keeps the pool inside its own convex bounding box while decorrelating
     offspring from their parents' figs. Each of a group's (R, P, d)
-    ``pools`` keeps its own envelope; the new pools overwrite the
-    ``uniforms`` of `draw_pool`."""
+    ``pools`` keeps its own envelope, spread over the pool ``uniforms`` of
+    `draw_generation`; returns the new pools as a new array."""
     low = pools.min(axis=1)[:, None]
-    uniforms *= pools.max(axis=1)[:, None] - low
-    uniforms += low
-    return global_bounds.clamp(uniforms)
+    spread = uniforms * (pools.max(axis=1)[:, None] - low)
+    spread += low
+    return global_bounds.clamp(spread)
 
 
 def wind_effect(winds: list[tuple], pools: np.ndarray, global_bounds: Bounds) -> np.ndarray:
     """Drift each blown member x of a group's (R, P, d) ``pools`` to
-    x + x * kick, for the (run, members, kicks) ``winds`` of `draw_pool`.
-    Returns ``pools`` itself when no wind blows, else a new array."""
+    x + x * kick by the drawn ``winds``, (run, members, kicks). Returns
+    ``pools`` itself when no wind blows, else a new array."""
     if not winds:
         return pools
     drifted = pools.copy()
@@ -353,8 +350,9 @@ def _lockstep(
     on_generation: Callable[[GenerationSnapshot], None] | None,
 ) -> list[RunResult]:
     """Advance one run per seed together; see `run` and `run_many`. The
-    group's R runs hold their trees end to end, (R*T, d), and run i draws
-    from its own stream into its T rows of the generation buffers."""
+    group's R live runs hold their trees end to end, (R*T, d), and run i
+    draws from its own stream into its rows of generation buffers sized to
+    the live runs."""
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
     runs, trees = [], []
@@ -363,11 +361,11 @@ def _lockstep(
         trees.append(spawn_trees(rng, problem, params, eta))
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
     trees = np.concatenate(trees)  # (R*T, d): the live runs' trees end to end
-    buffers = generation_buffers(problem, params, len(runs))  # the live runs fill the first rows
+    buffers = generation_buffers(problem, params, len(runs))
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
 
     for k in range(1, max(params.max_iterations, 1) + 1):
-        figs, wasp_uniforms, noise, permutations = draw_generation(rngs, params, buffers)
+        figs, wasp_uniforms, noise, permutations, uniforms, winds, pool_noise = draw_generation(rngs, params, buffers)
         wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
         fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=noise))
         for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
@@ -380,13 +378,10 @@ def _lockstep(
         females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
         grid = build_mating_grid(females, fitness.reshape(permutations.shape))
         pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)])).reshape(len(live), -1, d)
-        uniforms, winds, noise = draw_pool(rngs, pools, params, noise is not None)
-        pools = search_directions(uniforms, pools, gb)
-        del uniforms  # they hold the pools now; held here, they would outlive a wind's copy
-        pools = wind_effect(winds, pools, gb)
+        pools = wind_effect(winds, search_directions(uniforms, pools, gb), gb)
 
         eta = neighborhood_width(k + 1, params)
-        pool_fitness = _ranked(evaluate(problem, pools.reshape(-1, d), noise=noise)).reshape(pools.shape[:2])
+        pool_fitness = _ranked(evaluate(problem, pools.reshape(-1, d), noise=pool_noise)).reshape(pools.shape[:2])
         trees = select_trees(pools, pool_fitness, params.num_trees)
         for run, pool, values in zip(live, pools, pool_fitness):
             run.tally(pool, values)
@@ -403,7 +398,7 @@ def _lockstep(
                 live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
                 if not live:
                     break
-                rngs = [run.rng for run in live]
+                rngs, buffers = [run.rng for run in live], generation_buffers(problem, params, len(live))
         trees = trees.reshape(-1, d)
 
     return [
@@ -430,9 +425,10 @@ def run(
     The best-so-far value tracks every evaluated point (wasps and pool
     members alike) and the trace records it once per completed generation,
     so the trace is non-increasing by construction. A ``max_iterations`` of
-    zero stops generation 1 once its wasps are evaluated, before anything
-    more is drawn, which keeps zero-budget harness invocations well formed.
-    ``on_generation`` sees each completed generation's snapshot.
+    zero stops generation 1 once its wasps are evaluated, discarding the
+    pool half of its draws, which keeps zero-budget harness invocations
+    well formed. ``on_generation`` sees each completed generation's
+    snapshot.
     """
     return _lockstep(problem, params, [seed], on_generation)[0]
 

@@ -22,7 +22,8 @@ from figwasp.core import Bounds, ObjectiveProblem, RandomStream, derive_seed, ev
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,
-    draw_pool,
+    draw_generation,
+    generation_buffers,
     mate,
     neighborhood_width,
     run,
@@ -148,7 +149,7 @@ def test_criterion_3_byte_identical_campaigns(tmp_path, monkeypatch):
 def _campaign_mean_best(fid: str, threshold: float) -> float:
     # the campaign path: one lockstep group of the 30 runs, equal to one run per seed
     config = ExperimentConfig(problems=[(fid, 30)], runs=30, master_seed=42, out_dir="unused")
-    bests = [result.best_fitness for result in execute_campaign(config)[(fid, 30)]]
+    bests = [result.best_fitness for result in execute_campaign(config, 1)[(fid, 30)]]
     mean_best = float(np.mean(bests))
     report("C4 desk-scale quality", f"{fid} dim 30, 30 runs: mean best = {mean_best:.3e} (<= {threshold:g})")
     return mean_best
@@ -346,12 +347,13 @@ def test_criterion_8_structural_invariants():
 
         # wind gate invariants on this case's pool shape
         pool = rng.uniform(0.5, half, size=(trees * figs * (wasps // 2), dim))
-        _, winds, _ = draw_pool([RandomStream(case)], pool[None], FwscParams(wind_threshold=0.0), noisy=False)
+        calm_params = replace(params, wind_threshold=0.0)
+        winds = draw_generation([RandomStream(case)], calm_params, generation_buffers(problem, calm_params))[5]
         calm = wind_effect(winds, pool[None], problem.bounds)[0]
         assert np.array_equal(calm, pool)
         wide = Bounds.box(-1e9, 1e9, dim)
-        storm_params = FwscParams(wind_threshold=1.0, wind_fraction=params.wind_fraction)
-        _, winds, _ = draw_pool([RandomStream(case)], pool[None], storm_params, noisy=False)
+        storm_params = replace(params, wind_threshold=1.0)
+        winds = draw_generation([RandomStream(case)], storm_params, generation_buffers(problem, storm_params))[5]
         storm = wind_effect(winds, pool[None], wide)[0]
         changed = int(np.any(storm != pool, axis=1).sum())
         expected = wind_count(len(pool), params.wind_fraction)

@@ -228,6 +228,14 @@ def test_bad_out_fails_before_any_run(tmp_path, monkeypatch, capsys, command, ou
     assert (tmp_path / "plain").read_text() == ""
 
 
+@pytest.mark.parametrize("command", [["run", "F16"], ["engineering", "pressure-vessel"]])
+def test_bad_worker_count_fails_before_out_is_made(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv(cli.WORKERS_ENV, "two")
+    assert main([*command, "--runs", "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: FIGWASP_WORKERS must be an integer, got 'two'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_eta0_that_overflows_in_problem_units_fails_before_any_run(tmp_path, monkeypatch, capsys):
     # eta_units = relative scales eta0 by the box half-width, 100 for F1
     def run_many(*args):

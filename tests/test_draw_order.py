@@ -1,11 +1,11 @@
 """The draw order of a run, pinned by a slow per-value reference.
 
 A run is a pure function of (problem, params, seed) because it draws from
-its own stream in a fixed order: `draw_generation` draws the wasp half of
-a generation and `draw_pool` the pool half. `reference_run` writes that
-order out on a bare Philox generator, one ``random()`` at a time, with
+its own stream in a fixed order: each generation, `draw_generation` draws
+the wasp half and then the pool half. `reference_run` writes that order
+out on a bare Philox generator, one ``random()`` at a time, with
 ``permutation(W)`` per fig and ``choice(P, m, replace=False)`` for the
-wind. The engine's two draw functions must equal it bit for bit, and each
+wind. The engine's draw function must equal it bit for bit, and each
 stream must stand where the reference does afterwards.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from figwasp.core import Bounds, ObjectiveProblem, RandomStream, derive_seed
-from figwasp.engine import FwscParams, draw_generation, draw_pool, generation_buffers
+from figwasp.engine import FwscParams, draw_generation, generation_buffers
 
 GENERATIONS = 6
 
@@ -65,6 +65,33 @@ def same(got, want):
     return got is not None and (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def assert_drawn(drawn, wants, params):
+    """One generation's ``drawn`` arrays of a group equal ``wants``, the
+    per-value reference draws of its runs in order."""
+    figs, wasps, noise, permutations, uniforms, winds, pool_noise = drawn
+    runs, t_count = len(wants), params.num_trees
+    assert [i for i, _, _ in winds] == sorted({i for i, _, _ in winds})
+    for r, want in enumerate(wants):
+        rows = slice(r * t_count, (r + 1) * t_count)
+        assert same(figs[rows], want["figs"])
+        assert same(wasps[rows], want["wasps"])
+        assert same(None if noise is None else noise.reshape(runs, -1)[r], want["noise"])
+        assert same(permutations[rows], want["permutations"].astype(permutations.dtype))
+        assert same(uniforms[r], want["uniforms"])
+        wind = [(members, kicks) for i, members, kicks in winds if i == r]
+        assert len(wind) == (want["wind"] is not None)
+        if wind:
+            assert same(wind[0][0].astype(want["wind"][0].dtype), want["wind"][0])
+            assert same(wind[0][1], want["wind"][1])
+        assert same(None if pool_noise is None else pool_noise.reshape(runs, -1)[r], want["pool_noise"])
+    # the whole buffers, no more rows than the group's
+    assert len(figs) == runs * t_count and len(uniforms) == runs
+
+
+def zero_problem(d, noisy):
+    return ObjectiveProblem("zero", d, Bounds.box(-1.0, 1.0, d), lambda x: 0.0, noise=(lambda u: u) if noisy else None)
+
+
 @pytest.mark.parametrize(
     "threshold, fraction", [(0.0, 0.1), (0.5, 0.1), (1.0, 0.1), (1.0, 0.0)], ids=["calm", "half", "storm", "none-blown"]
 )
@@ -73,35 +100,39 @@ def same(got, want):
 @pytest.mark.parametrize("d", [1, 3, 30])
 def test_draw_functions_equal_the_per_value_reference(d, runs, noisy, threshold, fraction):
     params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4, wind_threshold=threshold, wind_fraction=fraction)
-    noise_map = (lambda u: u) if noisy else None
-    problem = ObjectiveProblem("zero", d, Bounds.box(-1.0, 1.0, d), lambda x: 0.0, noise=noise_map)
     seeds = [derive_seed(14, d, runs, noisy, threshold, fraction, r) for r in range(runs)]
     references = [reference_run(seed, params, d, noisy) for seed in seeds]
     streams = [RandomStream(seed) for seed in seeds]
-    buffers = generation_buffers(problem, params, runs)
-    t_count, size = params.num_trees, params.num_trees * params.figs_per_tree * params.wasps_per_fig // 2
+    buffers = generation_buffers(zero_problem(d, noisy), params, runs)
     winds_seen = 0
     for k in range(GENERATIONS):
-        figs, wasps, noise, permutations = draw_generation(streams, params, buffers)
-        uniforms, winds, pool_noise = draw_pool(streams, np.zeros((runs, size, d)), params, noisy)
-        assert [i for i, _, _ in winds] == sorted({i for i, _, _ in winds})
-        for r, (drawn, _) in enumerate(references):
-            want, rows = drawn[k], slice(r * t_count, (r + 1) * t_count)
-            assert same(figs[rows], want["figs"])
-            assert same(wasps[rows], want["wasps"])
-            assert same(None if noise is None else noise.reshape(runs, -1)[r], want["noise"])
-            assert same(permutations[rows], want["permutations"].astype(permutations.dtype))
-            assert same(uniforms[r], want["uniforms"])
-            wind = [(members, kicks) for i, members, kicks in winds if i == r]
-            assert len(wind) == (want["wind"] is not None)
-            if wind:
-                assert same(wind[0][0].astype(want["wind"][0].dtype), want["wind"][0])
-                assert same(wind[0][1], want["wind"][1])
-            assert same(None if pool_noise is None else pool_noise.reshape(runs, -1)[r], want["pool_noise"])
-        winds_seen += len(winds)
+        drawn = draw_generation(streams, params, buffers)
+        assert_drawn(drawn, [steps[k] for steps, _ in references], params)
+        winds_seen += len(drawn[5])
     for stream, (_, gen) in zip(streams, references):
         assert stream.uniform() == gen.random()
     # the gate's branches: it never blows at 0, sometimes at 0.5, and always
     # at 1 unless no member is to be blown
     expected = {0.0: [0], 0.5: range(1, runs * GENERATIONS), 1.0: [runs * GENERATIONS if fraction else 0]}
     assert winds_seen in expected[threshold]
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+def test_a_group_that_loses_a_run_keeps_each_draw_order(noisy):
+    # a group of 3 loses its middle run after 3 generations, as a stagnated
+    # run leaves: the others draw on into buffers remade for 2 runs
+    params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4, wind_threshold=0.5)
+    problem, seeds = zero_problem(3, noisy), [derive_seed(16, noisy, r) for r in range(3)]
+    references = [reference_run(seed, params, 3, noisy) for seed in seeds]
+    streams = [RandomStream(seed) for seed in seeds]
+    buffers = generation_buffers(problem, params, 3)
+    for k in range(3):
+        assert_drawn(draw_generation(streams, params, buffers), [steps[k] for steps, _ in references], params)
+    del streams[1], references[1]
+    with pytest.raises(ValueError, match="buffers for 3 runs"):
+        draw_generation(streams, params, buffers)  # checked before anything is drawn
+    buffers = generation_buffers(problem, params, 2)
+    for k in range(3, GENERATIONS):
+        assert_drawn(draw_generation(streams, params, buffers), [steps[k] for steps, _ in references], params)
+    for stream, (_, gen) in zip(streams, references):
+        assert stream.uniform() == gen.random()

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from figwasp.engine import (
     FwscParams,
     build_mating_grid,
     draw_generation,
-    draw_pool,
     generation_buffers,
     mate,
     neighborhood_width,
@@ -38,16 +38,25 @@ def sphere_problem(dim=2, half=100.0):
     )
 
 
+def pool_draws(stream, pool, params):
+    """The pool uniforms and winds of one generation's draws from ``stream``
+    for one (P, d) ``pool``, under ``params`` with T*A*W/2 = P."""
+    params = replace(params, num_trees=len(pool), figs_per_tree=1, wasps_per_fig=2)
+    drawn = draw_generation([stream], params, generation_buffers(sphere_problem(pool.shape[1]), params))
+    return drawn[4], drawn[5]
+
+
 def respread(stream, pool, bounds):
-    """One (P, d) pool re-spread as the generation loop does it: its pool
-    draws from ``stream``, then `search_directions` over their uniforms."""
-    uniforms, _, _ = draw_pool([stream], pool[None], FwscParams(), noisy=False)
+    """One (P, d) pool re-spread as the generation loop does it: its
+    generation's draws from ``stream``, then `search_directions` over their
+    pool uniforms."""
+    uniforms, _ = pool_draws(stream, pool, FwscParams())
     return search_directions(uniforms, pool[None], bounds)[0]
 
 
 def blow(stream, pool, params, bounds):
-    """One (P, d) pool after the wind of its pool draws from ``stream``."""
-    _, winds, _ = draw_pool([stream], pool[None], params, noisy=False)
+    """One (P, d) pool after the wind of its generation's draws from ``stream``."""
+    _, winds = pool_draws(stream, pool, params)
     return wind_effect(winds, pool[None], bounds)[0]
 
 
@@ -188,7 +197,7 @@ class TestSpawning:
         eta = 1.5
         trees = spawn_trees(RandomStream(9), problem, params, eta)
         tree_lower, tree_upper = problem.bounds.neighborhood(trees, eta)
-        figs, _, _, _ = draw_generation([RandomStream(10)], params, generation_buffers(problem, params))
+        figs, *_ = draw_generation([RandomStream(10)], params, generation_buffers(problem, params))
         fig_lower, fig_upper = spawn_figs(figs, tree_lower, tree_upper, eta, problem.bounds)
         assert fig_lower.shape == fig_upper.shape == (3, 4, 3)
         # the fig point sits in its tree's neighborhood inflated by eta, so
@@ -204,7 +213,7 @@ class TestSpawning:
         params = FwscParams()
         eta = 1.0
         trees = spawn_trees(RandomStream(5), problem, params, eta)
-        figs, uniforms, noise, permutations = draw_generation(
+        figs, uniforms, noise, permutations, *_ = draw_generation(
             [RandomStream(6)], params, generation_buffers(problem, params)
         )
         fig_lower, fig_upper = spawn_figs(figs, *problem.bounds.neighborhood(trees, eta), eta, problem.bounds)
@@ -221,7 +230,7 @@ class TestSpawning:
         # between its wasp uniforms and its permutation
         noisy = noisy_problem(dim=2)
         params = FwscParams(num_trees=1, figs_per_tree=2, wasps_per_fig=4)
-        figs, uniforms, noise, permutations = draw_generation(
+        figs, uniforms, noise, permutations, *_ = draw_generation(
             [RandomStream(4)], params, generation_buffers(noisy, params)
         )
         rng = RandomStream(4)
@@ -458,6 +467,10 @@ class TestSelectTrees:
         assert trees[:, 0].tolist() == [values[i] for i in expected]
 
 
+def winds_bytes(winds):
+    return [(i, members.tobytes(), kicks.tobytes()) for i, members, kicks in winds]
+
+
 class TestBuffers:
     def test_uniform_into_buffer_is_the_same_draw(self):
         a, b = RandomStream(17), RandomStream(17)
@@ -469,28 +482,34 @@ class TestBuffers:
 
     def test_draw_generation_into_buffers_matches_fresh_arrays(self):
         noisy = noisy_problem(dim=3)
-        params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4)
+        params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4, wind_threshold=1.0)
         reused, fresh = RandomStream(8), RandomStream(8)
         buffers = generation_buffers(noisy, params)
         for _ in range(3):  # refilled, not appended to, every generation
-            into = draw_generation([reused], params, buffers)
-            expected = draw_generation([fresh], params, generation_buffers(noisy, params))
-            for got, want, buffer in zip(into, expected, buffers):
+            *into, winds, pool_noise = draw_generation([reused], params, buffers)
+            *expected, want_winds, want_noise = draw_generation([fresh], params, generation_buffers(noisy, params))
+            for got, want, buffer in zip(into + [pool_noise], expected + [want_noise], buffers):
                 assert np.shares_memory(got, buffer)
                 assert np.array_equal(got, want)
+            assert winds_bytes(winds) == winds_bytes(want_winds) != []  # the winds are drawn fresh
         assert np.array_equal(reused.uniform(size=2), fresh.uniform(size=2))
 
     def test_group_draw_equals_one_draw_per_stream(self):
         # run i of a group draws from its own stream into rows i*T to
-        # (i+1)*T, and buffers sized for more runs give back only the drawn rows
+        # (i+1)*T of the wasp half and row i of the pool half; buffers sized
+        # for another number of runs are refused
         noisy = noisy_problem(dim=3)
-        params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4)
+        params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4, wind_threshold=0.5)
         group, alone = [RandomStream(s) for s in (5, 6, 7)], [RandomStream(s) for s in (5, 6, 7)]
-        drawn = draw_generation(group, params, generation_buffers(noisy, params, 5))
+        with pytest.raises(ValueError, match="buffers for 5 runs cannot take the draws of 3"):
+            draw_generation(group, params, generation_buffers(noisy, params, 5))
+        *drawn, winds, pool_noise = draw_generation(group, params, generation_buffers(noisy, params, 3))
         singles = [draw_generation([stream], params, generation_buffers(noisy, params)) for stream in alone]
-        for got, parts in zip(drawn, zip(*singles)):
+        for got, parts in zip(drawn + [pool_noise], zip(*[single[:5] + single[6:] for single in singles])):
             assert got.tobytes() == np.concatenate(parts).tobytes()
-        assert drawn[0].shape[0] == drawn[3].shape[0] == 3 * params.num_trees
+        assert drawn[0].shape[0] == drawn[3].shape[0] == 3 * params.num_trees and drawn[4].shape[0] == 3
+        alone_winds = [(i, members, kicks) for i, single in enumerate(singles) for _, members, kicks in single[5]]
+        assert winds_bytes(winds) == winds_bytes(alone_winds)
         for a, b in zip(group, alone):
             assert a.uniform(size=3).tobytes() == b.uniform(size=3).tobytes()
 

@@ -15,7 +15,16 @@ import pytest
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
 from figwasp.core import Bounds, ObjectiveProblem, RandomStream, evaluate_batch
-from figwasp.engine import FwscParams, draw_pool, run, run_many, search_directions, select_trees, wind_effect
+from figwasp.engine import (
+    FwscParams,
+    draw_generation,
+    generation_buffers,
+    run,
+    run_many,
+    search_directions,
+    select_trees,
+    wind_effect,
+)
 
 SEEDS = [11, 2024, 7, 7, 123456789]  # a repeated seed too
 
@@ -89,10 +98,19 @@ def test_no_seeds_no_runs():
 # the group forms of the pool steps equal one call per pool
 
 BOX = Bounds.box(-10.0, 10.0, 3)
+POOL_PARAMS = FwscParams(figs_per_tree=1)  # T*A*W/2 = 12, the size of `pools`
 
 
 def pools(seed, runs=4, size=12):
     return RandomStream(seed).uniform(size=(runs, size, 3)) * 16.0 - 8.0
+
+
+def pool_draws(streams, params, noisy):
+    """The pool uniforms, winds and pool noise of one generation's draws
+    from ``streams``, one run each."""
+    problem = ObjectiveProblem("zero", 3, BOX, lambda x: 0.0, noise=(lambda u: u) if noisy else None)
+    drawn = draw_generation(streams, params, generation_buffers(problem, params, len(streams)))
+    return drawn[4:]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -100,11 +118,11 @@ def test_search_directions_group_equals_each_pool(seed):
     # a group's pool draws and re-spread equal one run at a time
     group = pools(seed)
     streams = [RandomStream(seed + r) for r in range(4)]
-    uniforms, _, _ = draw_pool(streams, group, FwscParams(), noisy=False)
+    uniforms, _, _ = pool_draws(streams, POOL_PARAMS, noisy=False)
     together = search_directions(uniforms, group, BOX)
     for r, pool in enumerate(group):
         alone_stream = RandomStream(seed + r)
-        alone, _, _ = draw_pool([alone_stream], pool[None], FwscParams(), noisy=False)
+        alone, _, _ = pool_draws([alone_stream], POOL_PARAMS, noisy=False)
         assert together[r].tobytes() == search_directions(alone, pool[None], BOX)[0].tobytes()
         # and each stream stands where its own draws left it
         assert streams[r].uniform() == alone_stream.uniform()
@@ -113,15 +131,15 @@ def test_search_directions_group_equals_each_pool(seed):
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("seed", range(5))
 def test_wind_group_equals_each_pool(seed, threshold):
-    params = FwscParams(wind_threshold=threshold)
+    params = replace(POOL_PARAMS, wind_threshold=threshold)
     group = np.clip(pools(seed) * 1.5, -10.0, 10.0)  # some kicks reach the box edge
     streams = [RandomStream(seed + r) for r in range(4)]
-    _, winds, noise = draw_pool(streams, group, params, noisy=True)
+    _, winds, noise = pool_draws(streams, params, noisy=True)
     together = wind_effect(winds, group, BOX)
     size = group.shape[1]
     for r, pool in enumerate(group):
         alone_stream = RandomStream(seed + r)
-        _, alone, alone_noise = draw_pool([alone_stream], pool[None], params, noisy=True)
+        _, alone, alone_noise = pool_draws([alone_stream], params, noisy=True)
         assert together[r].tobytes() == wind_effect(alone, pool[None], BOX)[0].tobytes()
         assert noise[r * size : (r + 1) * size].tobytes() == alone_noise.tobytes()
         # and each stream stands where its own draws left it
