@@ -11,14 +11,16 @@ Subcommands:
                       two or more result files.
 * ``list``         -- enumerate the available problem ids.
 
-A campaign is an `ExperimentConfig`. `CONFIG_KEYS` maps each ``--config``
-key to the field it sets and its parser; each default is the field's own.
+A campaign is an `ExperimentConfig`: its ``plan`` maps each problem's (id,
+dimension), which fixes its seeds and summary row, to its params in problem
+units. `CONFIG_KEYS` maps each ``--config`` key to the field it sets and its
+parser; each default is the field's own.
 
 Per-run seeds are hashed from (master seed, problem id, dimension, run
 index), so campaigns are reproducible and extending a campaign never
-shifts existing seeds. Worker count comes from the FIGWASP_WORKERS
-environment variable, capped at the number of groups; a worker advances a
-group of one problem's runs in lockstep (see `group_width`). Serial and
+shifts existing seeds. The worker count, the FIGWASP_WORKERS environment
+variable (at least 1), is capped at the number of groups; a worker advances
+a group of one problem's runs in lockstep (see `group_width`). Serial and
 parallel execution, whatever the grouping, produce identical files.
 """
 
@@ -54,11 +56,12 @@ class ConfigError(ValueError):
     """Bad input; the message names the field or file at fault."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One campaign: problems, run count, seeding, parameters, output."""
+    """One campaign, frozen so that ``plan`` cannot go stale. Each problem is resolved once, here:
+    ``problems`` gets concrete dimensions, and ``plan`` maps each to its params in problem units."""
 
-    problems: list[tuple[str, int]]
+    problems: list[tuple[str, int | None]]
     runs: int = 30
     master_seed: int = 42
     out_dir: str = "results"
@@ -69,6 +72,7 @@ class ExperimentConfig:
     eta_units: str = "relative"
     params: FwscParams = field(default_factory=FwscParams)
     penalty_coefficient: float = DEFAULT_PENALTY_COEFFICIENT
+    plan: dict[tuple[str, int], FwscParams] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.runs < 1:
@@ -79,19 +83,21 @@ class ExperimentConfig:
             raise ConfigError("penalty_coefficient: must be positive and finite")
         if not self.problems:
             raise ConfigError("problems: at least one problem id is required")
-        listed = set()
+        plan = {}
         for pid, dim in self.problems:
             problem = resolve_problem(pid, dim, self.penalty_coefficient)
-            if (pid, problem.dimension) in listed:
+            if (pid, problem.dimension) in plan:
                 raise ConfigError(f"problems: {pid}@{problem.dimension} is listed twice")
-            listed.add((pid, problem.dimension))
-            resolved_params(self, problem)  # so an eta0 out of range in its units fails before any output
+            plan[(pid, problem.dimension)] = resolved_params(self, problem)  # eta0 out of range fails here
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "problems", list(plan))
 
 
-def resolve_dimension(pid: str, dim: int | None) -> int:
-    """``dim`` if the problem allows it, or the only dimension it allows when ``dim`` is None."""
-    if pid in ENGINEERING_PROBLEMS:
-        allowed = (ENGINEERING_PROBLEMS[pid]().dimension,)
+def resolve_problem(pid: str, dim: int | None, penalty_coefficient: float) -> ObjectiveProblem:
+    """Problem ``pid`` at ``dim`` if it allows it, or at the only dimension it allows when ``dim`` is None."""
+    design = ENGINEERING_PROBLEMS[pid]() if pid in ENGINEERING_PROBLEMS else None
+    if design is not None:
+        allowed = (design.dimension,)
     elif pid in benchmarks.SPECS:
         allowed = benchmarks.SPECS[pid].dimensions
     else:
@@ -100,14 +106,9 @@ def resolve_dimension(pid: str, dim: int | None) -> int:
         raise ConfigError(f"dim: {pid} needs an explicit dimension from {sorted(allowed)}")
     if dim is not None and dim not in allowed:
         raise ConfigError(f"dim: {pid} allows dimensions {sorted(allowed)}, not {dim}")
-    return allowed[0] if dim is None else dim
-
-
-def resolve_problem(pid: str, dim: int, penalty_coefficient: float) -> ObjectiveProblem:
-    dim = resolve_dimension(pid, dim)
-    if pid in ENGINEERING_PROBLEMS:
-        return to_objective(ENGINEERING_PROBLEMS[pid](), penalty_coefficient)
-    return benchmarks.make_benchmark(pid, dim)
+    if design is not None:
+        return to_objective(design, penalty_coefficient)
+    return benchmarks.make_benchmark(pid, allowed[0] if dim is None else dim)
 
 
 def resolved_params(config: ExperimentConfig, problem: ObjectiveProblem) -> FwscParams:
@@ -150,7 +151,9 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    if n < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {raw!r}")
+    return n
 
 
 def execute_campaign(config: ExperimentConfig, workers: int) -> dict[tuple[str, int], list[RunResult]]:
@@ -163,12 +166,10 @@ def execute_campaign(config: ExperimentConfig, workers: int) -> dict[tuple[str, 
     Tasks go in problem order, then run order, and `pool.map` keeps that
     order, so joining their results in task order is the run-index order.
     """
-    total_runs = config.runs * len(config.problems)
+    total_runs = config.runs * len(config.plan)
     tasks = []
-    for pid, dim in config.problems:
-        problem = resolve_problem(pid, dim, config.penalty_coefficient)
-        params = resolved_params(config, problem)
-        width = group_width(config.runs, total_runs, workers, params, problem.dimension)
+    for (pid, dim), params in config.plan.items():
+        width = group_width(config.runs, total_runs, workers, params, dim)
         for first in range(0, config.runs, width):
             indices = range(first, min(first + width, config.runs))
             seeds = [derive_seed(config.master_seed, pid, dim, i) for i in indices]
@@ -283,9 +284,9 @@ def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
 
 
 def _read_text(path: str | Path) -> str:
-    """The UTF-8 text of a config or result file; `main` reports an `OSError`."""
+    """The UTF-8 text of a config or result file, less a leading BOM; `main` reports an `OSError`."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -440,18 +441,16 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-def parse_problem_token(token: str, default_dim: int | None) -> tuple[str, int]:
-    """(id, dimension) of a token such as F1@30 or F16; ``default_dim`` fills in only a scalable one."""
-    if "@" in token:
-        pid, _, dim_text = token.partition("@")
-        try:
-            dim = int(dim_text)
-        except ValueError as exc:
-            raise ConfigError(f"problems: bad dimension in {token!r}") from exc
-    else:
+def parse_problem_token(token: str, default_dim: int | None) -> tuple[str, int | None]:
+    """(id, dimension or None) of a token such as F1@30 or F16; ``default_dim`` fills in only a scalable one."""
+    if "@" not in token:
         spec = benchmarks.SPECS.get(token)
-        pid, dim = token, default_dim if spec and len(spec.dimensions) > 1 else None
-    return pid, resolve_dimension(pid, dim)
+        return token, default_dim if spec and len(spec.dimensions) > 1 else None
+    pid, _, dim_text = token.partition("@")
+    try:
+        return pid, int(dim_text)
+    except ValueError as exc:
+        raise ConfigError(f"problems: bad dimension in {token!r}") from exc
 
 
 def _config_from_args(args: argparse.Namespace, problem_tokens: list[str]) -> ExperimentConfig:

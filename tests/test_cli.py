@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import concurrent.futures
 import csv
 import math
@@ -19,7 +20,7 @@ from figwasp.cli import (
     main,
     parse_config_file,
     parse_problem_token,
-    resolve_dimension,
+    resolve_problem,
 )
 from figwasp.core import derive_seed
 from figwasp.constrained import LatticeStep, ValueSet, stepped_beam
@@ -47,27 +48,32 @@ def small_config(tmp_path, iterations=20):
     return str(cfg)
 
 
+def planned(token):
+    """The (id, dimension) pairs of a campaign of one problem token."""
+    return cli.ExperimentConfig(problems=[parse_problem_token(token, None)]).problems
+
+
 class TestProblemTokens:
     def test_scalable_with_dimension(self):
         assert parse_problem_token("F1@30", None) == ("F1", 30)
 
     def test_fixed_dimension_defaults(self):
-        assert parse_problem_token("F16", None) == ("F16", 2)
+        assert planned("F16") == [("F16", 2)]
 
     def test_engineering_dimension_implied(self):
-        assert parse_problem_token("pressure-vessel", None) == ("pressure-vessel", 4)
+        assert planned("pressure-vessel") == [("pressure-vessel", 4)]
 
     def test_unknown_id(self):
         with pytest.raises(ConfigError, match="unknown problem id"):
-            parse_problem_token("F99", None)
+            planned("F99")
 
     def test_wrong_fixed_dimension(self):
         with pytest.raises(ConfigError, match="F14"):
-            resolve_dimension("F14", 30)
+            resolve_problem("F14", 30, cli.DEFAULT_PENALTY_COEFFICIENT)
 
     def test_scalable_needs_dimension(self):
         with pytest.raises(ConfigError, match="dim"):
-            resolve_dimension("F1", None)
+            resolve_problem("F1", None, cli.DEFAULT_PENALTY_COEFFICIENT)
 
 
 class TestConfigFile:
@@ -230,10 +236,28 @@ def test_bad_out_fails_before_any_run(tmp_path, monkeypatch, capsys, command, ou
 
 @pytest.mark.parametrize("command", [["run", "F16"], ["engineering", "pressure-vessel"]])
 def test_bad_worker_count_fails_before_out_is_made(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setenv(cli.WORKERS_ENV, "two")
-    assert main([*command, "--runs", "1", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: FIGWASP_WORKERS must be an integer, got 'two'\n"
-    assert not (tmp_path / "o").exists()
+    for raw, reason in (("two", "must be an integer"), ("0", "must be at least 1"), ("-4", "must be at least 1")):
+        monkeypatch.setenv(cli.WORKERS_ENV, raw)
+        assert main([*command, "--runs", "1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: FIGWASP_WORKERS {reason}, got '{raw}'\n"
+        assert not (tmp_path / "o").exists()
+
+
+def test_config_with_a_leading_bom_is_read(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(codecs.BOM_UTF8 + b"schema = 1\nruns = 3\n")
+    assert parse_config_file(cfg) == {"schema": "1", "runs": "3"}
+
+
+def test_stats_reads_a_summary_with_a_leading_bom(tmp_path):
+    rows = [["F1", "30", "0", "0", "1.0", "0"], ["F9", "30", "0", "0", "2.0", "0"]]
+    write_result_file(tmp_path / "a.csv", rows)
+    write_result_file(tmp_path / "b.csv", rows[::-1])
+    (tmp_path / "bom.csv").write_bytes(codecs.BOM_UTF8 + (tmp_path / "a.csv").read_bytes())
+    for name, out in (("a", "plain"), ("bom", "with-bom")):
+        assert main(["stats", f"a={tmp_path / name}.csv", f"b={tmp_path}/b.csv", "--out", str(tmp_path / out)]) == 0
+    for name in ("friedman.csv", "wilcoxon.csv"):
+        assert (tmp_path / "with-bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_eta0_that_overflows_in_problem_units_fails_before_any_run(tmp_path, monkeypatch, capsys):
@@ -337,6 +361,31 @@ class TestRunCommand:
         for name in ["summary.csv"] + [p.name for p in out1.glob("trace_*.csv")]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_library_config_matches_the_command_line(self, tmp_path):
+        # a library campaign may leave a one-dimension problem's dimension None
+        command = ["run", "F16", "pressure-vessel", *SMALL, small_config(tmp_path, iterations=5), "--trace"]
+        assert main(command + ["--out", str(tmp_path / "cli")]) == 0
+        config = cli.ExperimentConfig(
+            problems=[("F16", None), ("pressure-vessel", None)],
+            runs=2,
+            master_seed=11,
+            out_dir=str(tmp_path / "library"),
+            trace=True,
+            params=cli.FwscParams(max_iterations=5),
+        )
+        assert cli.cmd_run(config) == 0
+        summary = (tmp_path / "library" / "summary.csv").read_bytes()
+        assert summary == (tmp_path / "cli" / "summary.csv").read_bytes()
+        assert [(r["problem"], r["dimension"]) for r in read_csv(tmp_path / "cli" / "summary.csv")] == [
+            ("F16", "2"),
+            ("pressure-vessel", "4"),
+        ]
+        # trace files are named by their run seeds
+        seeds = [(pid, derive_seed(11, pid, dim, i)) for pid, dim in (("F16", 2), ("pressure-vessel", 4)) for i in (0, 1)]
+        expected = sorted(f"trace_{pid}_{seed}.csv" for pid, seed in seeds)
+        for out in ("cli", "library"):
+            assert sorted(p.name for p in (tmp_path / out).glob("trace_*.csv")) == expected
+
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
         args = ["run", "F16", "F1@30", *SMALL, small_config(tmp_path), "--trace"]
@@ -406,6 +455,28 @@ class TestGrouping:
         assert main(args + ["--out", str(tmp_path / "out")]) == 0
         assert [n for _, n in calls] == [3, 3]
         assert len({name for name, _ in calls}) == 2
+
+    def test_each_task_resolves_its_problem_once(self, monkeypatch):
+        # the config resolved every problem already; only the tasks rebuild theirs
+        config = cli.ExperimentConfig(
+            problems=[("F16", None), ("F1", 1000)], runs=3, params=cli.FwscParams(max_iterations=1)
+        )
+        calls = {"resolve_problem": 0, "task": 0}
+        resolve, run_group = cli.resolve_problem, cli._run_group
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(cli, "resolve_problem", counted("resolve_problem", resolve))
+        monkeypatch.setattr(cli, "_run_group", counted("task", run_group))
+        grouped = cli.execute_campaign(config, 1)
+        # F16 in one group of 3; a d=1000 problem runs one run a task
+        assert calls == {"resolve_problem": 4, "task": 4}
+        assert [len(runs) for runs in grouped.values()] == [3, 3]
 
     def test_one_group_builds_no_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
