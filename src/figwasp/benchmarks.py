@@ -305,14 +305,8 @@ def make_benchmark(fid: str, dimension: int) -> ObjectiveProblem:
     function's additive noise so witness points can be checked exactly.
     """
     spec = _spec(fid, dimension)
-    return ObjectiveProblem(
-        name=f"{spec.fid} {spec.name}",
-        dimension=dimension,
-        bounds=Bounds.box(spec.low, spec.high, dimension),
-        objective=spec.objective,
-        noise=spec.noise,
-        rowwise=True,
-    )
+    bounds = Bounds.box(spec.low, spec.high, dimension)
+    return ObjectiveProblem(f"{spec.fid} {spec.name}", bounds, spec.objective, spec.noise)
 
 
 def known_optimum(fid: str, dimension: int) -> float:

@@ -176,13 +176,7 @@ def to_objective(
     def fitness(x: Vector):
         return penalize(problem, repair_discrete(x, kinds), coefficient)
 
-    return ObjectiveProblem(
-        name=problem.name,
-        dimension=problem.dimension,
-        bounds=problem.bounds,
-        objective=fitness,
-        rowwise=True,
-    )
+    return ObjectiveProblem(name=problem.name, bounds=problem.bounds, objective=fitness)
 
 
 def pressure_vessel() -> ConstrainedProblem:

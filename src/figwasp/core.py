@@ -1,10 +1,10 @@
 """Problem model, bounds arithmetic, and the seeded random-stream contract.
 
 Everything downstream (engine, benchmarks, harness) builds on three pieces:
-a validated box-constraint type, a batched objective wrapper, and a
-counter-based random stream so that any run is reproducible from a single
-64-bit seed. Evaluation draws nothing: a stochastic objective maps uniform
-draws, which the caller takes from its run's stream, to its noise terms.
+a validated box-constraint type, a problem whose objective scores a batch
+of rows in one call, and a counter-based random stream so that any run is
+reproducible from a single 64-bit seed. Evaluation draws nothing: a noise
+map turns uniform draws from the caller's stream into noise terms.
 """
 
 from __future__ import annotations
@@ -24,10 +24,14 @@ _MASK64 = (1 << 64) - 1
 # `**` takes different routes for the two that can disagree in the last bit.
 power = np.float_power
 
+# Limits beyond half the largest float would overflow: the midpoint of two
+# wasps and the width of a pool's envelope must stay finite.
+_LIMIT = float(np.finfo(float).max) / 2
+
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-dimension finite box constraints with strict lower < upper."""
+    """Box constraints in at least one dimension, lower < upper, limits within ±_LIMIT."""
 
     lower: Vector
     upper: Vector
@@ -37,10 +41,13 @@ class Bounds:
         upper = np.asarray(self.upper, dtype=float)
         if lower.ndim != 1 or upper.ndim != 1:
             raise ValueError("bounds must be 1-D vectors")
-        if lower.shape != upper.shape:
-            raise ValueError("lower and upper must have the same length")
+        if lower.shape != upper.shape or lower.size == 0:
+            raise ValueError("lower and upper must have the same length, at least one dimension")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValueError("bounds must be finite")
+        for side, limits in (("lower", lower), ("upper", upper)):
+            for i in np.flatnonzero(np.abs(limits) > _LIMIT):
+                raise ValueError(f"bounds: {side}[{i}] = {limits[i]} is beyond half the largest float, ±{_LIMIT}")
         if not np.all(lower < upper):
             raise ValueError("degenerate bounds: need lower < upper in every dimension")
         lower.setflags(write=False)
@@ -84,28 +91,23 @@ class Bounds:
 
 @dataclass(frozen=True)
 class ObjectiveProblem:
-    """A box-constrained minimization problem.
+    """A box-constrained minimization problem; its dimension is its box's.
 
-    ``objective`` maps a position vector to a scalar; with ``rowwise=True``
-    it also maps an (n, dimension) array to its (n,) row values, bit-equal
-    to one call per row, and a batch is one call. A stochastic objective
-    carries a ``noise`` map from n uniform draws on [0, 1) to its n additive
-    terms; the draws come from the caller's stream, never a global source,
-    so runs stay reproducible.
+    ``objective`` maps an (n, dimension) array to the (n,) values of its
+    rows, so a batch is one call. A stochastic objective carries a ``noise``
+    map from n uniform draws on [0, 1) to its n additive terms; the draws
+    come from the caller's stream, never a global source, so runs stay
+    reproducible.
     """
 
     name: str
-    dimension: int
     bounds: Bounds
-    objective: Callable[[Vector], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     noise: Callable[[np.ndarray], np.ndarray] | None = None
-    rowwise: bool = False
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        if self.bounds.dimension != self.dimension:
-            raise ValueError("bounds dimension does not match problem dimension")
+    @property
+    def dimension(self) -> int:
+        return self.bounds.dimension
 
 
 class RandomStream:
@@ -147,7 +149,7 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate every row of an (n, dimension) array.
+    """Evaluate every row of an (n, dimension) array in one objective call.
 
     Rows must already lie inside the problem bounds; internal callers clamp
     before evaluating, so a violation here is a caller bug. A stochastic
@@ -159,12 +161,10 @@ def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.n
         raise ValueError(f"positions have shape {positions.shape}, expected (n, {problem.dimension})")
     if not problem.bounds.contains(positions):
         raise ValueError(f"position outside bounds for {problem.name}")
-    if problem.rowwise:
-        values = np.asarray(problem.objective(positions), dtype=float)
-        if values.shape != positions.shape[:1]:
-            raise ValueError(f"{problem.name} returned shape {values.shape} for {len(positions)} rows")
-    else:
-        values = np.array([float(problem.objective(x)) for x in positions], dtype=float)
+    values = np.asarray(problem.objective(positions), dtype=float)
+    if values.shape != positions.shape[:1]:
+        shape, n = values.shape, len(positions)
+        raise ValueError(f"{problem.name}: the objective must map (n, d) rows to (n,) values, not {shape} for n={n}")
     if problem.noise is not None:
         terms = None if noise is None else np.asarray(problem.noise(noise), dtype=float)
         if terms is None or terms.shape != values.shape:

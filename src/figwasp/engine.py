@@ -16,11 +16,9 @@ generation and in the order it states, so a run is a pure function of
 (problem, params, seed). The phases are array code over the drawn arrays:
 `search_directions` returns new pools, and `wind_effect` kicks them. The
 generation loop, the only code that calls the problem's, evaluates two
-batches: every wasp, then the whole pool. A user problem declares
-``ObjectiveProblem(..., rowwise=True)`` when its objective maps an (n, d)
-array to the (n,) values of its rows, bit-equal to one call per row; then
-each batch is one call, else one call per row. NaN objective values rank
-as +inf: never the best-so-far, last in the mating grid and in selection.
+batches, each one objective call that maps (n, d) rows to (n,) values:
+every wasp, then the whole pool. NaN objective values rank as +inf: never
+the best-so-far, last in the mating grid and in selection.
 
 `run_many` advances several runs of one problem in lockstep, and `run` is
 its one-seed case, a group of one. Every phase takes the group's (R, ...)
@@ -39,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -72,6 +71,11 @@ class FwscParams:
     stagnation_window: int | None = None
 
     def __post_init__(self):
+        for name in ("num_trees", "figs_per_tree", "wasps_per_fig", "max_iterations", "stagnation_window"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral or value is None and name == "stagnation_window"):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.num_trees < 1:
             raise ValueError("num_trees must be positive")
         if self.figs_per_tree < 1:

@@ -39,7 +39,7 @@ def report(criterion: str, detail: str) -> None:
 
 
 def sphere_problem(dim, half=100.0):
-    return ObjectiveProblem("sphere", dim, Bounds.box(-half, half, dim), lambda x: float(np.sum(x * x)))
+    return ObjectiveProblem("sphere", Bounds.box(-half, half, dim), lambda x: np.sum(x * x, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +322,10 @@ def test_criterion_8_structural_invariants():
         seen = []
 
         def watched(x, _seen=seen):
-            _seen.append(np.array(x, copy=True))
-            return float(np.sum(x * x))
+            _seen.extend(np.array(x, copy=True))
+            return np.sum(x * x, axis=-1)
 
-        problem = ObjectiveProblem("sphere", dim, Bounds.box(-half, half, dim), watched)
+        problem = ObjectiveProblem("sphere", Bounds.box(-half, half, dim), watched)
         snapshots = []
         result = run(problem, params, seed=int(rng.integers(0, 2**63)), on_generation=snapshots.append)
 

@@ -554,7 +554,7 @@ class TestEngineeringCommand:
         resolve = cli.resolve_problem
         monkeypatch.setenv(cli.WORKERS_ENV, "1")
         monkeypatch.setattr(
-            cli, "resolve_problem", lambda *a: replace(resolve(*a), objective=lambda x: math.nan, rowwise=False)
+            cli, "resolve_problem", lambda *a: replace(resolve(*a), objective=lambda x: np.full(len(x), math.nan))
         )
         out = tmp_path / "out"
         code = main(["engineering", "welded-beam", *SMALL, small_config(tmp_path, iterations=3), "--out", str(out)])
@@ -575,7 +575,7 @@ class TestEngineeringCommand:
                 if seed == first:
                     # a non-finite run's position is arbitrary; here it is the
                     # second run's design, which it would win a tie with
-                    nan = replace(problem, objective=lambda x: math.nan, rowwise=False)
+                    nan = replace(problem, objective=lambda x: np.full(len(x), math.nan))
                     design = engine_run_many(problem, params, [second])[0].best_position
                     results.append(replace(engine_run_many(nan, params, [seed])[0], best_position=design))
                 else:

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,14 +14,14 @@ from figwasp.core import (
     evaluate,
     evaluate_batch,
 )
+from figwasp.engine import FwscParams, run
 
 
 def sphere_problem(dim=3, half=100.0):
     return ObjectiveProblem(
         name="sphere",
-        dimension=dim,
         bounds=Bounds.box(-half, half, dim),
-        objective=lambda x: float(np.sum(x * x)),
+        objective=lambda x: np.sum(x * x, axis=-1),
     )
 
 
@@ -38,6 +42,29 @@ class TestBounds:
         ends = {"lower": np.array([-1.0, -1.0]), "upper": np.array([1.0, 1.0])}
         ends[side][1] = limit
         with pytest.raises(ValueError, match="bounds must be finite"):
+            Bounds(ends["lower"], ends["upper"])
+
+    def test_rejects_a_box_of_no_dimension(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            Bounds(np.array([]), np.array([]))
+
+    def test_limits_of_half_the_largest_float_run(self):
+        # midpoints of two wasps and the pool's envelope width stay finite
+        half = np.finfo(float).max / 2
+        problem = ObjectiveProblem("huge", Bounds.box(-half, half, 3), lambda x: np.max(np.abs(x), axis=-1))
+        with np.errstate(over="raise", invalid="raise"):
+            result = run(problem, FwscParams(max_iterations=20), seed=0)
+        assert problem.bounds.contains(result.best_position)
+        assert np.isfinite(result.best_fitness)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_rejects_a_limit_beyond_half_the_largest_float(self, side):
+        # one ulp further out, a midpoint of two wasps overflowed to inf and
+        # the pool's envelope width to NaN, and the run failed mid-way
+        half = np.finfo(float).max / 2
+        ends = {"lower": np.full(3, -half), "upper": np.full(3, half)}
+        ends[side][2] = np.nextafter(ends[side][2], math.copysign(math.inf, ends[side][2]))
+        with pytest.raises(ValueError, match=re.escape(f"bounds: {side}[2] = {ends[side][2]} is beyond")):
             Bounds(ends["lower"], ends["upper"])
 
     def test_neighborhood_is_clipped_to_box(self):
@@ -153,9 +180,8 @@ class TestEvaluate:
     def test_noise_needs_stream(self):
         p = ObjectiveProblem(
             name="noisy",
-            dimension=1,
             bounds=Bounds.box(-1.0, 1.0, 1),
-            objective=lambda x: 0.0,
+            objective=lambda x: np.zeros(len(x)),
             noise=lambda draws: draws,
         )
         with pytest.raises(ValueError):
@@ -163,6 +189,12 @@ class TestEvaluate:
         v1 = evaluate(p, np.zeros(1), noise=RandomStream(5).uniform(size=1))
         v2 = evaluate(p, np.zeros(1), noise=RandomStream(5).uniform(size=1))
         assert v1 == v2  # same noise seed, same value
+
+
+class TestObjectiveProblem:
+    def test_four_fields_and_the_dimension_of_the_box(self):
+        assert [f.name for f in dataclasses.fields(ObjectiveProblem)] == ["name", "bounds", "objective", "noise"]
+        assert sphere_problem(dim=5).dimension == 5
 
 
 class TestEvaluateBatch:
@@ -179,14 +211,22 @@ class TestEvaluateBatch:
             calls.append(x.shape)
             return np.sum(x * x, axis=-1)
 
-        p = ObjectiveProblem("rows", 2, Bounds.box(-1.0, 1.0, 2), rows, rowwise=True)
+        p = ObjectiveProblem("rows", Bounds.box(-1.0, 1.0, 2), rows)
         assert evaluate_batch(p, np.zeros((4, 2))).tolist() == [0.0] * 4
         assert calls == [(4, 2)]
 
     def test_rowwise_objective_must_return_one_value_per_row(self):
-        p = ObjectiveProblem("bad", 2, Bounds.box(-1.0, 1.0, 2), lambda x: np.zeros(3), rowwise=True)
+        p = ObjectiveProblem("bad", Bounds.box(-1.0, 1.0, 2), lambda x: np.zeros(3))
         with pytest.raises(ValueError):
             evaluate_batch(p, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_scalar_objective_is_rejected_with_the_problem_name(self, rows):
+        # a one-point function must be adapted to rows; its float is no row values,
+        # even for a batch of one
+        p = ObjectiveProblem("pointwise", Bounds.box(-1.0, 1.0, 2), lambda x: float(np.sum(x * x)))
+        with pytest.raises(ValueError, match=r"pointwise: the objective must map \(n, d\) rows to \(n,\) values"):
+            evaluate_batch(p, np.zeros((rows, 2)))
 
     def test_shape_and_bounds_checked_once_for_all_rows(self):
         p = sphere_problem(dim=2, half=1.0)
@@ -198,7 +238,7 @@ class TestEvaluateBatch:
             evaluate_batch(p, np.array([[0.0, 0.0], [0.0, 1.5]]))
 
     def test_noise_drawn_as_one_vector_or_given(self):
-        p = ObjectiveProblem("noisy", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda draws: draws)
+        p = ObjectiveProblem("noisy", Bounds.box(-1.0, 1.0, 1), lambda x: np.zeros(len(x)), noise=lambda draws: draws)
         drawn = evaluate_batch(p, np.zeros((4, 1)), noise=RandomStream(5).uniform(size=4))
         rng = RandomStream(5)
         assert drawn.tolist() == [evaluate(p, np.zeros(1), noise=rng.uniform(size=1)) for _ in range(4)]
@@ -207,17 +247,17 @@ class TestEvaluateBatch:
 
     def test_noise_map_turns_draws_into_terms(self):
         box = Bounds.box(-1.0, 1.0, 2)
-        p = ObjectiveProblem("scaled", 2, box, lambda x: np.sum(x * x, axis=-1), rowwise=True, noise=lambda u: 10 * u)
+        p = ObjectiveProblem("scaled", box, lambda x: np.sum(x * x, axis=-1), noise=lambda u: 10 * u)
         rows = RandomStream(3).uniform(size=(5, 2))
         draws = RandomStream(4).uniform(size=5)
         assert evaluate_batch(p, rows, noise=draws).tobytes() == (np.sum(rows * rows, axis=-1) + 10 * draws).tobytes()
 
     def test_one_noise_draw_and_term_per_row(self):
         # one draw for four rows was added to all four
-        p = ObjectiveProblem("noisy", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda draws: draws)
+        p = ObjectiveProblem("noisy", Bounds.box(-1.0, 1.0, 1), lambda x: np.zeros(len(x)), noise=lambda draws: draws)
         with pytest.raises(ValueError, match="noisy is stochastic .* per row"):
             evaluate_batch(p, np.zeros((4, 1)), noise=np.array([0.5]))
         # a map that gives one term for all rows
-        scalar = ObjectiveProblem("scalar", 1, Bounds.box(-1.0, 1.0, 1), lambda x: 0.0, noise=lambda draws: 0.5)
+        scalar = ObjectiveProblem("scalar", Bounds.box(-1.0, 1.0, 1), lambda x: np.zeros(len(x)), noise=lambda u: 0.5)
         with pytest.raises(ValueError, match="scalar is stochastic .* per row"):
             evaluate_batch(scalar, np.zeros((4, 1)), noise=np.full(4, 0.5))

@@ -89,7 +89,8 @@ def assert_drawn(drawn, wants, params):
 
 
 def zero_problem(d, noisy):
-    return ObjectiveProblem("zero", d, Bounds.box(-1.0, 1.0, d), lambda x: 0.0, noise=(lambda u: u) if noisy else None)
+    noise = (lambda u: u) if noisy else None
+    return ObjectiveProblem("zero", Bounds.box(-1.0, 1.0, d), lambda x: np.zeros(len(x)), noise=noise)
 
 
 @pytest.mark.parametrize(

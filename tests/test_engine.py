@@ -32,9 +32,8 @@ from figwasp.engine import (
 def sphere_problem(dim=2, half=100.0):
     return ObjectiveProblem(
         name="sphere",
-        dimension=dim,
         bounds=Bounds.box(-half, half, dim),
-        objective=lambda x: float(np.sum(x * x)),
+        objective=lambda x: np.sum(x * x, axis=-1),
     )
 
 
@@ -62,7 +61,7 @@ def blow(stream, pool, params, bounds):
 
 def noisy_problem(dim, noise=lambda draws: draws):
     base = sphere_problem(dim)
-    return ObjectiveProblem("noisy", dim, base.bounds, base.objective, noise=noise)
+    return ObjectiveProblem("noisy", base.bounds, base.objective, noise=noise)
 
 
 # the largest eta0 whose radius eta0 * e is finite
@@ -135,6 +134,30 @@ class TestNeighborhoodWidth:
 
 
 class TestParamsValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_trees", 2.5),
+            ("figs_per_tree", True),
+            ("wasps_per_fig", 4.0),
+            ("max_iterations", 3.5),
+            ("max_iterations", None),
+            ("stagnation_window", 1.5),
+            ("stagnation_window", False),
+        ],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        # a float count failed later with a TypeError naming no field, and a
+        # float stagnation window only after generations had run
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+            FwscParams(**{field: value})
+
+    def test_numpy_integer_counts_give_the_same_run(self):
+        counts = dict(num_trees=2, figs_per_tree=2, wasps_per_fig=4, max_iterations=3, stagnation_window=2)
+        numpy_counts = {name: np.int64(value) for name, value in counts.items()}
+        plain, wide = (run(sphere_problem(), FwscParams(**c), seed=1) for c in (counts, numpy_counts))
+        assert plain.trace.tobytes() == wide.trace.tobytes()
+
     def test_odd_wasps_rejected(self):
         with pytest.raises(ValueError):
             FwscParams(wasps_per_fig=7)
@@ -445,7 +468,7 @@ class TestSelectTrees:
 
     def test_nan_ranks_last(self):
         values = {1.0: 4.0, 2.0: float("nan"), 3.0: 9.0}
-        problem = ObjectiveProblem("nan", 1, Bounds.box(-5.0, 5.0, 1), lambda x: values[float(x[0])])
+        problem = ObjectiveProblem("nan", Bounds.box(-5.0, 5.0, 1), lambda x: np.array([values[v] for v in x[:, 0]]))
         pool = np.array([[2.0], [3.0], [1.0], [4.0]])
         fitness = np.array([math.nan, 9.0, 4.0, math.inf])
         trees = self.select(pool[:3], 2, problem)
@@ -583,34 +606,39 @@ class TestRun:
         base = sphere_problem(dim=3, half=2.0)
 
         def watched(x):
-            seen.append(np.array(x, copy=True))
-            return float(np.sum(x * x))
+            seen.extend(np.array(x, copy=True))
+            return np.sum(x * x, axis=-1)
 
-        problem = ObjectiveProblem("watched", 3, base.bounds, watched)
+        problem = ObjectiveProblem("watched", base.bounds, watched)
         run(problem, FwscParams(max_iterations=10), seed=8)
         assert seen
         for x in seen:
             assert base.bounds.contains(x)
 
     def test_rowwise_objective_gives_the_same_run(self):
-        # a row-wise objective is called once per batch, two batches per
-        # generation, and the run is bit-identical to the row-at-a-time one
+        # the objective is called once per batch, two batches per generation,
+        # and the run is bit-identical to the README's adapter around a
+        # one-point function, which calls it on one row at a time
         calls = []
 
         def rows(x):
             calls.append(x.shape)
             return np.sum(x * x, axis=-1)
 
-        base = sphere_problem(dim=3)
-        batched = ObjectiveProblem("rows", 3, base.bounds, rows, rowwise=True)
+        def point(x):
+            return float(np.sum(x * x))
+
+        box = Bounds.box(-100.0, 100.0, 3)
+        adapted = ObjectiveProblem("points", box, lambda X: np.array([point(x) for x in X]))
+        batched = ObjectiveProblem("rows", box, rows)
         params = FwscParams(max_iterations=6)
-        a, b = run(base, params, seed=21), run(batched, params, seed=21)
+        a, b = run(adapted, params, seed=21), run(batched, params, seed=21)
         assert calls == [(96, 3), (48, 3)] * 6
         assert np.array_equal(a.trace, b.trace)
         assert np.array_equal(a.best_position, b.best_position)
 
     def test_stagnation_window_stops_early(self):
-        flat = ObjectiveProblem("flat", 2, Bounds.box(-1.0, 1.0, 2), lambda x: 0.0)
+        flat = ObjectiveProblem("flat", Bounds.box(-1.0, 1.0, 2), lambda x: np.zeros(len(x)))
         result = run(flat, FwscParams(max_iterations=500, stagnation_window=5), seed=0)
         assert result.iterations_run == 6  # generations 2 to 6 add nothing to generation 1's best
 
@@ -626,10 +654,10 @@ class TestRun:
         seen = []
 
         def watched(x):
-            seen.append(np.array(x, copy=True))
-            return float(np.sum(x * x))
+            seen.extend(np.array(x, copy=True))
+            return np.sum(x * x, axis=-1)
 
-        problem = ObjectiveProblem("watched", 2, Bounds.box(-100.0, 100.0, 2), watched)
+        problem = ObjectiveProblem("watched", Bounds.box(-100.0, 100.0, 2), watched)
         zero = run(problem, FwscParams(max_iterations=0), seed=4)
         wasps = list(seen)
         seen.clear()
@@ -644,11 +672,11 @@ class TestRun:
         seen = []
 
         def half_nan(x):
-            value = float("nan") if x[0] > 0.0 else float(np.sum(x * x))
-            seen.append(value)
-            return value
+            values = np.where(x[:, 0] > 0.0, np.nan, np.sum(x * x, axis=-1))
+            seen.extend(values)
+            return values
 
-        problem = ObjectiveProblem("half-nan", 2, Bounds.box(-10.0, 10.0, 2), half_nan)
+        problem = ObjectiveProblem("half-nan", Bounds.box(-10.0, 10.0, 2), half_nan)
         result = run(problem, FwscParams(max_iterations=40, eta0=2.0), seed=seed)
         assert result.best_fitness == np.nanmin(seen)
         assert np.all(np.diff(result.trace) <= 0)

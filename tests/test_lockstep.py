@@ -36,7 +36,7 @@ def campaign_case(pid, dim, **changes):
 
 
 def half_nan(x):
-    return float("nan") if x[0] > 0.0 else float(np.sum(x * x))
+    return np.where(x[:, 0] > 0.0, np.nan, np.sum(x * x, axis=-1))
 
 
 CASES = {
@@ -45,7 +45,7 @@ CASES = {
     "F16": lambda: campaign_case("F16", None),
     "pressure-vessel": lambda: campaign_case("pressure-vessel", None),
     "half-nan": lambda: (
-        ObjectiveProblem("half-nan", 2, Bounds.box(-10.0, 10.0, 2), half_nan),
+        ObjectiveProblem("half-nan", Bounds.box(-10.0, 10.0, 2), half_nan),
         FwscParams(max_iterations=30, eta0=2.0),
     ),
     "wind-0": lambda: campaign_case("F9", 30, wind_threshold=0.0),
@@ -108,7 +108,7 @@ def pools(seed, runs=4, size=12):
 def pool_draws(streams, params, noisy):
     """The pool uniforms, winds and pool noise of one generation's draws
     from ``streams``, one run each."""
-    problem = ObjectiveProblem("zero", 3, BOX, lambda x: 0.0, noise=(lambda u: u) if noisy else None)
+    problem = ObjectiveProblem("zero", BOX, lambda x: np.zeros(len(x)), noise=(lambda u: u) if noisy else None)
     drawn = draw_generation(streams, params, generation_buffers(problem, params, len(streams)))
     return drawn[4:]
 
@@ -149,7 +149,7 @@ def test_wind_group_equals_each_pool(seed, threshold):
 
 
 def test_select_trees_group_equals_each_pool():
-    problem = ObjectiveProblem("sphere", 3, BOX, lambda x: np.sum(x * x, axis=-1), rowwise=True)
+    problem = ObjectiveProblem("sphere", BOX, lambda x: np.sum(x * x, axis=-1))
     group = pools(9)
     group[1, 3] = group[1, 5]  # a tie, broken toward the lower index
     fitness = evaluate_batch(problem, group.reshape(-1, 3)).reshape(group.shape[:2])

@@ -1,9 +1,10 @@
 """Row-wise objectives equal their one-point calls bit for bit.
 
-Every benchmark objective and every penalized design fitness is declared
-row-wise, so the engine evaluates a whole batch in one call. The contract
-is exact: ``objective(X)[i]`` has the same bits as ``objective(X[i])``, or
-row-wise runs would drift from the one-point definition of the function.
+Every objective is row-wise, so the engine evaluates a whole batch in one
+call. The benchmark objectives and the penalized design fitnesses also take
+one point, and the two must agree exactly: ``objective(X)[i]`` has the same
+bits as ``objective(X[i])``, or row-wise runs would drift from the
+one-point definition of the function.
 """
 
 from dataclasses import replace
@@ -62,7 +63,6 @@ def _points(problem, n, seed, mode):
 )
 def test_rowwise_equals_one_point_calls(pid, dim, n, seed, mode):
     problem = _problem(pid, dim)
-    assert problem.rowwise
     assume(n <= 500 or n * problem.dimension <= GROUP_FLOATS)
     points = _points(problem, n, seed, mode)
     functions = [(problem.objective, (n,))]
