@@ -5,11 +5,18 @@ Subcommands:
 * ``run``          -- solve benchmark/engineering problems over many seeded
                       runs, writing ``summary.csv`` (best/worst/mean/std per
                       problem) and optional per-run trace files.
-* ``engineering``  -- solve one constrained design problem and report the
-                      best design found (variables, objective, violation).
+* ``engineering``  -- solve one constrained design problem over seeded runs
+                      and report the best design found (variables, objective,
+                      violation): feasible first, then the lowest objective,
+                      a tie to the lowest run index.
 * ``stats``        -- Friedman and pairwise Wilcoxon comparison tables from
                       two or more result files.
 * ``list``         -- enumerate the available problem ids.
+
+``run`` and ``engineering`` share one campaign path, `run_campaign`: it
+checks the worker count, makes the output directory, runs the campaign and
+writes the per-run traces when asked, so ``engineering --trace`` writes the
+trace files ``run --trace`` does.
 
 A campaign is an `ExperimentConfig`: its ``plan`` maps each problem's (id,
 dimension), which fixes its seeds and summary row, to its params in problem
@@ -30,9 +37,9 @@ import argparse
 import csv
 import io
 import math
+import numbers
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -75,6 +82,15 @@ class ExperimentConfig:
     plan: dict[tuple[str, int], FwscParams] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name, kind, noun in (
+            ("runs", numbers.Integral, "an integer"),
+            ("master_seed", numbers.Integral, "an integer"),
+            ("penalty_coefficient", numbers.Real, "a number"),
+            ("trace", bool, "True or False"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+                raise ConfigError(f"{name}: must be {noun}, not {value!r}")
         if self.runs < 1:
             raise ConfigError("runs: must be >= 1")
         if self.eta_units not in ("relative", "absolute"):
@@ -200,21 +216,18 @@ def _out_dir(path: str) -> Path:
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     """Write-then-rename into an existing directory, so a crash never leaves
-    a partial file behind. The file gets the mode a plain open would give it
-    (0o666 less the umask), not the 0o600 of the temporary file."""
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".csv")
+    a partial file behind. The temporary file is a plain exclusive open, so
+    it gets the mode any open gives (0o666 less the umask)."""
+    tmp = path.parent / f".tmp-{os.urandom(8).hex()}.csv"
+    handle = open(tmp, "x", newline="")  # before the try: a name clash must not unlink another's file
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+        with handle:
             writer = csv.writer(handle, lineterminator="\r\n")
             writer.writerow(header)
             writer.writerows(rows)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -239,41 +252,41 @@ def write_traces(out_dir: Path, grouped) -> None:
             _write_csv(out_dir / f"trace_{pid}_{result.seed}.csv", ["iteration", "best_so_far"], rows)
 
 
-def cmd_run(config: ExperimentConfig) -> int:
-    workers = worker_count()  # a bad count fails before --out is made
+def run_campaign(config: ExperimentConfig) -> tuple[Path, dict[tuple[str, int], list[RunResult]]]:
+    """The output directory and results of ``config``'s campaign, traces written if asked; a bad
+    worker count fails before ``--out`` is made, and a bad ``--out`` before any run."""
+    workers = worker_count()
     out_dir = _out_dir(config.out_dir)
     grouped = execute_campaign(config, workers)
-    summary = write_summary(out_dir, grouped)
     if config.trace:
         write_traces(out_dir, grouped)
-    print(f"wrote {summary}")
+    return out_dir, grouped
+
+
+def cmd_run(config: ExperimentConfig) -> int:
+    out_dir, grouped = run_campaign(config)
+    print(f"wrote {write_summary(out_dir, grouped)}")
     return 0
 
 
 def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
-    design, workers = ENGINEERING_PROBLEMS[pid](), worker_count()
-    out_dir = _out_dir(config.out_dir)
-    grouped = execute_campaign(config, workers)
+    design = ENGINEERING_PROBLEMS[pid]()
+    out_dir, grouped = run_campaign(config)
     # a run whose best is not finite never scored a point: its position is just its first tree
     runs = [r for r in grouped[(pid, design.dimension)] if math.isfinite(r.best_fitness)]
     if not runs:
         raise ConfigError(f"{pid}: every evaluation was non-finite")
-
-    candidates = []
-    for result in runs:
-        position = repair_discrete(result.best_position, design.variable_kinds)
-        violation = design.max_violation(position)
-        objective = design.objective(position)
-        candidates.append((violation > FEASIBLE_TOL, objective, result.seed, position, violation))
-    # feasible designs first, then by raw objective
-    infeasible, objective, seed, position, violation = min(candidates, key=lambda c: (c[0], c[1]))
-
+    positions = repair_discrete(np.array([r.best_position for r in runs]), design.variable_kinds)
+    violations, objectives = design.violations(positions).max(axis=-1), design.objective(positions)
+    # feasible designs first, then by raw objective; a tie goes to the lowest run index (lexsort is stable)
+    best = np.lexsort((objectives, violations > FEASIBLE_TOL))[0]
+    position, objective, violation, seed = positions[best], objectives[best], violations[best], runs[best].seed
     print(f"{pid}: best of {config.runs} run(s), master seed {config.master_seed}")
     for name, value in zip(design.variable_names, position):
         print(f"  {name} = {value:.6g}")
     print(f"  objective = {objective:.4f}")
     print(f"  max constraint violation = {violation:.6E}")
-    print(f"  feasible = {'yes' if not infeasible else 'no'}")
+    print(f"  feasible = {'yes' if violation <= FEASIBLE_TOL else 'no'}")
 
     header = list(design.variable_names) + ["objective", "max_violation", "seed"]
     row = [_fmt(v) for v in position] + [_fmt(objective), _fmt(violation), str(seed)]

@@ -92,9 +92,6 @@ class ConstrainedProblem:
         g = self.constraints(position)
         return np.where(g > 0.0, g, 0.0)
 
-    def max_violation(self, position: Vector) -> float:
-        return float(self.violations(position).max())
-
 
 def _columns(indices: list[int]) -> slice | list[int]:
     """A slice (a view) when the column indices are evenly spaced, else the list."""

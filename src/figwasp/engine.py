@@ -71,11 +71,14 @@ class FwscParams:
     stagnation_window: int | None = None
 
     def __post_init__(self):
-        for name in ("num_trees", "figs_per_tree", "wasps_per_fig", "max_iterations", "stagnation_window"):
+        counts = ("num_trees", "figs_per_tree", "wasps_per_fig", "max_iterations", "stagnation_window")
+        for name in counts + ("eta0", "wind_threshold", "wind_fraction", "decay_scale"):
             value = getattr(self, name)
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not (integral or value is None and name == "stagnation_window"):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value is None and name in ("stagnation_window", "decay_scale"):
+                continue
+            kind, noun = (numbers.Integral, "an integer") if name in counts else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, not {value!r}")
         if self.num_trees < 1:
             raise ValueError("num_trees must be positive")
         if self.figs_per_tree < 1:

@@ -309,6 +309,23 @@ class TestConfigTable:
         assert config_of(tmp_path, f"trace = {text}\n").trace is value
 
 
+@pytest.mark.parametrize(
+    "field, value, noun",
+    [
+        ("runs", 2.5, "an integer"),
+        ("runs", True, "an integer"),
+        ("master_seed", 1.5, "an integer"),
+        ("penalty_coefficient", "1", "a number"),
+        ("trace", "no", "True or False"),
+    ],
+)
+def test_library_config_of_the_wrong_type_names_its_field(field, value, noun):
+    # runs=2.5 and penalty_coefficient="1" failed with a TypeError naming no field,
+    # runs=True ran one run, master_seed=1.5 ran seed 1 and trace="no" wrote traces
+    with pytest.raises(ConfigError, match=f"^{field}: must be {noun}, not {value!r}$"):
+        cli.ExperimentConfig(problems=[("F16", None)], **{field: value})
+
+
 class TestRunCommand:
     def test_summary_and_traces(self, tmp_path):
         out = tmp_path / "out"
@@ -352,6 +369,17 @@ class TestRunCommand:
         assert code == 0
         for path in (out / "summary.csv", next(out.glob("trace_F16_*.csv"))):
             assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+
+    def test_files_are_written_without_touching_the_umask(self, tmp_path, monkeypatch):
+        def umask(mask):
+            raise AssertionError("the process umask changed")
+
+        monkeypatch.setattr(os, "umask", umask)
+        out = tmp_path / "out"
+        assert main(["run", "F16", *SMALL, small_config(tmp_path, iterations=2), "--out", str(out), "--trace"]) == 0
+        assert len(read_csv(out / "summary.csv")) == 1
+        assert len(list(out.glob("trace_F16_*.csv"))) == 2
+        assert not list(out.glob(".tmp-*"))
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -529,6 +557,34 @@ class TestEngineeringCommand:
                 assert value / kind.step == pytest.approx(round(value / kind.step), abs=1e-9)
             elif isinstance(kind, ValueSet):
                 assert min(abs(value - v) for v in kind.values) < 1e-9
+
+    @pytest.mark.parametrize("pid", ["pressure-vessel", "stepped-beam"])
+    def test_trace_files_are_those_of_run(self, tmp_path, pid):
+        # engineering and run share one campaign path, traces included
+        flags = [*SMALL, small_config(tmp_path, iterations=10), "--trace"]
+        assert main(["engineering", pid, *flags, "--out", str(tmp_path / "eng")]) == 0
+        assert main(["run", pid, *flags, "--out", str(tmp_path / "run")]) == 0
+        traces = sorted(p.name for p in (tmp_path / "run").glob("trace_*.csv"))
+        assert len(traces) == 2
+        assert sorted(p.name for p in (tmp_path / "eng").glob("trace_*.csv")) == traces
+        for name in traces:
+            assert (tmp_path / "eng" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+    def test_a_tie_goes_to_the_lowest_run_index(self, tmp_path, monkeypatch):
+        # every run finds the first run's design, so the report names the first run's seed
+        engine_run_many = cli.run_many
+
+        def run_many(problem, params, seeds):
+            first = engine_run_many(problem, params, seeds[:1])[0]
+            return [replace(first, seed=seed) for seed in seeds]
+
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        monkeypatch.setattr(cli, "run_many", run_many)
+        out = tmp_path / "out"
+        flags = ["--runs", "3", "--seed", "11", "--config", small_config(tmp_path, iterations=3), "--out", str(out)]
+        assert main(["engineering", "pressure-vessel", *flags]) == 0
+        seed = read_csv(out / "engineering_pressure-vessel.csv")[0]["seed"]
+        assert seed == str(derive_seed(11, "pressure-vessel", 4, 0))
 
     def test_zero_budget_still_reports(self, tmp_path):
         out = tmp_path / "out"

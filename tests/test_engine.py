@@ -158,6 +158,30 @@ class TestParamsValidation:
         plain, wide = (run(sphere_problem(), FwscParams(**c), seed=1) for c in (counts, numpy_counts))
         assert plain.trace.tobytes() == wide.trace.tobytes()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("eta0", "1"),
+            ("eta0", True),
+            ("wind_threshold", None),
+            ("wind_fraction", False),
+            ("wind_fraction", "0.1"),
+            ("decay_scale", "2"),
+            ("decay_scale", True),
+        ],
+    )
+    def test_non_number_rejected(self, field, value):
+        # a string or None failed a comparison with a TypeError naming no
+        # field, and a bool was taken as 1 or 0
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not {value!r}$"):
+            FwscParams(**{field: value})
+
+    def test_numpy_floats_give_the_same_run(self):
+        floats = dict(eta0=0.5, wind_threshold=0.25, wind_fraction=0.2, decay_scale=4.0)
+        numpy_floats = {name: np.float64(value) for name, value in floats.items()}
+        plain, wide = (run(sphere_problem(), FwscParams(max_iterations=6, **f), seed=1) for f in (floats, numpy_floats))
+        assert plain.trace.tobytes() == wide.trace.tobytes()
+
     def test_odd_wasps_rejected(self):
         with pytest.raises(ValueError):
             FwscParams(wasps_per_fig=7)
