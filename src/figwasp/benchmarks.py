@@ -14,6 +14,7 @@ maps the engine's uniform draws to its terms; no code here draws.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -293,6 +294,8 @@ def _spec(fid: str, dimension: int) -> BenchmarkSpec:
     spec = SPECS.get(fid)
     if spec is None:
         raise ValueError(f"unknown benchmark id {fid!r}; known ids are F1..F23")
+    if isinstance(dimension, bool) or not isinstance(dimension, numbers.Integral):
+        raise ValueError(f"{fid}: the dimension must be an integer, not {dimension!r}")
     if dimension not in spec.dimensions:
         raise ValueError(f"{fid} ({spec.name}) is defined for dimensions {sorted(spec.dimensions)}, not {dimension}")
     return spec

@@ -87,6 +87,8 @@ class ExperimentConfig:
             ("master_seed", numbers.Integral, "an integer"),
             ("penalty_coefficient", numbers.Real, "a number"),
             ("trace", bool, "True or False"),
+            ("out_dir", (str, os.PathLike), "a path"),
+            ("params", FwscParams, "an FwscParams"),
         ):
             value = getattr(self, name)
             if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
@@ -100,7 +102,10 @@ class ExperimentConfig:
         if not self.problems:
             raise ConfigError("problems: at least one problem id is required")
         plan = {}
-        for pid, dim in self.problems:
+        for entry in self.problems:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise ConfigError(f"problems: each must be an (id, dimension) pair, not {entry!r}")
+            pid, dim = entry
             problem = resolve_problem(pid, dim, self.penalty_coefficient)
             if (pid, problem.dimension) in plan:
                 raise ConfigError(f"problems: {pid}@{problem.dimension} is listed twice")
@@ -120,6 +125,8 @@ def resolve_problem(pid: str, dim: int | None, penalty_coefficient: float) -> Ob
         raise ConfigError(f"problems: unknown problem id {pid!r} (see `figwasp list`)")
     if dim is None and len(allowed) > 1:
         raise ConfigError(f"dim: {pid} needs an explicit dimension from {sorted(allowed)}")
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, numbers.Integral)):
+        raise ConfigError(f"dim: {pid} needs an integer dimension, not {dim!r}")
     if dim is not None and dim not in allowed:
         raise ConfigError(f"dim: {pid} allows dimensions {sorted(allowed)}, not {dim}")
     if design is not None:

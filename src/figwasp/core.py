@@ -10,6 +10,7 @@ map turns uniform draws from the caller's stream into noise terms.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -118,6 +119,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, not {seed!r}")
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 

@@ -21,16 +21,16 @@ every wasp, then the whole pool. NaN objective values rank as +inf: never
 the best-so-far, last in the mating grid and in selection.
 
 `run_many` advances several runs of one problem in lockstep, and `run` is
-its one-seed case, a group of one. Every phase takes the group's (R, ...)
-arrays, the trees stacked as R*T trees, and `draw_generation` its R
-streams; a batch holds the rows of every run. Each run keeps its own
-best, trace and evaluation count; a run whose stagnation window runs out
-leaves the group. So every result equals, bit for bit, the run made alone.
+its one-seed case, a group of one. Run i is row i of every group array,
+trees (R, T, d) through pools (R, P, d), and `draw_generation` takes the R
+streams; a batch holds the rows of every run. Each run keeps its own best,
+trace and evaluation count; a run whose stagnation window runs out leaves
+the group. So every result equals, bit for bit, the run made alone.
 
-A group allocates its generation buffers once, and again each time runs
-leave it, and draws into them in place. Snapshots and results never alias
-them; the wasp rows an objective gets are overwritten next generation, so
-it must copy any row it keeps.
+A group allocates its generation buffers once and draws into them in
+place; when runs leave, the others draw into the leading rows. Snapshots
+and results never alias them; the wasp rows an objective gets are
+overwritten next generation, so it must copy any row it keeps.
 """
 
 from __future__ import annotations
@@ -147,18 +147,18 @@ def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
 
 
 def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int = 1) -> tuple:
-    """Empty buffers for `draw_generation` of a group of ``runs`` runs: fig
-    uniforms (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise draws
-    (R*T, A, W) or None, permutations (R*T, A, W), pool uniforms (R, P, d)
-    and pool noise draws (R, P) or None, with P = T*A*W/2."""
-    shape, d = (runs * params.num_trees, params.figs_per_tree, params.wasps_per_fig), problem.dimension
-    pool = (runs, params.num_trees * params.figs_per_tree * params.wasps_per_fig // 2)
+    """Empty buffers for `draw_generation` of a group of ``runs`` runs, run
+    i in row i: fig uniforms (R, T, A, 2, d), wasp uniforms (R, T, A, W, d),
+    noise draws (R, T, A, W) or None, permutations (R, T, A, W), pool
+    uniforms (R, P, d) and pool noise draws (R, P) or None, with P = T*A*W/2."""
+    shape, d = (runs, params.num_trees, params.figs_per_tree, params.wasps_per_fig), problem.dimension
+    pool = (runs, math.prod(shape[1:]) // 2)
     noise, pool_noise = (None, None) if problem.noise is None else (np.empty(shape), np.empty(pool))
-    figs, wasps, pools = np.empty(shape[:2] + (2, d)), np.empty(shape + (d,)), np.empty(pool + (d,))
+    figs, wasps, pools = np.empty(shape[:3] + (2, d)), np.empty(shape + (d,)), np.empty(pool + (d,))
     return figs, wasps, noise, np.empty(shape, dtype=np.intp), pools, pool_noise
 
 
-def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple) -> tuple:
+def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple) -> list[tuple]:
     """Every draw of a generation after the first trees, run by run: the
     wasp half, then the pool half. The phases only apply what it drew.
 
@@ -171,41 +171,38 @@ def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple
     ceil(wind_fraction * P) blown members, chosen without replacement, and
     their (m, d) kicks; then P noise draws if the buffers hold noise.
 
-    Run i draws from ``rngs[i]`` into its rows of ``buffers`` from
-    `generation_buffers` for R = len(rngs) runs. Returns fig uniforms
-    (R*T, A, 2, d), wasp uniforms (R*T, A, W, d), noise draws (R*T*A*W,) or
-    None, permutations (R*T, A, W), pool uniforms (R, P, d), the winds as
-    (run, sorted members, kicks), and pool noise draws (R*P,) or None.
+    Run i draws from ``rngs[i]`` into row i of every buffer from
+    `generation_buffers`; rows past len(rngs) are left as they are, and
+    buffers with fewer rows are refused. Returns only what it draws fresh,
+    the winds, as (run, sorted members, kicks).
     """
-    figs, wasp_uniforms, noise, permutations, uniforms, pool_noise = buffers
-    t_count, w_count = params.num_trees, params.wasps_per_fig
-    if len(uniforms) != len(rngs):
+    figs, wasps, noise, permutations, uniforms, pool_noise = buffers
+    if len(uniforms) < len(rngs):
         raise ValueError(f"buffers for {len(uniforms)} runs cannot take the draws of {len(rngs)}")
     size, d = uniforms.shape[1:]
-    m, winds = wind_count(size, params.wind_fraction), []
+    m, winds = math.ceil(params.wind_fraction * size), []
     for i, stream in enumerate(rngs):
-        for t in range(i * t_count, (i + 1) * t_count):
-            stream.uniform(out=figs[t])
+        for t in range(params.num_trees):
+            stream.uniform(out=figs[i, t])
             for a in range(params.figs_per_tree):
-                stream.uniform(out=wasp_uniforms[t, a])
+                stream.uniform(out=wasps[i, t, a])
                 if noise is not None:
-                    stream.uniform(out=noise[t, a])
-                permutations[t, a] = stream.permutation(w_count)
+                    stream.uniform(out=noise[i, t, a])
+                permutations[i, t, a] = stream.permutation(params.wasps_per_fig)
         stream.uniform(out=uniforms[i])
         if stream.uniform() <= params.wind_threshold and params.wind_threshold > 0.0 and m > 0:
             winds.append((i, np.sort(stream.choose_without_replacement(size, m)), stream.uniform(size=(m, d))))
         if pool_noise is not None:
             stream.uniform(out=pool_noise[i])
-    flat = [None if a is None else a.reshape(-1) for a in (noise, pool_noise)]
-    return figs, wasp_uniforms, flat[0], permutations, uniforms, winds, flat[1]
+    return winds
 
 
 def spawn_figs(
     fig_uniforms: np.ndarray, tree_lower: np.ndarray, tree_upper: np.ndarray, eta: float, global_bounds: Bounds
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fig boxes (lower, upper), each (T, A, d): the +-eta neighborhood of
-    a point in the tree's box wobbled by +-eta."""
-    points = _plant(fig_uniforms, tree_lower[:, None], tree_upper[:, None], eta, global_bounds)
+    """Fig boxes (lower, upper), each (..., T, A, d) for trees (..., T, d):
+    the +-eta neighborhood of a point in the tree's box wobbled by +-eta."""
+    points = _plant(fig_uniforms, tree_lower[..., None, :], tree_upper[..., None, :], eta, global_bounds)
     return global_bounds.neighborhood(points, eta)
 
 
@@ -276,13 +273,9 @@ def mate(positions: np.ndarray, grid: np.ndarray, grid_fitness: np.ndarray, male
 
 
 def pool_offsprings(offspring: np.ndarray) -> np.ndarray:
-    """Flatten every fig's offspring (..., M, d) into one (P, d) pool, in
-    tree, fig and male order."""
-    return offspring.reshape(-1, offspring.shape[-1])
-
-
-def wind_count(pool_size: int, wind_fraction: float) -> int:
-    return math.ceil(wind_fraction * pool_size)
+    """Flatten each run's offspring (R, T, A, M, d) into its (R, P, d)
+    pool, in tree, fig and male order."""
+    return offspring.reshape(len(offspring), -1, offspring.shape[-1])
 
 
 def search_directions(uniforms: np.ndarray, pools: np.ndarray, global_bounds: Bounds) -> np.ndarray:
@@ -356,10 +349,9 @@ def _lockstep(
     seeds: list[int],
     on_generation: Callable[[GenerationSnapshot], None] | None,
 ) -> list[RunResult]:
-    """Advance one run per seed together; see `run` and `run_many`. The
-    group's R live runs hold their trees end to end, (R*T, d), and run i
-    draws from its own stream into its rows of generation buffers sized to
-    the live runs."""
+    """Advance one run per seed together; see `run` and `run_many`. Live run
+    i is row i of every group array and draws from its own stream into row
+    i of buffers made once for the whole group."""
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
     runs, trees = [], []
@@ -367,14 +359,15 @@ def _lockstep(
         rng = RandomStream(seed)
         trees.append(spawn_trees(rng, problem, params, eta))
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
-    trees = np.concatenate(trees)  # (R*T, d): the live runs' trees end to end
-    buffers = generation_buffers(problem, params, len(runs))
+    trees = np.stack(trees)  # (R, T, d)
+    drawn = buffers = generation_buffers(problem, params, len(runs))
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
 
     for k in range(1, max(params.max_iterations, 1) + 1):
-        figs, wasp_uniforms, noise, permutations, uniforms, winds, pool_noise = draw_generation(rngs, params, buffers)
-        wasps = spawn_wasps(wasp_uniforms, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
-        fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=noise))
+        winds = draw_generation(rngs, params, drawn)
+        figs, wasps, noise, permutations, uniforms, pool_noise = drawn
+        wasps = spawn_wasps(wasps, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
+        fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=None if noise is None else noise.reshape(-1)))
         for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
             run.tally(rows, values)
         if params.max_iterations == 0:
@@ -384,10 +377,11 @@ def _lockstep(
         h = w // 2  # each permutation's first half is female
         females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
         grid = build_mating_grid(females, fitness.reshape(permutations.shape))
-        pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)])).reshape(len(live), -1, d)
+        pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)]))
         pools = wind_effect(winds, search_directions(uniforms, pools, gb), gb)
 
         eta = neighborhood_width(k + 1, params)
+        pool_noise = None if pool_noise is None else pool_noise.reshape(-1)
         pool_fitness = _ranked(evaluate(problem, pools.reshape(-1, d), noise=pool_noise)).reshape(pools.shape[:2])
         trees = select_trees(pools, pool_fitness, params.num_trees)
         for run, pool, values in zip(live, pools, pool_fitness):
@@ -405,8 +399,7 @@ def _lockstep(
                 live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
                 if not live:
                     break
-                rngs, buffers = [run.rng for run in live], generation_buffers(problem, params, len(live))
-        trees = trees.reshape(-1, d)
+                rngs, drawn = [run.rng for run in live], [b if b is None else b[: len(live)] for b in buffers]
 
     return [
         RunResult(

@@ -43,6 +43,13 @@ class TestTableData:
         with pytest.raises(ValueError):
             make_benchmark("F1", 17)
 
+    @pytest.mark.parametrize("fid, dimension", [("F1", 30.0), ("F16", 2.0)])
+    def test_non_integer_dimension_rejected(self, fid, dimension):
+        # a float dimension failed inside numpy with no name
+        for lookup in (make_benchmark, known_optimum, optimum_witness):
+            with pytest.raises(ValueError, match=f"^{fid}: the dimension must be an integer, not {dimension}$"):
+                lookup(fid, dimension)
+
     def test_unknown_id_rejected(self):
         for lookup in (make_benchmark, known_optimum, optimum_witness):
             with pytest.raises(ValueError, match="unknown benchmark id 'F99'"):

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -317,13 +318,32 @@ class TestConfigTable:
         ("master_seed", 1.5, "an integer"),
         ("penalty_coefficient", "1", "a number"),
         ("trace", "no", "True or False"),
+        ("out_dir", 5, "a path"),
+        ("params", {"eta0": 1.0}, "an FwscParams"),
     ],
 )
 def test_library_config_of_the_wrong_type_names_its_field(field, value, noun):
     # runs=2.5 and penalty_coefficient="1" failed with a TypeError naming no field,
-    # runs=True ran one run, master_seed=1.5 ran seed 1 and trace="no" wrote traces
-    with pytest.raises(ConfigError, match=f"^{field}: must be {noun}, not {value!r}$"):
+    # runs=True ran one run, master_seed=1.5 ran seed 1 and trace="no" wrote traces;
+    # out_dir=5 failed with a TypeError and params={...} with an AttributeError
+    with pytest.raises(ConfigError, match=f"^{field}: must be {noun}, not {re.escape(repr(value))}$"):
         cli.ExperimentConfig(problems=[("F16", None)], **{field: value})
+
+
+@pytest.mark.parametrize(
+    "problems, message",
+    [
+        (["F16"], "problems: each must be an (id, dimension) pair, not 'F16'"),
+        ([(["F1"], 30)], "problems: each must be an (id, dimension) pair, not (['F1'], 30)"),
+        ([("F1", 30.0)], "dim: F1 needs an integer dimension, not 30.0"),
+        ([("F16", 2.0)], "dim: F16 needs an integer dimension, not 2.0"),
+    ],
+)
+def test_library_problems_of_the_wrong_shape_name_their_field(problems, message):
+    # these failed inside Python or numpy: too many values to unpack,
+    # unhashable type, or numpy's "expected a sequence of integers"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli.ExperimentConfig(problems=problems)
 
 
 class TestRunCommand:

@@ -65,27 +65,27 @@ def same(got, want):
     return got is not None and (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
-def assert_drawn(drawn, wants, params):
-    """One generation's ``drawn`` arrays of a group equal ``wants``, the
-    per-value reference draws of its runs in order."""
-    figs, wasps, noise, permutations, uniforms, winds, pool_noise = drawn
-    runs, t_count = len(wants), params.num_trees
+def assert_drawn(buffers, winds, wants):
+    """One generation's draws of a group, the leading rows of its
+    ``buffers`` and its ``winds``, equal ``wants``, the per-value reference
+    draws of its runs in order: run r in row r."""
+    figs, wasps, noise, permutations, uniforms, pool_noise = buffers
+    runs = len(wants)
     assert [i for i, _, _ in winds] == sorted({i for i, _, _ in winds})
     for r, want in enumerate(wants):
-        rows = slice(r * t_count, (r + 1) * t_count)
-        assert same(figs[rows], want["figs"])
-        assert same(wasps[rows], want["wasps"])
-        assert same(None if noise is None else noise.reshape(runs, -1)[r], want["noise"])
-        assert same(permutations[rows], want["permutations"].astype(permutations.dtype))
+        assert same(figs[r], want["figs"])
+        assert same(wasps[r], want["wasps"])
+        assert same(None if noise is None else noise[r].reshape(-1), want["noise"])
+        assert same(permutations[r], want["permutations"].astype(permutations.dtype))
         assert same(uniforms[r], want["uniforms"])
         wind = [(members, kicks) for i, members, kicks in winds if i == r]
         assert len(wind) == (want["wind"] is not None)
         if wind:
             assert same(wind[0][0].astype(want["wind"][0].dtype), want["wind"][0])
             assert same(wind[0][1], want["wind"][1])
-        assert same(None if pool_noise is None else pool_noise.reshape(runs, -1)[r], want["pool_noise"])
-    # the whole buffers, no more rows than the group's
-    assert len(figs) == runs * t_count and len(uniforms) == runs
+        assert same(None if pool_noise is None else pool_noise[r], want["pool_noise"])
+    # winds only for the group's runs
+    assert all(i < runs for i, _, _ in winds)
 
 
 def zero_problem(d, noisy):
@@ -107,9 +107,9 @@ def test_draw_functions_equal_the_per_value_reference(d, runs, noisy, threshold,
     buffers = generation_buffers(zero_problem(d, noisy), params, runs)
     winds_seen = 0
     for k in range(GENERATIONS):
-        drawn = draw_generation(streams, params, buffers)
-        assert_drawn(drawn, [steps[k] for steps, _ in references], params)
-        winds_seen += len(drawn[5])
+        winds = draw_generation(streams, params, buffers)
+        assert_drawn(buffers, winds, [steps[k] for steps, _ in references])
+        winds_seen += len(winds)
     for stream, (_, gen) in zip(streams, references):
         assert stream.uniform() == gen.random()
     # the gate's branches: it never blows at 0, sometimes at 0.5, and always
@@ -121,19 +121,23 @@ def test_draw_functions_equal_the_per_value_reference(d, runs, noisy, threshold,
 @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
 def test_a_group_that_loses_a_run_keeps_each_draw_order(noisy):
     # a group of 3 loses its middle run after 3 generations, as a stagnated
-    # run leaves: the others draw on into buffers remade for 2 runs
+    # run leaves: the others draw on into the leading rows of the same buffers
     params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4, wind_threshold=0.5)
     problem, seeds = zero_problem(3, noisy), [derive_seed(16, noisy, r) for r in range(3)]
     references = [reference_run(seed, params, 3, noisy) for seed in seeds]
     streams = [RandomStream(seed) for seed in seeds]
     buffers = generation_buffers(problem, params, 3)
     for k in range(3):
-        assert_drawn(draw_generation(streams, params, buffers), [steps[k] for steps, _ in references], params)
+        winds = draw_generation(streams, params, buffers)
+        assert_drawn(buffers, winds, [steps[k] for steps, _ in references])
     del streams[1], references[1]
-    with pytest.raises(ValueError, match="buffers for 3 runs"):
-        draw_generation(streams, params, buffers)  # checked before anything is drawn
-    buffers = generation_buffers(problem, params, 2)
+    with pytest.raises(ValueError, match="buffers for 1 runs cannot take the draws of 2"):
+        draw_generation(streams, params, generation_buffers(problem, params, 1))  # checked before anything is drawn
+    last = [None if b is None else b[2].copy() for b in buffers]
     for k in range(3, GENERATIONS):
-        assert_drawn(draw_generation(streams, params, buffers), [steps[k] for steps, _ in references], params)
+        winds = draw_generation(streams, params, buffers)
+        assert_drawn(buffers, winds, [steps[k] for steps, _ in references])
+    # the row past the live runs keeps its last draws
+    assert all(same(None if b is None else b[2], want) for b, want in zip(buffers, last))
     for stream, (_, gen) in zip(streams, references):
         assert stream.uniform() == gen.random()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -24,7 +25,6 @@ from figwasp.engine import (
     spawn_figs,
     spawn_trees,
     spawn_wasps,
-    wind_count,
     wind_effect,
 )
 
@@ -41,8 +41,9 @@ def pool_draws(stream, pool, params):
     """The pool uniforms and winds of one generation's draws from ``stream``
     for one (P, d) ``pool``, under ``params`` with T*A*W/2 = P."""
     params = replace(params, num_trees=len(pool), figs_per_tree=1, wasps_per_fig=2)
-    drawn = draw_generation([stream], params, generation_buffers(sphere_problem(pool.shape[1]), params))
-    return drawn[4], drawn[5]
+    buffers = generation_buffers(sphere_problem(pool.shape[1]), params)
+    winds = draw_generation([stream], params, buffers)
+    return buffers[4], winds
 
 
 def respread(stream, pool, bounds):
@@ -244,8 +245,9 @@ class TestSpawning:
         eta = 1.5
         trees = spawn_trees(RandomStream(9), problem, params, eta)
         tree_lower, tree_upper = problem.bounds.neighborhood(trees, eta)
-        figs, *_ = draw_generation([RandomStream(10)], params, generation_buffers(problem, params))
-        fig_lower, fig_upper = spawn_figs(figs, tree_lower, tree_upper, eta, problem.bounds)
+        figs, *_ = buffers = generation_buffers(problem, params)
+        draw_generation([RandomStream(10)], params, buffers)
+        fig_lower, fig_upper = spawn_figs(figs[0], tree_lower, tree_upper, eta, problem.bounds)
         assert fig_lower.shape == fig_upper.shape == (3, 4, 3)
         # the fig point sits in its tree's neighborhood inflated by eta, so
         # the fig box sits in it inflated by 2 * eta
@@ -260,9 +262,9 @@ class TestSpawning:
         params = FwscParams()
         eta = 1.0
         trees = spawn_trees(RandomStream(5), problem, params, eta)
-        figs, uniforms, noise, permutations, *_ = draw_generation(
-            [RandomStream(6)], params, generation_buffers(problem, params)
-        )
+        buffers = generation_buffers(problem, params)
+        draw_generation([RandomStream(6)], params, buffers)
+        figs, uniforms, noise, permutations = (b if b is None else b[0] for b in buffers[:4])
         fig_lower, fig_upper = spawn_figs(figs, *problem.bounds.neighborhood(trees, eta), eta, problem.bounds)
         wasps = spawn_wasps(uniforms, fig_lower, fig_upper)
         assert wasps.shape == (3, 4, 8, 3)
@@ -277,14 +279,14 @@ class TestSpawning:
         # between its wasp uniforms and its permutation
         noisy = noisy_problem(dim=2)
         params = FwscParams(num_trees=1, figs_per_tree=2, wasps_per_fig=4)
-        figs, uniforms, noise, permutations, *_ = draw_generation(
-            [RandomStream(4)], params, generation_buffers(noisy, params)
-        )
+        buffers = generation_buffers(noisy, params)
+        draw_generation([RandomStream(4)], params, buffers)
+        figs, uniforms, noise, permutations = (b[0] for b in buffers[:4])
         rng = RandomStream(4)
         assert np.array_equal(rng.uniform(size=(2, 2, 2)), figs[0])
         for a in range(2):
             assert np.array_equal(rng.uniform(size=(4, 2)), uniforms[0, a])
-            assert np.array_equal(rng.uniform(size=4), noise[4 * a : 4 * a + 4])
+            assert np.array_equal(rng.uniform(size=4), noise[0, a])
             assert np.array_equal(rng.permutation(4), permutations[0, a])
 
 
@@ -377,23 +379,24 @@ class TestMate:
 
 class TestPool:
     def test_pool_size_counts_every_fig(self):
-        offspring = np.zeros((3, 4, 4, 3))  # 3 trees x 4 figs, W/2 = 4
-        assert pool_offsprings(offspring).shape == (48, 3)
+        offspring = np.zeros((2, 3, 4, 4, 3))  # 2 runs x 3 trees x 4 figs, W/2 = 4
+        assert pool_offsprings(offspring).shape == (2, 48, 3)
 
     def test_single_offspring_envelope(self):
         # the envelope of a one-member pool is that member, so re-spreading
         # leaves it in place
-        pool = pool_offsprings(np.array([[[[1.0, -2.0]]]]))
+        pool = pool_offsprings(np.array([[[[[1.0, -2.0]]]]]))[0]
         fresh = respread(RandomStream(0), pool, Bounds.box(-5.0, 5.0, 2))
         assert np.array_equal(fresh, [[1.0, -2.0]])
 
     @given(st.integers(0, 2**31))
     def test_envelope_contains_every_member(self, seed):
-        # the pool keeps every fig's offspring in tree, fig, male order, and
-        # each coordinate's re-spread envelope spans all of them
-        offspring = RandomStream(seed).uniform(size=(2, 3, 4, 4)) * 20 - 10
-        pool = pool_offsprings(offspring)
-        assert np.array_equal(pool, np.concatenate([block for tree in offspring for block in tree]))
+        # each run's pool keeps its figs' offspring in tree, fig, male order,
+        # and each coordinate's re-spread envelope spans all of them
+        offspring = RandomStream(seed).uniform(size=(2, 2, 3, 4, 4)) * 20 - 10
+        pools = pool_offsprings(offspring)
+        for pool, trees in zip(pools, offspring):
+            assert np.array_equal(pool, np.concatenate([block for tree in trees for block in tree]))
         fresh = respread(RandomStream(seed + 1), pool, Bounds.box(-10.0, 10.0, 4))
         assert np.all(fresh >= pool.min(axis=0))
         assert np.all(fresh <= pool.max(axis=0))
@@ -447,14 +450,18 @@ class TestWindEffect:
         params = FwscParams(wind_threshold=1.0, wind_fraction=0.10)
         out = blow(RandomStream(6), pool, params, bounds)
         changed = np.any(out != pool, axis=1).sum()
-        assert wind_count(48, 0.10) == 5
+        _, winds = pool_draws(RandomStream(6), pool, params)
+        assert len(winds[0][1]) == 5
         assert changed == 5
         # drift is multiplicative outward: x <- x * (1 + r)
         assert np.all(out >= pool)
 
     @given(st.integers(1, 200), st.floats(0.0, 1.0))
     def test_wind_count_ceiling(self, size, fraction):
-        count = wind_count(size, fraction)
+        # the wind blows ceil(wind_fraction * P) members of a P-member pool
+        params = FwscParams(wind_threshold=1.0, wind_fraction=fraction)
+        _, winds = pool_draws(RandomStream(size), np.zeros((size, 1)), params)
+        count = sum(len(members) for _, members, _ in winds)
         assert count == math.ceil(fraction * size)
         assert 0 <= count <= size
 
@@ -533,29 +540,30 @@ class TestBuffers:
         reused, fresh = RandomStream(8), RandomStream(8)
         buffers = generation_buffers(noisy, params)
         for _ in range(3):  # refilled, not appended to, every generation
-            *into, winds, pool_noise = draw_generation([reused], params, buffers)
-            *expected, want_winds, want_noise = draw_generation([fresh], params, generation_buffers(noisy, params))
-            for got, want, buffer in zip(into + [pool_noise], expected + [want_noise], buffers):
-                assert np.shares_memory(got, buffer)
+            winds = draw_generation([reused], params, buffers)
+            expected = generation_buffers(noisy, params)
+            want_winds = draw_generation([fresh], params, expected)
+            for got, want in zip(buffers, expected):
                 assert np.array_equal(got, want)
             assert winds_bytes(winds) == winds_bytes(want_winds) != []  # the winds are drawn fresh
         assert np.array_equal(reused.uniform(size=2), fresh.uniform(size=2))
 
     def test_group_draw_equals_one_draw_per_stream(self):
-        # run i of a group draws from its own stream into rows i*T to
-        # (i+1)*T of the wasp half and row i of the pool half; buffers sized
-        # for another number of runs are refused
+        # run i of a group draws from its own stream into row i of every
+        # buffer; buffers with fewer rows than streams are refused, and larger
+        # ones are filled in their leading rows, the rows beyond left as they are
         noisy = noisy_problem(dim=3)
         params = FwscParams(num_trees=2, figs_per_tree=3, wasps_per_fig=4, wind_threshold=0.5)
         group, alone = [RandomStream(s) for s in (5, 6, 7)], [RandomStream(s) for s in (5, 6, 7)]
-        with pytest.raises(ValueError, match="buffers for 5 runs cannot take the draws of 3"):
-            draw_generation(group, params, generation_buffers(noisy, params, 5))
-        *drawn, winds, pool_noise = draw_generation(group, params, generation_buffers(noisy, params, 3))
-        singles = [draw_generation([stream], params, generation_buffers(noisy, params)) for stream in alone]
-        for got, parts in zip(drawn + [pool_noise], zip(*[single[:5] + single[6:] for single in singles])):
-            assert got.tobytes() == np.concatenate(parts).tobytes()
-        assert drawn[0].shape[0] == drawn[3].shape[0] == 3 * params.num_trees and drawn[4].shape[0] == 3
-        alone_winds = [(i, members, kicks) for i, single in enumerate(singles) for _, members, kicks in single[5]]
+        with pytest.raises(ValueError, match="buffers for 2 runs cannot take the draws of 3"):
+            draw_generation(group, params, generation_buffers(noisy, params, 2))
+        buffers = [np.full_like(b, 7) for b in generation_buffers(noisy, params, 5)]
+        winds = draw_generation(group, params, buffers)
+        singles = [generation_buffers(noisy, params) for _ in alone]
+        alone_winds = [(i, m, k) for i, b in enumerate(singles) for _, m, k in draw_generation([alone[i]], params, b)]
+        for got, parts in zip(buffers, zip(*singles)):
+            assert got[:3].tobytes() == np.concatenate(parts).tobytes()
+            assert np.all(got[3:] == 7)
         assert winds_bytes(winds) == winds_bytes(alone_winds)
         for a, b in zip(group, alone):
             assert a.uniform(size=3).tobytes() == b.uniform(size=3).tobytes()
@@ -599,6 +607,24 @@ class TestRun:
         assert [len(c) for c in calls] == [wasps, pool] * 5
         assert all(c.min() >= 0.0 and c.max() < 1.0 for c in calls)
         assert sum(r.evaluations for r in results) == 5 * (wasps + pool)
+
+    @pytest.mark.parametrize("entry", ["run", "run_many", "RandomStream"])
+    @pytest.mark.parametrize("seed", [1.7, True, "5", None])
+    def test_seed_must_be_an_integer(self, entry, seed):
+        # 1.7 and True ran seed 1 and "5" ran seed 5
+        start = {
+            "run": lambda: run(sphere_problem(), FwscParams(max_iterations=1), seed),
+            "run_many": lambda: run_many(sphere_problem(), FwscParams(max_iterations=1), [seed]),
+            "RandomStream": lambda: RandomStream(seed),
+        }[entry]
+        with pytest.raises(ValueError, match=f"^seed must be an integer, not {re.escape(repr(seed))}$"):
+            start()
+
+    def test_numpy_integer_seed_gives_the_same_run(self):
+        params = FwscParams(max_iterations=5)
+        numpy_seed, seed = run(sphere_problem(), params, np.int64(7)), run(sphere_problem(), params, 7)
+        assert numpy_seed.trace.tobytes() == seed.trace.tobytes()
+        assert numpy_seed.best_position.tobytes() == seed.best_position.tobytes()
 
     def test_single_generation_trace(self):
         result = run(sphere_problem(), FwscParams(max_iterations=1), seed=1)

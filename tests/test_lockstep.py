@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from figwasp import engine
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
 from figwasp.core import Bounds, ObjectiveProblem, RandomStream, evaluate_batch
@@ -83,6 +84,29 @@ def test_runs_leave_the_group_at_different_generations():
         assert len(set(stops)) > 1 and min(stops) < params.max_iterations
 
 
+@pytest.mark.parametrize(
+    "case, seeds", [("stagnation-noisy", [11, 7, 123456789]), ("stagnation", [11, 123456789, 2024])]
+)
+def test_a_group_allocates_its_buffers_once_as_runs_leave(monkeypatch, case, seeds):
+    # the middle run stagnates first; the others draw on into the leading
+    # rows of the group's one set of buffers
+    problem, params = CASES[case]()
+    made = []
+
+    def buffers(*args):
+        made.append(args)
+        return generation_buffers(*args)
+
+    monkeypatch.setattr(engine, "generation_buffers", buffers)
+    results = run_many(problem, params, seeds)
+    assert made == [(problem, params, 3)]
+    stops = [r.iterations_run for r in results]
+    assert stops[1] < min(stops[0], stops[2])
+    monkeypatch.undo()
+    for seed, many in zip(seeds, results):
+        assert_same_run(many, run(problem, params, seed))
+
+
 def test_results_share_no_memory():
     problem, params = CASES["F16"]()
     results = run_many(problem, params, SEEDS[:3])
@@ -109,8 +133,9 @@ def pool_draws(streams, params, noisy):
     """The pool uniforms, winds and pool noise of one generation's draws
     from ``streams``, one run each."""
     problem = ObjectiveProblem("zero", BOX, lambda x: np.zeros(len(x)), noise=(lambda u: u) if noisy else None)
-    drawn = draw_generation(streams, params, generation_buffers(problem, params, len(streams)))
-    return drawn[4:]
+    buffers = generation_buffers(problem, params, len(streams))
+    winds = draw_generation(streams, params, buffers)
+    return buffers[4], winds, buffers[5]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -136,12 +161,11 @@ def test_wind_group_equals_each_pool(seed, threshold):
     streams = [RandomStream(seed + r) for r in range(4)]
     _, winds, noise = pool_draws(streams, params, noisy=True)
     together = wind_effect(winds, group, BOX)
-    size = group.shape[1]
     for r, pool in enumerate(group):
         alone_stream = RandomStream(seed + r)
         _, alone, alone_noise = pool_draws([alone_stream], params, noisy=True)
         assert together[r].tobytes() == wind_effect(alone, pool[None], BOX)[0].tobytes()
-        assert noise[r * size : (r + 1) * size].tobytes() == alone_noise.tobytes()
+        assert noise[r].tobytes() == alone_noise.tobytes()
         # and each stream stands where its own draws left it
         assert streams[r].uniform() == alone_stream.uniform()
     if threshold == 0.0:
