@@ -152,6 +152,9 @@ def resolved_params(config: ExperimentConfig, problem: ObjectiveProblem) -> Fwsc
 # d=30 and R=4 (12k floats), 0.47x at R=16 (46k); 0.64-0.65x at d=100 and
 # R=8-16 (77k-154k); 0.88-0.91x at d=500 and R=2-4 (96k-192k); 0.97-1.07x at
 # d=1000 and R=2-16 (192k and up). So a d=1000 problem runs one run a task.
+# These times predate drawing ahead (`engine.DRAW_AHEAD_FLOATS`), with which
+# an in-process d=1000 run now overlaps its draws with its arithmetic; the
+# constant stands until the table is measured again.
 GROUP_FLOATS = 2**17
 
 

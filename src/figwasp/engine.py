@@ -28,9 +28,13 @@ trace and evaluation count; a run whose stagnation window runs out leaves
 the group. So every result equals, bit for bit, the run made alone.
 
 A group allocates its generation buffers once and draws into them in
-place; when runs leave, the others draw into the leading rows. Snapshots
-and results never alias them; the wasp rows an objective gets are
-overwritten next generation, so it must copy any row it keeps.
+place; when runs leave, the others draw into the leading rows. A group of
+large problems on a spare CPU draws ahead (see `_draws_ahead`): one
+background thread, the only one that touches the streams, draws
+generation k+1 into a second set of buffers while generation k runs, in
+the same per-stream order. Snapshots and results never alias the buffers;
+the wasp rows an objective gets are overwritten during the next
+generation, possibly from that thread, so it must copy any row it keeps.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -343,6 +349,111 @@ class _Run:
             self.best_fitness, self.best_position = float(fitness[i]), rows[i].copy()
 
 
+# Fewest floats in one fig's wasp draw (W*d) at which a group draws each
+# generation ahead in a background thread (`_draws_ahead`). numpy releases
+# the GIL only inside a draw call, so the longer the calls, the more of the
+# caller's arithmetic they overlap. Generation time drawing ahead over
+# drawing in turn (F1, default parameters, R=1, 2-vCPU Xeon, median of 11
+# alternating pairs with the second CPU free): 1.51x at W*d = 240 (d=30),
+# 1.41x at 800 (d=100), 0.90x at 2000 (d=250), 0.67x at 4000 (d=500), 0.61x
+# at 6000 (d=750), 0.64x at 8000 (d=1000). While other load held the second
+# CPU: 1.22x, 1.19x, then 1.03-1.04x from d=250 up.
+DRAW_AHEAD_FLOATS = 4000
+
+
+def _draws_ahead(problem: ObjectiveProblem, params: FwscParams) -> bool:
+    """Whether a group of ``problem`` draws ahead: its wasp draws are large
+    enough (`DRAW_AHEAD_FLOATS`), the process may run on a second CPU, and
+    it is not a worker of a process pool, whose workers already fill them."""
+    if params.wasps_per_fig * problem.dimension < DRAW_AHEAD_FLOATS:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    import multiprocessing  # here, so that small problems never load it
+
+    return multiprocessing.parent_process() is None
+
+
+class _DrawAhead:
+    """A group's draws made one generation ahead by one background thread.
+
+    While the caller runs generation k on one of two buffer sets, the thread
+    fills the other with `draw_generation` for generation k+1. Only that
+    thread touches the streams, each in its own order, so the draws are
+    those made in turn. The two locks act as semaphores, each released by
+    the other thread: ``_go`` hands the thread a job, ``_done`` hands back
+    its winds, or the error it raised, which `take` re-raises.
+    """
+
+    def __init__(self, params: FwscParams, sets: list[tuple], rngs: list[RandomStream]):
+        """Starts the thread on the first generation's draw from ``rngs``."""
+        self._params, self._sets, self._turn = params, sets, 0
+        # the draw in flight as (streams, buffers); a drawn (buffers, winds) not
+        # yet taken; what the thread hands back, winds or an error
+        self._job = self._ready = self._result = None
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._thread = threading.Thread(target=self._serve, name="figwasp-draw-ahead", daemon=True)
+        self._thread.start()
+        self._start(rngs)
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            try:
+                self._result = draw_generation(self._job[0], self._params, self._job[1])
+            except BaseException as exc:  # handed to the caller, which re-raises it
+                self._result = exc
+            self._done.release()
+
+    def _start(self, rngs: list[RandomStream]) -> None:
+        buffers = [b if b is None else b[: len(rngs)] for b in self._sets[self._turn]]
+        self._job, self._turn = (rngs, buffers), 1 - self._turn
+        self._go.release()
+
+    def _wait(self) -> tuple:
+        self._done.acquire()
+        (_, buffers), result = self._job, self._result
+        self._job = self._result = None
+        if isinstance(result, BaseException):
+            raise result
+        return buffers, result
+
+    def take(self, rngs: list[RandomStream], more: bool) -> tuple:
+        """This generation's buffers and winds; then starts the next
+        generation's draw from ``rngs`` when ``more`` follow."""
+        drawn, self._ready = self._ready or self._wait(), None
+        if more:
+            self._start(rngs)
+        return drawn
+
+    def keep(self, stays: list[bool]) -> None:
+        """Waits for the draw in flight, if any, and moves the rows of the
+        runs that stay to its leading rows, renumbering its winds."""
+        if self._job is None:
+            return
+        buffers, winds = self._wait()
+        rows = np.flatnonzero(stays)
+        kept = [b if b is None else b[: len(rows)] for b in buffers]
+        for short, b in zip(kept, buffers):
+            if b is not None:
+                short[:] = b[rows]
+        row = {old: new for new, old in enumerate(rows.tolist())}
+        self._ready = kept, [(row[i], members, kicks) for i, members, kicks in winds if i in row]
+
+    def close(self) -> None:
+        """Waits for the draw in flight, if any, and joins the thread."""
+        if self._job is not None:
+            self._done.acquire()
+        self._job = None
+        self._go.release()
+        self._thread.join()
+
+
 def _lockstep(
     problem: ObjectiveProblem,
     params: FwscParams,
@@ -351,7 +462,13 @@ def _lockstep(
 ) -> list[RunResult]:
     """Advance one run per seed together; see `run` and `run_many`. Live run
     i is row i of every group array and draws from its own stream into row
-    i of buffers made once for the whole group."""
+    i of buffers made once for the whole group.
+
+    When `_draws_ahead` holds, the group makes two buffer sets and a
+    `_DrawAhead` thread draws generation k+1 into one while this thread runs
+    generation k on the other; a run that leaves takes its rows out of the
+    draw in flight. Every exit, an error too, joins the thread.
+    """
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
     runs, trees = [], []
@@ -360,46 +477,58 @@ def _lockstep(
         trees.append(spawn_trees(rng, problem, params, eta))
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
     trees = np.stack(trees)  # (R, T, d)
+    last = max(params.max_iterations, 1)
     drawn = buffers = generation_buffers(problem, params, len(runs))
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
+    ahead = None
+    if _draws_ahead(problem, params):
+        ahead = _DrawAhead(params, [buffers, generation_buffers(problem, params, len(runs))], rngs)
+    try:
+        for k in range(1, last + 1):
+            if ahead is None:
+                winds = draw_generation(rngs, params, drawn)
+            else:
+                drawn, winds = ahead.take(rngs, more=k < last)
+            figs, wasps, noise, permutations, uniforms, pool_noise = drawn
+            wasps = spawn_wasps(wasps, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
+            fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=None if noise is None else noise.reshape(-1)))
+            for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
+                run.tally(rows, values)
+            if params.max_iterations == 0:
+                for run in live:
+                    run.trace.append(run.best_fitness)
+                break
+            h = w // 2  # each permutation's first half is female
+            females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
+            grid = build_mating_grid(females, fitness.reshape(permutations.shape))
+            pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)]))
+            pools = wind_effect(winds, search_directions(uniforms, pools, gb), gb)
 
-    for k in range(1, max(params.max_iterations, 1) + 1):
-        winds = draw_generation(rngs, params, drawn)
-        figs, wasps, noise, permutations, uniforms, pool_noise = drawn
-        wasps = spawn_wasps(wasps, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
-        fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=None if noise is None else noise.reshape(-1)))
-        for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
-            run.tally(rows, values)
-        if params.max_iterations == 0:
-            for run in live:
+            eta = neighborhood_width(k + 1, params)
+            pool_noise = None if pool_noise is None else pool_noise.reshape(-1)
+            pool_fitness = _ranked(evaluate(problem, pools.reshape(-1, d), noise=pool_noise)).reshape(pools.shape[:2])
+            trees = select_trees(pools, pool_fitness, params.num_trees)
+            for run, pool, values in zip(live, pools, pool_fitness):
+                run.tally(pool, values)
                 run.trace.append(run.best_fitness)
-            break
-        h = w // 2  # each permutation's first half is female
-        females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
-        grid = build_mating_grid(females, fitness.reshape(permutations.shape))
-        pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)]))
-        pools = wind_effect(winds, search_directions(uniforms, pools, gb), gb)
+            if on_generation is not None:
+                on_generation(GenerationSnapshot(k, trees[0], pools[0], live[0].best_fitness))
 
-        eta = neighborhood_width(k + 1, params)
-        pool_noise = None if pool_noise is None else pool_noise.reshape(-1)
-        pool_fitness = _ranked(evaluate(problem, pools.reshape(-1, d), noise=pool_noise)).reshape(pools.shape[:2])
-        trees = select_trees(pools, pool_fitness, params.num_trees)
-        for run, pool, values in zip(live, pools, pool_fitness):
-            run.tally(pool, values)
-            run.trace.append(run.best_fitness)
-        if on_generation is not None:
-            on_generation(GenerationSnapshot(k, trees[0], pools[0], live[0].best_fitness))
-
-        # a trace never rises and only a strict drop improves it, so a run has
-        # gone `window` generations without improving when its value `window`
-        # generations back equals its last; such a run leaves the group
-        if window is not None and k > window:
-            stays = [run.trace[-1 - window] != run.trace[-1] for run in live]
-            if not all(stays):
-                live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
-                if not live:
-                    break
-                rngs, drawn = [run.rng for run in live], [b if b is None else b[: len(live)] for b in buffers]
+            # a trace never rises and only a strict drop improves it, so a run has
+            # gone `window` generations without improving when its value `window`
+            # generations back equals its last; such a run leaves the group
+            if window is not None and k > window:
+                stays = [run.trace[-1 - window] != run.trace[-1] for run in live]
+                if not all(stays):
+                    live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
+                    if not live:
+                        break
+                    rngs, drawn = [run.rng for run in live], [b if b is None else b[: len(live)] for b in buffers]
+                    if ahead is not None:
+                        ahead.keep(stays)
+    finally:
+        if ahead is not None:
+            ahead.close()
 
     return [
         RunResult(

@@ -447,6 +447,23 @@ class TestRunCommand:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_drawing_ahead_writes_the_bytes_pool_workers_write(self, tmp_path, monkeypatch):
+        # in process, a d=1000 run draws ahead in a background thread on a
+        # machine with a spare CPU; in pool workers it draws in turn
+        from figwasp import engine
+
+        made, real = [], engine._DrawAhead
+        monkeypatch.setattr(engine, "_DrawAhead", lambda *args: made.append(real(*args)) or made[-1])
+        args = ["run", "F1@1000", *SMALL, small_config(tmp_path, iterations=5), "--trace"]
+        for workers in ("1", "2"):
+            monkeypatch.setenv(cli.WORKERS_ENV, workers)
+            assert main(args + ["--out", str(tmp_path / workers)]) == 0
+        assert len(made) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 3 and names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_dim_applies_only_to_scalable_problems(self, tmp_path):
         out = tmp_path / "out"
         tokens = [f"F{i}" for i in range(1, 24)]

@@ -7,6 +7,10 @@ exactly ``[run(problem, params, seed) for seed in seeds]``: the same trace,
 best position and value, evaluation count and generations run.
 """
 
+import os
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +59,7 @@ CASES = {
     "zero-budget-design": lambda: campaign_case("welded-beam", None, max_iterations=0),
     "stagnation": lambda: campaign_case("pressure-vessel", None, stagnation_window=3),
     "stagnation-noisy": lambda: campaign_case("F7", 30, stagnation_window=2),
+    "stagnation-wind-1": lambda: campaign_case("pressure-vessel", None, stagnation_window=3, wind_threshold=1.0),
 }
 
 
@@ -206,3 +211,184 @@ def test_stagnation_stop_follows_the_counter(window):
     # some runs stop early; from window 2 on, others run their whole budget
     # (at window 1 every run here stops by generation 5)
     assert early == ({True} if window == 1 else {True, False})
+
+
+# drawing ahead: a group of large problems draws generation k+1 in a
+# background thread while generation k runs; the draws, and so the
+# results, are those made in turn
+
+
+def open_gate(monkeypatch):
+    """Opens the draw-ahead gate for every problem, so the threaded path runs
+    on cheap cases; returns the list of drawers made."""
+    made, real = [], engine._DrawAhead
+
+    def drawer(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "_draws_ahead", lambda problem, params: True)
+    monkeypatch.setattr(engine, "_DrawAhead", drawer)
+    return made
+
+
+@pytest.fixture
+def ahead(monkeypatch):
+    return open_gate(monkeypatch)
+
+
+AHEAD_CASES = [
+    ("F1@30", SEEDS[:1]),
+    ("F1@30", SEEDS[:3]),
+    ("F7@30-noisy", SEEDS[:3]),
+    ("half-nan", SEEDS[:3]),
+    ("wind-0", SEEDS[:3]),
+    ("wind-1", SEEDS[:3]),
+    ("zero-budget", SEEDS[:3]),
+    ("zero-budget-design", SEEDS[:1]),
+    ("stagnation", [11, 123456789, 2024]),  # the middle run leaves first
+    ("stagnation-noisy", SEEDS),
+    ("stagnation-wind-1", SEEDS),  # the first run leaves first: the others' winds move up a row
+]
+
+
+@pytest.mark.parametrize("case, seeds", AHEAD_CASES)
+def test_drawing_ahead_equals_drawing_in_turn(monkeypatch, case, seeds):
+    problem, params = CASES[case]()
+    assert not engine._draws_ahead(problem, params)  # these are drawn in turn
+    in_turn = run_many(problem, params, seeds)
+    made = open_gate(monkeypatch)
+    for many, alone in zip(run_many(problem, params, seeds), in_turn, strict=True):
+        assert_same_run(many, alone)
+    assert len(made) == 1
+    first = {"stagnation": 1, "stagnation-wind-1": 0}.get(case)  # the run that leaves first
+    if first is not None:
+        stops = [r.iterations_run for r in in_turn]
+        assert stops[first] < min(stops[:first] + stops[first + 1 :])
+
+
+def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monkeypatch):
+    # three callers and their three drawers on fewer CPUs, switching every
+    # few microseconds: a handoff that lost a draw or read a buffer being
+    # filled would change a result
+    cases = ["stagnation-wind-1", "F7@30-noisy", "stagnation"]
+    in_turn = {case: run_many(*CASES[case](), SEEDS) for case in cases}
+    made, results = open_gate(monkeypatch), {}
+    threads = [threading.Thread(target=lambda c=case: results.update({c: run_many(*CASES[c](), SEEDS)})) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(made) == 3
+    for case in cases:
+        for many, alone in zip(results[case], in_turn[case], strict=True):
+            assert_same_run(many, alone)
+    assert not drawer_threads()
+
+
+def test_a_large_problem_draws_ahead_through_the_real_gate(monkeypatch):
+    problem, params = campaign_case("F1", 1000, max_iterations=5)
+    with monkeypatch.context() as shut:
+        shut.setattr(engine, "_draws_ahead", lambda problem, params: False)
+        in_turn = run_many(problem, params, SEEDS[:2])
+    made, real = [], engine._DrawAhead
+    monkeypatch.setattr(engine, "_DrawAhead", lambda *args: made.append(real(*args)) or made[-1])
+    for many, alone in zip(run_many(problem, params, SEEDS[:2]), in_turn, strict=True):
+        assert_same_run(many, alone)
+    assert len(made) == (len(os.sched_getaffinity(0)) > 1)
+
+
+def gate(pid, dim):
+    return engine._draws_ahead(*campaign_case(pid, dim))
+
+
+def test_the_gate_draws_ahead_only_large_problems_on_a_spare_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert gate("F1", 1000)
+    for pid, dim in [("F1", 30), ("F7", 30), ("pressure-vessel", None), ("stepped-beam", None), ("welded-beam", None)]:
+        assert not gate(pid, dim)
+    # one CPU to run on, whatever the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert not gate("F1", 1000)
+    # where there is no affinity, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus, opens in [(1, False), (None, False), (2, True)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert gate("F1", 1000) is opens
+
+
+def test_the_gate_is_shut_in_pool_workers(monkeypatch):
+    # the workers of a campaign's pool already fill the CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(gate, "F1", 1000).result() is False
+    assert gate("F1", 1000)
+
+
+def drawer_threads():
+    return [t for t in threading.enumerate() if t.name == "figwasp-draw-ahead"]
+
+
+def test_the_drawer_is_joined_after_a_run(ahead):
+    problem, params = CASES["F16"]()
+    count = threading.active_count()
+    results = run_many(problem, params, SEEDS[:3])
+    assert [r.iterations_run for r in results] == [params.max_iterations] * 3
+    assert threading.active_count() == count and not drawer_threads() and len(ahead) == 1
+
+
+@pytest.mark.parametrize("budget", [0, 1, 4])
+def test_the_drawer_draws_no_generation_past_the_last(ahead, monkeypatch, budget):
+    real, draws = engine.draw_generation, []
+    monkeypatch.setattr(engine, "draw_generation", lambda *args: draws.append(len(args[0])) or real(*args))
+    problem, params = CASES["F16"]()
+    run_many(problem, replace(params, max_iterations=budget), SEEDS[:3])
+    assert draws == [3] * max(budget, 1) and len(ahead) == 1
+
+
+def test_the_drawer_is_joined_when_every_run_has_left(ahead):
+    # a flat objective never improves, so every run leaves at generation 2
+    # with generation 3's draw in flight
+    problem = ObjectiveProblem("flat", BOX, lambda x: np.zeros(len(x)))
+    count = threading.active_count()
+    results = run_many(problem, FwscParams(max_iterations=30, stagnation_window=1), SEEDS[:3])
+    assert [r.iterations_run for r in results] == [2] * 3
+    assert threading.active_count() == count and not drawer_threads() and len(ahead) == 1
+
+
+def test_an_objective_error_reaches_the_caller_and_joins_the_drawer(ahead):
+    calls = []
+
+    def failing(x):
+        calls.append(len(x))
+        if len(calls) == 5:  # the wasp batch of generation 3
+            raise ValueError("objective failed at generation 3")
+        return np.sum(x * x, axis=-1)
+
+    count = threading.active_count()
+    with pytest.raises(ValueError, match="generation 3"):
+        run_many(ObjectiveProblem("failing", BOX, failing), FwscParams(max_iterations=30), SEEDS[:3])
+    assert threading.active_count() == count and not drawer_threads() and len(ahead) == 1
+
+
+def test_a_drawer_error_reaches_the_caller(ahead, monkeypatch):
+    real, threads = engine.draw_generation, []
+
+    def failing(rngs, params, buffers):
+        threads.append(threading.current_thread())
+        if len(threads) == 3:
+            raise RuntimeError("draw failed at generation 3")
+        return real(rngs, params, buffers)
+
+    monkeypatch.setattr(engine, "draw_generation", failing)
+    problem, params = CASES["F16"]()
+    count = threading.active_count()
+    with pytest.raises(RuntimeError, match="generation 3"):
+        run_many(problem, params, SEEDS[:3])
+    assert threading.active_count() == count and not drawer_threads()
+    assert len(threads) == 3 and threading.main_thread() not in threads
