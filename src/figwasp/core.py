@@ -9,6 +9,7 @@ map turns uniform draws from the caller's stream into noise terms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import numbers
 from dataclasses import dataclass
@@ -20,9 +21,9 @@ Vector = np.ndarray
 
 _MASK64 = (1 << 64) - 1
 
-# Objectives raise single coordinates to powers with `power`, libm pow for a
-# float64 scalar (a call on one point) and a column (a row-wise call) alike;
-# `**` takes different routes for the two that can disagree in the last bit.
+# `power` is libm pow for a float64 scalar (one point) and a column (rows)
+# alike. F7's `x**4`, F12/F13's `** m`, F14's `** 6` and stepped-beam's
+# `heights**3` still use `**`, a SIMD pow whose last bit depends on the CPU.
 power = np.float_power
 
 # Limits beyond half the largest float would overflow: the midpoint of two
@@ -111,6 +112,14 @@ class ObjectiveProblem:
         return self.bounds.dimension
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """Read-only arange(n), the start of an in-place permutation."""
+    identity = np.arange(n)
+    identity.setflags(write=False)
+    return identity
+
+
 class RandomStream:
     """Counter-based (Philox) random stream owned by exactly one run.
 
@@ -133,8 +142,15 @@ class RandomStream:
         high = np.asarray(high, dtype=float)
         return low + self._gen.random(size) * (high - low)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+    def permutation(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """A random order of 0..n-1, into ``out`` (an (n,) intp array) if given: the same draws."""
+        if out is None:
+            return self._gen.permutation(n)
+        if out.shape != (n,) or out.dtype != np.intp:
+            raise ValueError(f"out must be an ({n},) intp array, not {out.dtype} {out.shape}")
+        out[...] = _identity(n)
+        self._gen.shuffle(out)
+        return out
 
     def choose_without_replacement(self, n: int, k: int) -> np.ndarray:
         return self._gen.choice(n, size=k, replace=False)
@@ -151,22 +167,13 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") & _MASK64
 
 
-def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate every row of an (n, dimension) array in one objective call.
-
-    Rows must already lie inside the problem bounds; internal callers clamp
-    before evaluating, so a violation here is a caller bug. A stochastic
-    problem needs one uniform draw per row in ``noise``, taken from the
-    caller's stream; the problem's ``noise`` map turns them into its terms.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != problem.dimension:
-        raise ValueError(f"positions have shape {positions.shape}, expected (n, {problem.dimension})")
-    if not problem.bounds.contains(positions):
-        raise ValueError(f"position outside bounds for {problem.name}")
-    values = np.asarray(problem.objective(positions), dtype=float)
-    if values.shape != positions.shape[:1]:
-        shape, n = values.shape, len(positions)
+def score(problem: ObjectiveProblem, rows: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+    """Values of (n, dimension) float ``rows`` inside the bounds, unchecked, in one objective call
+    that must return (n,) values. A stochastic problem needs one uniform draw per row in ``noise``,
+    from the caller's stream; the problem's ``noise`` map turns them into its terms."""
+    values = np.asarray(problem.objective(rows), dtype=float)
+    if values.shape != rows.shape[:1]:
+        shape, n = values.shape, len(rows)
         raise ValueError(f"{problem.name}: the objective must map (n, d) rows to (n,) values, not {shape} for n={n}")
     if problem.noise is not None:
         terms = None if noise is None else np.asarray(problem.noise(noise), dtype=float)
@@ -174,6 +181,17 @@ def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.n
             raise ValueError(f"{problem.name} is stochastic and needs one noise draw and term per row ({len(values)})")
         values = values + terms
     return values
+
+
+def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+    """`score` every row of an (n, dimension) array after checking the rows' shape and that they
+    lie inside the bounds. The engine calls `score` itself: it clamps every row into the box."""
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != problem.dimension:
+        raise ValueError(f"positions have shape {positions.shape}, expected (n, {problem.dimension})")
+    if not problem.bounds.contains(positions):
+        raise ValueError(f"position outside bounds for {problem.name}")
+    return score(problem, positions, noise)
 
 
 def evaluate(problem: ObjectiveProblem, position: Vector, noise: np.ndarray | None = None) -> float:

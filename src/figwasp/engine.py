@@ -17,8 +17,9 @@ generation and in the order it states, so a run is a pure function of
 `search_directions` returns new pools, and `wind_effect` kicks them. The
 generation loop, the only code that calls the problem's, evaluates two
 batches, each one objective call that maps (n, d) rows to (n,) values:
-every wasp, then the whole pool. NaN objective values rank as +inf: never
-the best-so-far, last in the mating grid and in selection.
+every wasp, then the whole pool, by `core.score`: every row is clamped into
+the box by construction, so none is checked. NaN objective values rank as
++inf: never the best-so-far, last in the mating grid and in selection.
 
 `run_many` advances several runs of one problem in lockstep, and `run` is
 its one-seed case, a group of one. Run i is row i of every group array,
@@ -50,7 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import Bounds, ObjectiveProblem, RandomStream, Vector
-from .core import evaluate_batch as evaluate  # every engine evaluation is a batch of rows
+from .core import score as evaluate  # every engine batch is clamped into the box, so its rows go unchecked
 
 # Decay horizon for the neighborhood radius, as a multiple of the iteration
 # budget, when no explicit decay_scale is configured. Calibrated on pilot
@@ -194,7 +195,7 @@ def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple
                 stream.uniform(out=wasps[i, t, a])
                 if noise is not None:
                     stream.uniform(out=noise[i, t, a])
-                permutations[i, t, a] = stream.permutation(params.wasps_per_fig)
+                stream.permutation(params.wasps_per_fig, out=permutations[i, t, a])
         stream.uniform(out=uniforms[i])
         if stream.uniform() <= params.wind_threshold and params.wind_threshold > 0.0 and m > 0:
             winds.append((i, np.sort(stream.choose_without_replacement(size, m)), stream.uniform(size=(m, d))))
@@ -221,9 +222,10 @@ def spawn_wasps(wasp_uniforms: np.ndarray, fig_lower: np.ndarray, fig_upper: np.
 
 
 @functools.lru_cache(maxsize=64)
-def _row_starts(lead: tuple[int, ...], width: int) -> np.ndarray:
-    """Read-only (*lead, 1) offsets 0, width, 2*width, ... of rows laid end to end."""
-    starts = np.arange(0, math.prod(lead) * width, width).reshape(lead + (1,))
+def _row_starts(shape: tuple[int, ...], width: int) -> np.ndarray:
+    """Read-only offsets 0, width, ... of rows laid end to end, k per row of ``shape`` (..., k):
+    numpy adds an index of the same shape faster than it broadcasts a (..., 1) one."""
+    starts = np.repeat(np.arange(0, math.prod(shape[:-1]) * width, width), shape[-1]).reshape(shape)
     starts.setflags(write=False)
     return starts
 
@@ -231,7 +233,7 @@ def _row_starts(lead: tuple[int, ...], width: int) -> np.ndarray:
 def _flat(index: np.ndarray, width: int) -> np.ndarray:
     """Per-row positions ``index`` (..., k) into rows of ``width`` items, as
     positions into all the rows laid end to end."""
-    return index + _row_starts(index.shape[:-1], width)
+    return index + _row_starts(index.shape, width)
 
 
 def build_mating_grid(females: np.ndarray, fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,8 +500,8 @@ def _lockstep(
                 for run in live:
                     run.trace.append(run.best_fitness)
                 break
-            h = w // 2  # each permutation's first half is female
-            females, males = np.sort(permutations[..., :h]), np.sort(permutations[..., h:])
+            sexes = np.sort(permutations.reshape(permutations.shape[:-1] + (2, w // 2)), axis=-1)
+            females, males = sexes[..., 0, :], sexes[..., 1, :]  # each permutation's first half is female
             grid = build_mating_grid(females, fitness.reshape(permutations.shape))
             pools = pool_offsprings(mate(wasps, *grid, fitness[_flat(males, w)]))
             pools = wind_effect(winds, search_directions(uniforms, pools, gb), gb)

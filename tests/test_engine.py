@@ -665,6 +665,31 @@ class TestRun:
         for x in seen:
             assert base.bounds.contains(x)
 
+    @pytest.mark.parametrize("entry", [run, lambda *args: run_many(*args[:2], [args[2]] * 3)], ids=["run", "run_many"])
+    def test_a_one_point_objective_fails_with_the_problem_name(self, entry):
+        # the engine scores without evaluate_batch's row checks, but still
+        # checks the values an objective returns
+        problem = ObjectiveProblem("pointwise", Bounds.box(-1.0, 1.0, 2), lambda x: float(np.sum(x * x)))
+        with pytest.raises(ValueError, match=r"^pointwise: the objective must map \(n, d\) rows to \(n,\) values"):
+            entry(problem, FwscParams(max_iterations=3), 5)
+
+    @pytest.mark.parametrize("budget, batches", [(0, 1), (1, 2), (6, 12)])
+    def test_the_engine_scores_through_its_evaluate_twice_per_generation(self, monkeypatch, budget, batches):
+        # one call per batch for the whole group, wasps then pool: perfbench
+        # counts core.evaluate.calls_per_gen by wrapping this module global
+        rows = []
+
+        def counted(problem, positions, noise=None):
+            rows.append(len(positions))
+            return real(problem, positions, noise)
+
+        real = engine.evaluate
+        monkeypatch.setattr(engine, "evaluate", counted)
+        params = FwscParams(max_iterations=budget)
+        results = run_many(sphere_problem(), params, [1, 2, 3])
+        assert len(rows) == batches
+        assert sum(rows) == sum(r.evaluations for r in results)
+
     def test_rowwise_objective_gives_the_same_run(self):
         # the objective is called once per batch, two batches per generation,
         # and the run is bit-identical to the README's adapter around a

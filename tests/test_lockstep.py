@@ -89,6 +89,37 @@ def test_runs_leave_the_group_at_different_generations():
         assert len(set(stops)) > 1 and min(stops) < params.max_iterations
 
 
+# the engine scores its batches without checking their rows against the box
+# (`core.score`), so every row must arrive inside it by construction; C8 in
+# test_acceptance watches single runs, these the group paths it does not reach
+BOX_CONTRACT_CASES = {
+    "group-wind-1": ("wind-1", SEEDS[:3], False),
+    "middle-run-leaves": ("stagnation", [11, 123456789, 2024], False),
+    "F7@30-noisy": ("F7@30-noisy", SEEDS[:3], False),
+    "drawing-ahead": ("stagnation-wind-1", SEEDS, True),
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_CONTRACT_CASES))
+def test_every_row_an_objective_gets_lies_in_the_box(monkeypatch, name):
+    case, seeds, draws_ahead = BOX_CONTRACT_CASES[name]
+    problem, params = CASES[case]()
+    batches = []
+
+    def watching(x, objective=problem.objective):
+        batches.append((len(x), problem.bounds.contains(x)))
+        return objective(x)
+
+    made = open_gate(monkeypatch) if draws_ahead else []
+    results = run_many(replace(problem, objective=watching), params, seeds)
+    assert batches and all(inside for _, inside in batches)
+    assert sum(n for n, _ in batches) == sum(r.evaluations for r in results)
+    assert len(made) == draws_ahead
+    if name == "middle-run-leaves":
+        stops = [r.iterations_run for r in results]
+        assert stops[1] < min(stops[0], stops[2])
+
+
 @pytest.mark.parametrize(
     "case, seeds", [("stagnation-noisy", [11, 7, 123456789]), ("stagnation", [11, 123456789, 2024])]
 )
