@@ -29,13 +29,14 @@ trace and evaluation count; a run whose stagnation window runs out leaves
 the group. So every result equals, bit for bit, the run made alone.
 
 A group allocates its generation buffers once and draws into them in
-place; when runs leave, the others draw into the leading rows. A group of
-large problems on a spare CPU draws ahead (see `_draws_ahead`): one
-background thread, the only one that touches the streams, draws
-generation k+1 into a second set of buffers while generation k runs, in
-the same per-stream order. Snapshots and results never alias the buffers;
-the wasp rows an objective gets are overwritten during the next
-generation, possibly from that thread, so it must copy any row it keeps.
+place; when runs leave, the others draw into the leading rows. Every group
+runs one loop, drawing in turn or ahead (see `_draws_ahead`): a group of
+large problems on a spare CPU has one background thread, the only one that
+touches the streams, draw generation k+1 into a second set of buffers
+while generation k runs, in the same per-stream order. Snapshots and
+results never alias the buffers; the wasp rows an objective gets are
+overwritten during the next generation, possibly from that thread, so it
+must copy any row it keeps.
 """
 
 from __future__ import annotations
@@ -377,83 +378,69 @@ def _draws_ahead(problem: ObjectiveProblem, params: FwscParams) -> bool:
     return multiprocessing.parent_process() is None
 
 
-class _DrawAhead:
-    """A group's draws made one generation ahead by one background thread.
-
-    While the caller runs generation k on one of two buffer sets, the thread
-    fills the other with `draw_generation` for generation k+1. Only that
-    thread touches the streams, each in its own order, so the draws are
-    those made in turn. The two locks act as semaphores, each released by
-    the other thread: ``_go`` hands the thread a job, ``_done`` hands back
-    its winds, or the error it raised, which `take` re-raises.
+class _Draws:
+    """A group's draws: `_lockstep` asks for a generation's draw, takes it
+    before it asks for the next one's, and tells `keep` which runs stay.
+    Drawn in turn, a draw is made when it is taken. Drawn ahead, one
+    background thread makes each draw as soon as it is asked for; it gets
+    its jobs from one queue and hands back their winds, or the error that
+    `take` re-raises, through the other. One thread at a time draws, each
+    stream in its own order, so the draws are those made in turn.
     """
 
-    def __init__(self, params: FwscParams, sets: list[tuple], rngs: list[RandomStream]):
-        """Starts the thread on the first generation's draw from ``rngs``."""
-        self._params, self._sets, self._turn = params, sets, 0
-        # the draw in flight as (streams, buffers); a drawn (buffers, winds) not
-        # yet taken; what the thread hands back, winds or an error
-        self._job = self._ready = self._result = None
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._thread = threading.Thread(target=self._serve, name="figwasp-draw-ahead", daemon=True)
-        self._thread.start()
-        self._start(rngs)
+    def __init__(self, params: FwscParams, ahead: bool):
+        """Starts the thread when the group draws ``ahead``."""
+        self._params, self._job, self._thread = params, None, None  # the draw asked for, as (streams, buffers)
+        if ahead:
+            import queue  # here, so that groups drawn in turn never load it
+
+            self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name="figwasp-draw-ahead", daemon=True)
+            self._thread.start()
 
     def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
+        for rngs, buffers in iter(self._jobs.get, None):
             try:
-                self._result = draw_generation(self._job[0], self._params, self._job[1])
+                self._done.put(draw_generation(rngs, self._params, buffers))
             except BaseException as exc:  # handed to the caller, which re-raises it
-                self._result = exc
-            self._done.release()
+                self._done.put(exc)
 
-    def _start(self, rngs: list[RandomStream]) -> None:
-        buffers = [b if b is None else b[: len(rngs)] for b in self._sets[self._turn]]
-        self._job, self._turn = (rngs, buffers), 1 - self._turn
-        self._go.release()
+    def ask(self, rngs: list[RandomStream], buffers: tuple) -> None:
+        """Asks for the next generation's draw from ``rngs`` into ``buffers``."""
+        self._job = rngs, buffers
+        if self._thread is not None:
+            self._jobs.put(self._job)
 
-    def _wait(self) -> tuple:
-        self._done.acquire()
-        (_, buffers), result = self._job, self._result
-        self._job = self._result = None
-        if isinstance(result, BaseException):
-            raise result
-        return buffers, result
-
-    def take(self, rngs: list[RandomStream], more: bool) -> tuple:
-        """This generation's buffers and winds; then starts the next
-        generation's draw from ``rngs`` when ``more`` follow."""
-        drawn, self._ready = self._ready or self._wait(), None
-        if more:
-            self._start(rngs)
-        return drawn
+    def take(self) -> tuple:
+        """The draw asked for, as (buffers, winds)."""
+        (rngs, buffers), self._job = self._job, None
+        winds = draw_generation(rngs, self._params, buffers) if self._thread is None else self._done.get()
+        if isinstance(winds, BaseException):
+            raise winds
+        return buffers, winds
 
     def keep(self, stays: list[bool]) -> None:
-        """Waits for the draw in flight, if any, and moves the rows of the
-        runs that stay to its leading rows, renumbering its winds."""
-        if self._job is None:
-            return
-        buffers, winds = self._wait()
+        """Runs leave: the draw asked for serves only the runs that ``stays``
+        keeps, in the leading rows of its buffers. Drawn ahead, it is waited
+        for, their rows move up, and its winds, renumbered, go back to the
+        queue `take` reads."""
         rows = np.flatnonzero(stays)
-        kept = [b if b is None else b[: len(rows)] for b in buffers]
-        for short, b in zip(kept, buffers):
-            if b is not None:
-                short[:] = b[rows]
-        row = {old: new for new, old in enumerate(rows.tolist())}
-        self._ready = kept, [(row[i], members, kicks) for i, members, kicks in winds if i in row]
+        rngs, buffers = self._job
+        self._job = [rngs[i] for i in rows], [b if b is None else b[: len(rows)] for b in buffers]
+        if self._thread is not None:
+            winds = self._done.get()
+            if not isinstance(winds, BaseException):  # an error goes back as it is, for `take` to raise
+                for short, b in zip(self._job[1], buffers):
+                    if b is not None:
+                        short[:] = b[rows]
+                winds = [(sum(stays[:i]), members, kicks) for i, members, kicks in winds if stays[i]]
+            self._done.put(winds)
 
     def close(self) -> None:
-        """Waits for the draw in flight, if any, and joins the thread."""
-        if self._job is not None:
-            self._done.acquire()
-        self._job = None
-        self._go.release()
-        self._thread.join()
+        """Joins the thread once it has made the draw in flight, if any."""
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
 
 
 def _lockstep(
@@ -466,10 +453,11 @@ def _lockstep(
     i is row i of every group array and draws from its own stream into row
     i of buffers made once for the whole group.
 
-    When `_draws_ahead` holds, the group makes two buffer sets and a
-    `_DrawAhead` thread draws generation k+1 into one while this thread runs
-    generation k on the other; a run that leaves takes its rows out of the
-    draw in flight. Every exit, an error too, joins the thread.
+    Each generation takes its draw from a `_Draws`, whichever thread made
+    it. When `_draws_ahead` holds, the group makes two buffer sets, and the
+    drawer's thread fills one with generation k+1's draw while this thread
+    runs generation k on the other; a run that leaves takes its rows out of
+    the draw in flight. Every exit, an error too, joins the thread.
     """
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
@@ -480,18 +468,16 @@ def _lockstep(
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
     trees = np.stack(trees)  # (R, T, d)
     last = max(params.max_iterations, 1)
-    drawn = buffers = generation_buffers(problem, params, len(runs))
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
-    ahead = None
-    if _draws_ahead(problem, params):
-        ahead = _DrawAhead(params, [buffers, generation_buffers(problem, params, len(runs))], rngs)
+    ahead = _draws_ahead(problem, params)
+    sets = [generation_buffers(problem, params, len(runs)) for _ in range(1 + ahead)]
+    draws = _Draws(params, ahead)
     try:
+        draws.ask(rngs, sets[0])
         for k in range(1, last + 1):
-            if ahead is None:
-                winds = draw_generation(rngs, params, drawn)
-            else:
-                drawn, winds = ahead.take(rngs, more=k < last)
-            figs, wasps, noise, permutations, uniforms, pool_noise = drawn
+            (figs, wasps, noise, permutations, uniforms, pool_noise), winds = draws.take()
+            if k < last:
+                draws.ask(rngs, sets[k % len(sets)])
             wasps = spawn_wasps(wasps, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
             fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=None if noise is None else noise.reshape(-1)))
             for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
@@ -518,19 +504,17 @@ def _lockstep(
 
             # a trace never rises and only a strict drop improves it, so a run has
             # gone `window` generations without improving when its value `window`
-            # generations back equals its last; such a run leaves the group
-            if window is not None and k > window:
+            # generations back equals its last; such a run leaves, unless the group is done
+            if window is not None and window < k < last:
                 stays = [run.trace[-1 - window] != run.trace[-1] for run in live]
                 if not all(stays):
                     live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
                     if not live:
                         break
-                    rngs, drawn = [run.rng for run in live], [b if b is None else b[: len(live)] for b in buffers]
-                    if ahead is not None:
-                        ahead.keep(stays)
+                    rngs, sets = [run.rng for run in live], [[b if b is None else b[: len(live)] for b in s] for s in sets]
+                    draws.keep(stays)
     finally:
-        if ahead is not None:
-            ahead.close()
+        draws.close()
 
     return [
         RunResult(

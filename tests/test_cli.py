@@ -452,13 +452,13 @@ class TestRunCommand:
         # machine with a spare CPU; in pool workers it draws in turn
         from figwasp import engine
 
-        made, real = [], engine._DrawAhead
-        monkeypatch.setattr(engine, "_DrawAhead", lambda *args: made.append(real(*args)) or made[-1])
+        aheads, real = [], engine._Draws
+        monkeypatch.setattr(engine, "_Draws", lambda params, ahead: aheads.append(ahead) or real(params, ahead))
         args = ["run", "F1@1000", *SMALL, small_config(tmp_path, iterations=5), "--trace"]
         for workers in ("1", "2"):
             monkeypatch.setenv(cli.WORKERS_ENV, workers)
             assert main(args + ["--out", str(tmp_path / workers)]) == 0
-        assert len(made) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
+        assert aheads.count(True) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
         names = sorted(p.name for p in (tmp_path / "1").iterdir())
         assert len(names) == 3 and names == sorted(p.name for p in (tmp_path / "2").iterdir())
         for name in names:

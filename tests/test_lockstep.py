@@ -60,6 +60,9 @@ CASES = {
     "stagnation": lambda: campaign_case("pressure-vessel", None, stagnation_window=3),
     "stagnation-noisy": lambda: campaign_case("F7", 30, stagnation_window=2),
     "stagnation-wind-1": lambda: campaign_case("pressure-vessel", None, stagnation_window=3, wind_threshold=1.0),
+    # runs of SEEDS leave after generations 8, 5, 10, 10 and 11 of 12: in two
+    # generations in a row, the second with the final generation's draw asked for
+    "stagnation-short": lambda: campaign_case("pressure-vessel", None, stagnation_window=3, max_iterations=12),
 }
 
 
@@ -125,19 +128,21 @@ def test_every_row_an_objective_gets_lies_in_the_box(monkeypatch, name):
 )
 def test_a_group_allocates_its_buffers_once_as_runs_leave(monkeypatch, case, seeds):
     # the middle run stagnates first; the others draw on into the leading
-    # rows of the group's one set of buffers
+    # rows of the group's one set of buffers, and only their streams draw
     problem, params = CASES[case]()
-    made = []
+    made, real, draws = [], engine.draw_generation, []
 
     def buffers(*args):
         made.append(args)
         return generation_buffers(*args)
 
     monkeypatch.setattr(engine, "generation_buffers", buffers)
+    monkeypatch.setattr(engine, "draw_generation", lambda *args: draws.append(len(args[0])) or real(*args))
     results = run_many(problem, params, seeds)
     assert made == [(problem, params, 3)]
     stops = [r.iterations_run for r in results]
     assert stops[1] < min(stops[0], stops[2])
+    assert draws == [sum(stop >= k for stop in stops) for k in range(1, max(stops) + 1)]
     monkeypatch.undo()
     for seed, many in zip(seeds, results):
         assert_same_run(many, run(problem, params, seed))
@@ -249,18 +254,26 @@ def test_stagnation_stop_follows_the_counter(window):
 # results, are those made in turn
 
 
+def drawers_ahead(monkeypatch):
+    """Records every drawer made from now on that draws ahead; returns the
+    list of them."""
+    made, real = [], engine._Draws
+
+    def drawer(params, ahead):
+        draws = real(params, ahead)
+        if ahead:
+            made.append(draws)
+        return draws
+
+    monkeypatch.setattr(engine, "_Draws", drawer)
+    return made
+
+
 def open_gate(monkeypatch):
     """Opens the draw-ahead gate for every problem, so the threaded path runs
-    on cheap cases; returns the list of drawers made."""
-    made, real = [], engine._DrawAhead
-
-    def drawer(*args):
-        made.append(real(*args))
-        return made[-1]
-
+    on cheap cases; returns the list of drawers made that draw ahead."""
     monkeypatch.setattr(engine, "_draws_ahead", lambda problem, params: True)
-    monkeypatch.setattr(engine, "_DrawAhead", drawer)
-    return made
+    return drawers_ahead(monkeypatch)
 
 
 @pytest.fixture
@@ -280,6 +293,7 @@ AHEAD_CASES = [
     ("stagnation", [11, 123456789, 2024]),  # the middle run leaves first
     ("stagnation-noisy", SEEDS),
     ("stagnation-wind-1", SEEDS),  # the first run leaves first: the others' winds move up a row
+    ("stagnation-short", SEEDS + [4]),  # seed 4 runs all 12 generations
 ]
 
 
@@ -292,10 +306,13 @@ def test_drawing_ahead_equals_drawing_in_turn(monkeypatch, case, seeds):
     for many, alone in zip(run_many(problem, params, seeds), in_turn, strict=True):
         assert_same_run(many, alone)
     assert len(made) == 1
+    stops = [r.iterations_run for r in in_turn]
     first = {"stagnation": 1, "stagnation-wind-1": 0}.get(case)  # the run that leaves first
     if first is not None:
-        stops = [r.iterations_run for r in in_turn]
         assert stops[first] < min(stops[:first] + stops[first + 1 :])
+    if case == "stagnation-short":
+        last = params.max_iterations
+        assert {last - 2, last - 1, last} <= set(stops)
 
 
 def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monkeypatch):
@@ -327,8 +344,7 @@ def test_a_large_problem_draws_ahead_through_the_real_gate(monkeypatch):
     with monkeypatch.context() as shut:
         shut.setattr(engine, "_draws_ahead", lambda problem, params: False)
         in_turn = run_many(problem, params, SEEDS[:2])
-    made, real = [], engine._DrawAhead
-    monkeypatch.setattr(engine, "_DrawAhead", lambda *args: made.append(real(*args)) or made[-1])
+    made = drawers_ahead(monkeypatch)
     for many, alone in zip(run_many(problem, params, SEEDS[:2]), in_turn, strict=True):
         assert_same_run(many, alone)
     assert len(made) == (len(os.sched_getaffinity(0)) > 1)
