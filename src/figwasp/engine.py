@@ -33,10 +33,11 @@ place; when runs leave, the others draw into the leading rows. Every group
 runs one loop, drawing in turn or ahead (see `_draws_ahead`): a group of
 large problems on a spare CPU has one background thread, the only one that
 touches the streams, draw generation k+1 into a second set of buffers
-while generation k runs, in the same per-stream order. Snapshots and
-results never alias the buffers; the wasp rows an objective gets are
-overwritten during the next generation, possibly from that thread, so it
-must copy any row it keeps.
+while generation k runs, in the same per-stream order. Such a group never
+loses a run while others stay: with a stagnation window, its runs go one
+at a time. Snapshots and results never alias the buffers; the wasp rows an
+objective gets are overwritten during the next generation, possibly from
+that thread, so it must copy any row it keeps.
 """
 
 from __future__ import annotations
@@ -379,13 +380,13 @@ def _draws_ahead(problem: ObjectiveProblem, params: FwscParams) -> bool:
 
 
 class _Draws:
-    """A group's draws: `_lockstep` asks for a generation's draw, takes it
-    before it asks for the next one's, and tells `keep` which runs stay.
-    Drawn in turn, a draw is made when it is taken. Drawn ahead, one
-    background thread makes each draw as soon as it is asked for; it gets
-    its jobs from one queue and hands back their winds, or the error that
-    `take` re-raises, through the other. One thread at a time draws, each
-    stream in its own order, so the draws are those made in turn.
+    """A group's draws: `_lockstep` asks for a generation's draw and takes
+    it before it asks for the next one's. Drawn in turn, a draw is made when
+    it is taken, so asking again replaces the draw asked for. Drawn ahead,
+    one background thread makes each draw as soon as it is asked for; it
+    gets its jobs from one queue and hands back their winds, or the error
+    that `take` re-raises, through the other. One thread at a time draws,
+    each stream in its own order, so the draws are those made in turn.
     """
 
     def __init__(self, params: FwscParams, ahead: bool):
@@ -419,23 +420,6 @@ class _Draws:
             raise winds
         return buffers, winds
 
-    def keep(self, stays: list[bool]) -> None:
-        """Runs leave: the draw asked for serves only the runs that ``stays``
-        keeps, in the leading rows of its buffers. Drawn ahead, it is waited
-        for, their rows move up, and its winds, renumbered, go back to the
-        queue `take` reads."""
-        rows = np.flatnonzero(stays)
-        rngs, buffers = self._job
-        self._job = [rngs[i] for i in rows], [b if b is None else b[: len(rows)] for b in buffers]
-        if self._thread is not None:
-            winds = self._done.get()
-            if not isinstance(winds, BaseException):  # an error goes back as it is, for `take` to raise
-                for short, b in zip(self._job[1], buffers):
-                    if b is not None:
-                        short[:] = b[rows]
-                winds = [(sum(stays[:i]), members, kicks) for i, members, kicks in winds if stays[i]]
-            self._done.put(winds)
-
     def close(self) -> None:
         """Joins the thread once it has made the draw in flight, if any."""
         if self._thread is not None:
@@ -454,10 +438,12 @@ def _lockstep(
     i of buffers made once for the whole group.
 
     Each generation takes its draw from a `_Draws`, whichever thread made
-    it. When `_draws_ahead` holds, the group makes two buffer sets, and the
-    drawer's thread fills one with generation k+1's draw while this thread
-    runs generation k on the other; a run that leaves takes its rows out of
-    the draw in flight. Every exit, an error too, joins the thread.
+    it. When `_draws_ahead` holds and the group can lose no run while others
+    stay (one seed, or no stagnation window), the group makes two buffer
+    sets, and the drawer's thread fills one with generation k+1's draw while
+    this thread runs generation k on the other. Every exit, an error too,
+    joins the thread. So only a group drawn in turn loses runs, and it asks
+    again for the next draw, from the staying streams into the leading rows.
     """
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
@@ -469,7 +455,7 @@ def _lockstep(
     trees = np.stack(trees)  # (R, T, d)
     last = max(params.max_iterations, 1)
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
-    ahead = _draws_ahead(problem, params)
+    ahead = (len(runs) == 1 or window is None) and _draws_ahead(problem, params)
     sets = [generation_buffers(problem, params, len(runs)) for _ in range(1 + ahead)]
     draws = _Draws(params, ahead)
     try:
@@ -512,7 +498,7 @@ def _lockstep(
                     if not live:
                         break
                     rngs, sets = [run.rng for run in live], [[b if b is None else b[: len(live)] for b in s] for s in sets]
-                    draws.keep(stays)
+                    draws.ask(rngs, sets[k % len(sets)])
     finally:
         draws.close()
 
@@ -555,7 +541,11 @@ def run_many(problem: ObjectiveProblem, params: FwscParams, seeds) -> list[RunRe
     The runs share each generation's array work and objective batches, and
     each keeps its own stream, draw order, best, trace and evaluation
     count. A run whose stagnation window runs out leaves the group; the
-    others go on.
+    others go on. Runs that would draw ahead (`_draws_ahead`) with a
+    stagnation window go one at a time, each drawing ahead alone, since a
+    group that draws ahead loses no run while others stay.
     """
     seeds = list(seeds)
+    if len(seeds) > 1 and params.stagnation_window is not None and _draws_ahead(problem, params):
+        return [run(problem, params, seed) for seed in seeds]
     return _lockstep(problem, params, seeds, None) if seeds else []

@@ -196,6 +196,11 @@ ONE_EXIT = [
         "stats {tmp}/a.csv {tmp}/b.csv --out {tmp}/plain", "error: {tmp}/plain: not a directory\n", id="stats-out-file"
     ),
     pytest.param("stats x={tmp}/a.csv x={tmp}/b.csv", "error: stats: algorithm names must be unique", id="names"),
+    pytest.param(
+        "stats ={tmp}/missing.csv {tmp}/b.csv",
+        "error: stats: algorithm names must not be empty (use name=path)\n",
+        id="empty-name",
+    ),
     pytest.param("stats {tmp}/a.csv", "error: stats: need at least two result files", id="one-file"),
     pytest.param("stats {tmp}/a.csv {tmp}/b.csv --baseline c", "error: stats: baseline 'c' is not", id="baseline"),
     pytest.param("stats {tmp}/a.csv {tmp}/other.csv", "error: stats: other rows do not match a", id="rows"),
@@ -448,21 +453,34 @@ class TestRunCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_drawing_ahead_writes_the_bytes_pool_workers_write(self, tmp_path, monkeypatch):
-        # in process, a d=1000 run draws ahead in a background thread on a
+        # in process, a large run draws ahead in a background thread on a
         # machine with a spare CPU; in pool workers it draws in turn
         from figwasp import engine
 
+        cases = [
+            ("F1@1000", "iterations = 5\n", [1 + 5, 1 + 5]),  # a group of 1 a run
+            # a group of 2 at one worker, whose runs go one at a time since a window
+            # is set: the first leaves after generation 2, the second runs all 20
+            ("F1@500", "iterations = 20\nstagnation_window = 1\n", [1 + 2, 1 + 20]),
+        ]
         aheads, real = [], engine._Draws
         monkeypatch.setattr(engine, "_Draws", lambda params, ahead: aheads.append(ahead) or real(params, ahead))
-        args = ["run", "F1@1000", *SMALL, small_config(tmp_path, iterations=5), "--trace"]
-        for workers in ("1", "2"):
-            monkeypatch.setenv(cli.WORKERS_ENV, workers)
-            assert main(args + ["--out", str(tmp_path / workers)]) == 0
-        assert aheads.count(True) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
-        names = sorted(p.name for p in (tmp_path / "1").iterdir())
-        assert len(names) == 3 and names == sorted(p.name for p in (tmp_path / "2").iterdir())
-        for name in names:
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        for token, settings, lengths in cases:
+            aheads.clear()
+            work = tmp_path / token
+            work.mkdir()
+            (work / "exp.cfg").write_text("schema = 1\n" + settings)
+            args = ["run", token, *SMALL, str(work / "exp.cfg"), "--trace"]
+            for workers in ("1", "2"):
+                monkeypatch.setenv(cli.WORKERS_ENV, workers)
+                assert main(args + ["--out", str(work / workers)]) == 0
+            names = sorted(p.name for p in (work / "1").iterdir())
+            assert len(names) == 3 and names == sorted(p.name for p in (work / "2").iterdir())
+            for name in names:
+                assert (work / "1" / name).read_bytes() == (work / "2" / name).read_bytes()
+            # a header line, then a line a generation
+            assert sorted(len(p.read_text().splitlines()) for p in (work / "1").glob("trace_*.csv")) == lengths
+            assert aheads.count(True) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
 
     def test_dim_applies_only_to_scalable_problems(self, tmp_path):
         out = tmp_path / "out"

@@ -99,7 +99,7 @@ BOX_CONTRACT_CASES = {
     "group-wind-1": ("wind-1", SEEDS[:3], False),
     "middle-run-leaves": ("stagnation", [11, 123456789, 2024], False),
     "F7@30-noisy": ("F7@30-noisy", SEEDS[:3], False),
-    "drawing-ahead": ("stagnation-wind-1", SEEDS, True),
+    "drawing-ahead": ("stagnation-wind-1", SEEDS, True),  # each run alone, since a window is set
 }
 
 
@@ -117,7 +117,7 @@ def test_every_row_an_objective_gets_lies_in_the_box(monkeypatch, name):
     results = run_many(replace(problem, objective=watching), params, seeds)
     assert batches and all(inside for _, inside in batches)
     assert sum(n for n, _ in batches) == sum(r.evaluations for r in results)
-    assert len(made) == draws_ahead
+    assert len(made) == (len(seeds) if draws_ahead else 0)  # with a window, one drawer per seed
     if name == "middle-run-leaves":
         stops = [r.iterations_run for r in results]
         assert stops[1] < min(stops[0], stops[2])
@@ -256,13 +256,22 @@ def test_stagnation_stop_follows_the_counter(window):
 
 def drawers_ahead(monkeypatch):
     """Records every drawer made from now on that draws ahead; returns the
-    list of them."""
+    list of them. With a stagnation window, such a drawer must never be
+    asked for more than one stream: a group that draws ahead loses no run
+    while others stay."""
     made, real = [], engine._Draws
 
     def drawer(params, ahead):
         draws = real(params, ahead)
         if ahead:
             made.append(draws)
+            ask = draws.ask
+
+            def one_stream(rngs, buffers):
+                assert params.stagnation_window is None or len(rngs) == 1, f"a drawer ahead asked for {len(rngs)} streams"
+                ask(rngs, buffers)
+
+            draws.ask = one_stream
         return draws
 
     monkeypatch.setattr(engine, "_Draws", drawer)
@@ -290,9 +299,12 @@ AHEAD_CASES = [
     ("wind-1", SEEDS[:3]),
     ("zero-budget", SEEDS[:3]),
     ("zero-budget-design", SEEDS[:1]),
+    # with a window, each run draws ahead alone and its drawn-in-turn group
+    # loses runs: in the middle, first, in two generations in a row, and
+    # with one run left for the final generation
     ("stagnation", [11, 123456789, 2024]),  # the middle run leaves first
     ("stagnation-noisy", SEEDS),
-    ("stagnation-wind-1", SEEDS),  # the first run leaves first: the others' winds move up a row
+    ("stagnation-wind-1", SEEDS),  # the first run leaves first
     ("stagnation-short", SEEDS + [4]),  # seed 4 runs all 12 generations
 ]
 
@@ -305,7 +317,7 @@ def test_drawing_ahead_equals_drawing_in_turn(monkeypatch, case, seeds):
     made = open_gate(monkeypatch)
     for many, alone in zip(run_many(problem, params, seeds), in_turn, strict=True):
         assert_same_run(many, alone)
-    assert len(made) == 1
+    assert len(made) == (1 if params.stagnation_window is None else len(seeds))
     stops = [r.iterations_run for r in in_turn]
     first = {"stagnation": 1, "stagnation-wind-1": 0}.get(case)  # the run that leaves first
     if first is not None:
@@ -332,7 +344,7 @@ def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monke
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(made) == 3
+    assert not any(t.is_alive() for t in threads) and len(made) == len(SEEDS) + 1 + len(SEEDS)  # a window: a drawer a seed
     for case in cases:
         for many, alone in zip(results[case], in_turn[case], strict=True):
             assert_same_run(many, alone)
@@ -340,14 +352,34 @@ def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monke
 
 
 def test_a_large_problem_draws_ahead_through_the_real_gate(monkeypatch):
-    problem, params = campaign_case("F1", 1000, max_iterations=5)
-    with monkeypatch.context() as shut:
-        shut.setattr(engine, "_draws_ahead", lambda problem, params: False)
-        in_turn = run_many(problem, params, SEEDS[:2])
-    made = drawers_ahead(monkeypatch)
-    for many, alone in zip(run_many(problem, params, SEEDS[:2]), in_turn, strict=True):
+    spare = len(os.sched_getaffinity(0)) > 1
+    cases = [
+        (campaign_case("F1", 1000, max_iterations=5), [5, 5], spare),  # one group draws ahead
+        # a window that fires: drawn in turn the group loses its first run after
+        # generation 5 of 8; through the gate each run draws ahead alone
+        (campaign_case("F8", 500, max_iterations=8, stagnation_window=2), [5, 8], 2 * spare),
+    ]
+    for (problem, params), stops, drawers in cases:
+        with monkeypatch.context() as shut:
+            shut.setattr(engine, "_draws_ahead", lambda problem, params: False)
+            in_turn = run_many(problem, params, SEEDS[:2])
+        with monkeypatch.context() as real_gate:
+            made = drawers_ahead(real_gate)
+            for many, alone in zip(run_many(problem, params, SEEDS[:2]), in_turn, strict=True):
+                assert_same_run(many, alone)
+        assert len(made) == drawers and [r.iterations_run for r in in_turn] == stops
+
+
+def test_a_group_with_a_window_draws_in_turn_even_through_the_open_gate(monkeypatch):
+    # `run_many` never hands `_lockstep` such a group, but should it, the
+    # group must not draw ahead: it would lose runs with a draw in flight
+    problem, params = CASES["stagnation"]()
+    seeds = [11, 123456789, 2024]
+    in_turn = run_many(problem, params, seeds)
+    made = open_gate(monkeypatch)
+    for many, alone in zip(engine._lockstep(problem, params, seeds, None), in_turn, strict=True):
         assert_same_run(many, alone)
-    assert len(made) == (len(os.sched_getaffinity(0)) > 1)
+    assert made == []
 
 
 def gate(pid, dim):
@@ -400,12 +432,12 @@ def test_the_drawer_draws_no_generation_past_the_last(ahead, monkeypatch, budget
 
 def test_the_drawer_is_joined_when_every_run_has_left(ahead):
     # a flat objective never improves, so every run leaves at generation 2
-    # with generation 3's draw in flight
+    # with generation 3's draw in flight; with a window, each run has its own drawer
     problem = ObjectiveProblem("flat", BOX, lambda x: np.zeros(len(x)))
     count = threading.active_count()
     results = run_many(problem, FwscParams(max_iterations=30, stagnation_window=1), SEEDS[:3])
     assert [r.iterations_run for r in results] == [2] * 3
-    assert threading.active_count() == count and not drawer_threads() and len(ahead) == 1
+    assert threading.active_count() == count and not drawer_threads() and len(ahead) == 3
 
 
 def test_an_objective_error_reaches_the_caller_and_joins_the_drawer(ahead):
