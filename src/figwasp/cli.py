@@ -152,10 +152,10 @@ def resolved_params(config: ExperimentConfig, problem: ObjectiveProblem) -> Fwsc
 # d=30 and R=4 (12k floats), 0.47x at R=16 (46k); 0.64-0.65x at d=100 and
 # R=8-16 (77k-154k); 0.88-0.91x at d=500 and R=2-4 (96k-192k); 0.97-1.07x at
 # d=1000 and R=2-16 (192k and up). So a d=1000 problem runs one run a task.
-# These times predate drawing ahead (`engine.DRAW_AHEAD_FLOATS`). With it, in
-# process, a group of 2 drawing ahead took 0.95x the wall time of its two runs
-# made alone at d=500 (faster in 11 of 12 alternating pairs) and 0.96x at
-# d=1000 (7 of 12, quartiles 0.82-1.07x); no workload runs such a campaign yet.
+# These times predate drawing ahead (`engine.DRAW_AHEAD_FLOATS`), under which
+# a group's seeds run one at a time in process: at d=500 and d=1000, 1.06x and
+# 1.11x the wall time of a group of 2 drawing ahead (F1, medians of 26 and 25
+# alternating pairs, second CPU free); no workload runs such a campaign yet.
 GROUP_FLOATS = 2**17
 
 
@@ -340,7 +340,7 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
     pairs = [item.split("=", 1) if "=" in item else (Path(item).stem, item) for item in inputs]
     algorithms = [(name, Path(path)) for name, path in pairs]
     names = [name for name, _ in algorithms]
-    if "" in names:
+    if not all(name.strip() for name in names):
         raise ConfigError("stats: algorithm names must not be empty (use name=path)")
     if len(set(names)) != len(names):
         raise ConfigError("stats: algorithm names must be unique (use name=path)")

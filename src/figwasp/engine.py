@@ -30,14 +30,12 @@ the group. So every result equals, bit for bit, the run made alone.
 
 A group allocates its generation buffers once and draws into them in
 place; when runs leave, the others draw into the leading rows. Every group
-runs one loop, drawing in turn or ahead (see `_draws_ahead`): a group of
-large problems on a spare CPU has one background thread, the only one that
-touches the streams, draw generation k+1 into a second set of buffers
-while generation k runs, in the same per-stream order. Such a group never
-loses a run while others stay: with a stagnation window, its runs go one
-at a time. Snapshots and results never alias the buffers; the wasp rows an
-objective gets are overwritten during the next generation, possibly from
-that thread, so it must copy any row it keeps.
+runs one loop, drawing in turn or ahead (see `_draws_ahead`): a lone run of
+a large problem on a spare CPU has one background thread, the only one that
+touches its stream, draw generation k+1 into a second set of buffers while
+generation k runs, in the same order. Snapshots and results never alias the
+buffers; the wasp rows an objective gets are overwritten during the next
+generation, possibly from that thread, so it must copy any row it keeps.
 """
 
 from __future__ import annotations
@@ -353,7 +351,7 @@ class _Run:
             self.best_fitness, self.best_position = float(fitness[i]), rows[i].copy()
 
 
-# Fewest floats in one fig's wasp draw (W*d) at which a group draws each
+# Fewest floats in one fig's wasp draw (W*d) at which a lone run draws each
 # generation ahead in a background thread (`_draws_ahead`). numpy releases
 # the GIL only inside a draw call, so the longer the calls, the more of the
 # caller's arithmetic they overlap. Generation time drawing ahead over
@@ -366,9 +364,10 @@ DRAW_AHEAD_FLOATS = 4000
 
 
 def _draws_ahead(problem: ObjectiveProblem, params: FwscParams) -> bool:
-    """Whether a group of ``problem`` draws ahead: its wasp draws are large
-    enough (`DRAW_AHEAD_FLOATS`), the process may run on a second CPU, and
-    it is not a worker of a process pool, whose workers already fill them."""
+    """Whether a lone run of ``problem`` draws ahead: its wasp draws are
+    large enough (`DRAW_AHEAD_FLOATS`), the CPU affinity allows a second CPU
+    (free or not: while other load held it, drawing ahead ran 3-5% slower),
+    and it is not a worker of a process pool, whose workers fill the CPUs."""
     if params.wasps_per_fig * problem.dimension < DRAW_AHEAD_FLOATS:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -382,15 +381,15 @@ def _draws_ahead(problem: ObjectiveProblem, params: FwscParams) -> bool:
 class _Draws:
     """A group's draws: `_lockstep` asks for a generation's draw and takes
     it before it asks for the next one's. Drawn in turn, a draw is made when
-    it is taken, so asking again replaces the draw asked for. Drawn ahead,
-    one background thread makes each draw as soon as it is asked for; it
-    gets its jobs from one queue and hands back their winds, or the error
-    that `take` re-raises, through the other. One thread at a time draws,
-    each stream in its own order, so the draws are those made in turn.
+    it is taken, so asking again replaces the draw asked for. Drawn ahead (a
+    lone run), one background thread makes each draw as soon as it is asked
+    for; it gets its jobs from one queue and hands back their winds, or the
+    error that `take` re-raises, through the other. One thread at a time
+    draws, in the stream's order, so the draws are those made in turn.
     """
 
     def __init__(self, params: FwscParams, ahead: bool):
-        """Starts the thread when the group draws ``ahead``."""
+        """Starts the thread when the run draws ``ahead``."""
         self._params, self._job, self._thread = params, None, None  # the draw asked for, as (streams, buffers)
         if ahead:
             import queue  # here, so that groups drawn in turn never load it
@@ -438,12 +437,12 @@ def _lockstep(
     i of buffers made once for the whole group.
 
     Each generation takes its draw from a `_Draws`, whichever thread made
-    it. When `_draws_ahead` holds and the group can lose no run while others
-    stay (one seed, or no stagnation window), the group makes two buffer
+    it. A group of one seed for which `_draws_ahead` holds makes two buffer
     sets, and the drawer's thread fills one with generation k+1's draw while
     this thread runs generation k on the other. Every exit, an error too,
-    joins the thread. So only a group drawn in turn loses runs, and it asks
-    again for the next draw, from the staying streams into the leading rows.
+    joins the thread. A group of several draws in turn; when runs leave,
+    it asks again for the next draw, from the staying streams into the
+    leading rows.
     """
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
@@ -455,7 +454,7 @@ def _lockstep(
     trees = np.stack(trees)  # (R, T, d)
     last = max(params.max_iterations, 1)
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
-    ahead = (len(runs) == 1 or window is None) and _draws_ahead(problem, params)
+    ahead = len(runs) == 1 and _draws_ahead(problem, params)
     sets = [generation_buffers(problem, params, len(runs)) for _ in range(1 + ahead)]
     draws = _Draws(params, ahead)
     try:
@@ -497,8 +496,8 @@ def _lockstep(
                     live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
                     if not live:
                         break
-                    rngs, sets = [run.rng for run in live], [[b if b is None else b[: len(live)] for b in s] for s in sets]
-                    draws.ask(rngs, sets[k % len(sets)])
+                    rngs, sets = [run.rng for run in live], [[b if b is None else b[: len(live)] for b in sets[0]]]
+                    draws.ask(rngs, sets[0])
     finally:
         draws.close()
 
@@ -541,11 +540,10 @@ def run_many(problem: ObjectiveProblem, params: FwscParams, seeds) -> list[RunRe
     The runs share each generation's array work and objective batches, and
     each keeps its own stream, draw order, best, trace and evaluation
     count. A run whose stagnation window runs out leaves the group; the
-    others go on. Runs that would draw ahead (`_draws_ahead`) with a
-    stagnation window go one at a time, each drawing ahead alone, since a
-    group that draws ahead loses no run while others stay.
+    others go on. Runs that would draw ahead (`_draws_ahead`) go one at a
+    time, each drawing ahead alone.
     """
     seeds = list(seeds)
-    if len(seeds) > 1 and params.stagnation_window is not None and _draws_ahead(problem, params):
+    if len(seeds) > 1 and _draws_ahead(problem, params):
         return [run(problem, params, seed) for seed in seeds]
     return _lockstep(problem, params, seeds, None) if seeds else []

@@ -5,6 +5,7 @@ import csv
 import math
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -174,11 +175,11 @@ def test_bad_input_names_its_key_and_exits_2(tmp_path, capsys, kind, text, prefi
     assert not (tmp_path / "o").exists()
 
 
-# (command line, what its one error line starts with); {tmp} is the test's
-# directory, which holds a.csv and b.csv (the same two problem rows), one.csv
-# (one row), other.csv (other rows), twice.csv (a row twice), ok.cfg,
-# latin1.cfg (not UTF-8) and plain, a regular file. A file error that escaped
-# main would end in a traceback and exit code 1.
+# (command line, quoted as a shell quotes it, what its one error line starts
+# with); {tmp} is the test's directory, which holds a.csv and b.csv (the same
+# two problem rows), one.csv (one row), other.csv (other rows), twice.csv (a
+# row twice), ok.cfg, latin1.cfg (not UTF-8) and plain, a regular file. A file
+# error that escaped main would end in a traceback and exit code 1.
 ONE_EXIT = [
     pytest.param("stats {tmp}/a.csv {tmp}/missing.csv", "error: {tmp}/missing.csv: ", id="stats-missing"),
     pytest.param("stats {tmp}/a.csv d={tmp}", "error: {tmp}: ", id="stats-directory"),
@@ -201,6 +202,11 @@ ONE_EXIT = [
         "error: stats: algorithm names must not be empty (use name=path)\n",
         id="empty-name",
     ),
+    pytest.param(
+        "stats ' ={tmp}/missing.csv' {tmp}/b.csv",
+        "error: stats: algorithm names must not be empty (use name=path)\n",
+        id="blank-name",
+    ),
     pytest.param("stats {tmp}/a.csv", "error: stats: need at least two result files", id="one-file"),
     pytest.param("stats {tmp}/a.csv {tmp}/b.csv --baseline c", "error: stats: baseline 'c' is not", id="baseline"),
     pytest.param("stats {tmp}/a.csv {tmp}/other.csv", "error: stats: other rows do not match a", id="rows"),
@@ -218,7 +224,7 @@ def test_unusable_file_or_stats_input_exits_2_with_one_line(tmp_path, capsys, co
     (tmp_path / "ok.cfg").write_text("schema = 1\niterations = 1\n")
     (tmp_path / "latin1.cfg").write_bytes("schema = 1\n# caf\xe9\n".encode("latin-1"))
     (tmp_path / "plain").write_text("")
-    argv = command.format(tmp=tmp_path).split()
+    argv = shlex.split(command.format(tmp=tmp_path))
     assert main(argv if "--out" in argv else argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix.format(tmp=tmp_path)), err
@@ -459,8 +465,8 @@ class TestRunCommand:
 
         cases = [
             ("F1@1000", "iterations = 5\n", [1 + 5, 1 + 5]),  # a group of 1 a run
-            # a group of 2 at one worker, whose runs go one at a time since a window
-            # is set: the first leaves after generation 2, the second runs all 20
+            # a group of 2 at one worker, whose runs go one at a time, each drawing
+            # ahead alone: the first leaves after generation 2, the second runs all 20
             ("F1@500", "iterations = 20\nstagnation_window = 1\n", [1 + 2, 1 + 20]),
         ]
         aheads, real = [], engine._Draws

@@ -99,7 +99,7 @@ BOX_CONTRACT_CASES = {
     "group-wind-1": ("wind-1", SEEDS[:3], False),
     "middle-run-leaves": ("stagnation", [11, 123456789, 2024], False),
     "F7@30-noisy": ("F7@30-noisy", SEEDS[:3], False),
-    "drawing-ahead": ("stagnation-wind-1", SEEDS, True),  # each run alone, since a window is set
+    "drawing-ahead": ("stagnation-wind-1", SEEDS, True),  # each run alone
 }
 
 
@@ -117,7 +117,7 @@ def test_every_row_an_objective_gets_lies_in_the_box(monkeypatch, name):
     results = run_many(replace(problem, objective=watching), params, seeds)
     assert batches and all(inside for _, inside in batches)
     assert sum(n for n, _ in batches) == sum(r.evaluations for r in results)
-    assert len(made) == (len(seeds) if draws_ahead else 0)  # with a window, one drawer per seed
+    assert len(made) == (len(seeds) if draws_ahead else 0)  # one drawer per seed
     if name == "middle-run-leaves":
         stops = [r.iterations_run for r in results]
         assert stops[1] < min(stops[0], stops[2])
@@ -249,16 +249,16 @@ def test_stagnation_stop_follows_the_counter(window):
     assert early == ({True} if window == 1 else {True, False})
 
 
-# drawing ahead: a group of large problems draws generation k+1 in a
+# drawing ahead: a lone run of a large problem draws generation k+1 in a
 # background thread while generation k runs; the draws, and so the
-# results, are those made in turn
+# results, are those made in turn. `run_many` runs the seeds of such a
+# problem one at a time, so each drawer serves one stream
 
 
 def drawers_ahead(monkeypatch):
     """Records every drawer made from now on that draws ahead; returns the
-    list of them. With a stagnation window, such a drawer must never be
-    asked for more than one stream: a group that draws ahead loses no run
-    while others stay."""
+    list of them. Such a drawer must never be asked for more than one
+    stream: only a lone run draws ahead."""
     made, real = [], engine._Draws
 
     def drawer(params, ahead):
@@ -268,7 +268,7 @@ def drawers_ahead(monkeypatch):
             ask = draws.ask
 
             def one_stream(rngs, buffers):
-                assert params.stagnation_window is None or len(rngs) == 1, f"a drawer ahead asked for {len(rngs)} streams"
+                assert len(rngs) == 1, f"a drawer ahead asked for {len(rngs)} streams"
                 ask(rngs, buffers)
 
             draws.ask = one_stream
@@ -299,9 +299,9 @@ AHEAD_CASES = [
     ("wind-1", SEEDS[:3]),
     ("zero-budget", SEEDS[:3]),
     ("zero-budget-design", SEEDS[:1]),
-    # with a window, each run draws ahead alone and its drawn-in-turn group
-    # loses runs: in the middle, first, in two generations in a row, and
-    # with one run left for the final generation
+    # with a window, the drawn-in-turn group loses runs: in the middle,
+    # first, in two generations in a row, and with one run left for the
+    # final generation
     ("stagnation", [11, 123456789, 2024]),  # the middle run leaves first
     ("stagnation-noisy", SEEDS),
     ("stagnation-wind-1", SEEDS),  # the first run leaves first
@@ -317,7 +317,7 @@ def test_drawing_ahead_equals_drawing_in_turn(monkeypatch, case, seeds):
     made = open_gate(monkeypatch)
     for many, alone in zip(run_many(problem, params, seeds), in_turn, strict=True):
         assert_same_run(many, alone)
-    assert len(made) == (1 if params.stagnation_window is None else len(seeds))
+    assert len(made) == len(seeds)  # each run draws ahead alone
     stops = [r.iterations_run for r in in_turn]
     first = {"stagnation": 1, "stagnation-wind-1": 0}.get(case)  # the run that leaves first
     if first is not None:
@@ -328,9 +328,9 @@ def test_drawing_ahead_equals_drawing_in_turn(monkeypatch, case, seeds):
 
 
 def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monkeypatch):
-    # three callers and their three drawers on fewer CPUs, switching every
-    # few microseconds: a handoff that lost a draw or read a buffer being
-    # filled would change a result
+    # three callers, each running its seeds one at a time with a drawer a
+    # run, on fewer CPUs, switching every few microseconds: a handoff that
+    # lost a draw or read a buffer being filled would change a result
     cases = ["stagnation-wind-1", "F7@30-noisy", "stagnation"]
     in_turn = {case: run_many(*CASES[case](), SEEDS) for case in cases}
     made, results = open_gate(monkeypatch), {}
@@ -344,7 +344,7 @@ def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monke
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(made) == len(SEEDS) + 1 + len(SEEDS)  # a window: a drawer a seed
+    assert not any(t.is_alive() for t in threads) and len(made) == len(cases) * len(SEEDS)
     for case in cases:
         for many, alone in zip(results[case], in_turn[case], strict=True):
             assert_same_run(many, alone)
@@ -354,12 +354,12 @@ def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monke
 def test_a_large_problem_draws_ahead_through_the_real_gate(monkeypatch):
     spare = len(os.sched_getaffinity(0)) > 1
     cases = [
-        (campaign_case("F1", 1000, max_iterations=5), [5, 5], spare),  # one group draws ahead
+        (campaign_case("F1", 1000, max_iterations=5), [5, 5]),
         # a window that fires: drawn in turn the group loses its first run after
-        # generation 5 of 8; through the gate each run draws ahead alone
-        (campaign_case("F8", 500, max_iterations=8, stagnation_window=2), [5, 8], 2 * spare),
+        # generation 5 of 8
+        (campaign_case("F8", 500, max_iterations=8, stagnation_window=2), [5, 8]),
     ]
-    for (problem, params), stops, drawers in cases:
+    for (problem, params), stops in cases:
         with monkeypatch.context() as shut:
             shut.setattr(engine, "_draws_ahead", lambda problem, params: False)
             in_turn = run_many(problem, params, SEEDS[:2])
@@ -367,13 +367,15 @@ def test_a_large_problem_draws_ahead_through_the_real_gate(monkeypatch):
             made = drawers_ahead(real_gate)
             for many, alone in zip(run_many(problem, params, SEEDS[:2]), in_turn, strict=True):
                 assert_same_run(many, alone)
-        assert len(made) == drawers and [r.iterations_run for r in in_turn] == stops
+        # through the gate each run draws ahead alone
+        assert len(made) == 2 * spare and [r.iterations_run for r in in_turn] == stops
 
 
-def test_a_group_with_a_window_draws_in_turn_even_through_the_open_gate(monkeypatch):
+@pytest.mark.parametrize("case", ["F1@30", "stagnation"])
+def test_a_group_of_several_draws_in_turn_even_through_the_open_gate(monkeypatch, case):
     # `run_many` never hands `_lockstep` such a group, but should it, the
-    # group must not draw ahead: it would lose runs with a draw in flight
-    problem, params = CASES["stagnation"]()
+    # group must not draw ahead, with or without a window
+    problem, params = CASES[case]()
     seeds = [11, 123456789, 2024]
     in_turn = run_many(problem, params, seeds)
     made = open_gate(monkeypatch)
@@ -418,7 +420,7 @@ def test_the_drawer_is_joined_after_a_run(ahead):
     count = threading.active_count()
     results = run_many(problem, params, SEEDS[:3])
     assert [r.iterations_run for r in results] == [params.max_iterations] * 3
-    assert threading.active_count() == count and not drawer_threads() and len(ahead) == 1
+    assert threading.active_count() == count and not drawer_threads() and len(ahead) == 3
 
 
 @pytest.mark.parametrize("budget", [0, 1, 4])
@@ -427,12 +429,12 @@ def test_the_drawer_draws_no_generation_past_the_last(ahead, monkeypatch, budget
     monkeypatch.setattr(engine, "draw_generation", lambda *args: draws.append(len(args[0])) or real(*args))
     problem, params = CASES["F16"]()
     run_many(problem, replace(params, max_iterations=budget), SEEDS[:3])
-    assert draws == [3] * max(budget, 1) and len(ahead) == 1
+    assert draws == [1] * 3 * max(budget, 1) and len(ahead) == 3  # a drawer a run
 
 
 def test_the_drawer_is_joined_when_every_run_has_left(ahead):
     # a flat objective never improves, so every run leaves at generation 2
-    # with generation 3's draw in flight; with a window, each run has its own drawer
+    # with generation 3's draw in flight; each run has its own drawer
     problem = ObjectiveProblem("flat", BOX, lambda x: np.zeros(len(x)))
     count = threading.active_count()
     results = run_many(problem, FwscParams(max_iterations=30, stagnation_window=1), SEEDS[:3])
@@ -445,7 +447,7 @@ def test_an_objective_error_reaches_the_caller_and_joins_the_drawer(ahead):
 
     def failing(x):
         calls.append(len(x))
-        if len(calls) == 5:  # the wasp batch of generation 3
+        if len(calls) == 5:  # the wasp batch of the first run's generation 3
             raise ValueError("objective failed at generation 3")
         return np.sum(x * x, axis=-1)
 
