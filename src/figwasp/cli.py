@@ -26,9 +26,9 @@ parser; each default is the field's own.
 Per-run seeds are hashed from (master seed, problem id, dimension, run
 index), so campaigns are reproducible and extending a campaign never
 shifts existing seeds. The worker count, the FIGWASP_WORKERS environment
-variable (at least 1), is capped at the number of groups; a worker advances
-a group of one problem's runs in lockstep (see `group_width`). Serial and
-parallel execution, whatever the grouping, produce identical files.
+variable (at least 1), is capped at the number of tasks; a worker advances
+a task of one problem's runs in lockstep (see `execute_campaign`). Serial
+and parallel execution, whatever the grouping, produce identical files.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ import numpy as np
 from . import benchmarks
 from .constrained import DEFAULT_PENALTY_COEFFICIENT, ENGINEERING_PROBLEMS, repair_discrete, to_objective
 from .core import ObjectiveProblem, derive_seed
-from .engine import FwscParams, RunResult, run, run_many  # noqa: F401 -- run stays importable as figwasp.cli.run
+from .engine import FwscParams, RunResult, group_width, run_many
+from .engine import run  # noqa: F401 -- stays importable as figwasp.cli.run
 from .stats import PairedSamples, ResultMatrix, friedman_mean_ranks, friedman_statistic, wilcoxon_signed_rank
 
 SCHEMA_VERSION = 1
@@ -145,28 +146,6 @@ def resolved_params(config: ExperimentConfig, problem: ObjectiveProblem) -> Fwsc
         raise ConfigError(f"eta0: {config.params.eta0:g} relative to {problem.name} {str(exc).partition(' ')[2]}") from exc
 
 
-# Most floats the wasp block (R*T*A*W*d) of one lockstep group may hold.
-# Lockstep saves per-call overhead, which stops paying once the arrays are
-# large. Per-run CPU time of R runs in lockstep over one run at a time (F1,
-# default parameters, median of 9 interleaved pairs, 2-vCPU Xeon): 0.60x at
-# d=30 and R=4 (12k floats), 0.47x at R=16 (46k); 0.64-0.65x at d=100 and
-# R=8-16 (77k-154k); 0.88-0.91x at d=500 and R=2-4 (96k-192k); 0.97-1.07x at
-# d=1000 and R=2-16 (192k and up). So a d=1000 problem runs one run a task.
-# These times predate drawing ahead (`engine.DRAW_AHEAD_FLOATS`), under which
-# a group's seeds run one at a time in process: at d=500 and d=1000, 1.06x and
-# 1.11x the wall time of a group of 2 drawing ahead (F1, medians of 26 and 25
-# alternating pairs, second CPU free); no workload runs such a campaign yet.
-GROUP_FLOATS = 2**17
-
-
-def group_width(runs: int, total_runs: int, workers: int, params: FwscParams, dimension: int) -> int:
-    """Runs of one problem per task: all ``runs`` of it, but no more than
-    keeps all ``workers`` busy with ``total_runs`` in the campaign, nor than
-    fit `GROUP_FLOATS`; at least one."""
-    wasp_floats = params.num_trees * params.figs_per_tree * params.wasps_per_fig * dimension
-    return max(1, min(runs, math.ceil(total_runs / workers), GROUP_FLOATS // wasp_floats))
-
-
 def _run_group(task) -> list[RunResult]:
     pid, dim, seeds, params, penalty = task
     return run_many(resolve_problem(pid, dim, penalty), params, seeds)
@@ -187,16 +166,17 @@ def execute_campaign(config: ExperimentConfig, workers: int) -> dict[tuple[str, 
     """Every problem's results in run-index order; seeded, in at most
     ``workers`` processes.
 
-    A task is a group of one problem's runs (see `group_width`) advanced in
-    lockstep by `run_many`, which gives each run exactly what a run of its
-    own gives, so the results do not depend on grouping or worker count.
+    A task is one lockstep group of `run_many`: all of a problem's runs, but
+    no more than keeps all ``workers`` busy nor than `engine.group_width`
+    allows. Each run gives exactly what a run of its own gives, so the
+    results do not depend on grouping or worker count.
     Tasks go in problem order, then run order, and `pool.map` keeps that
     order, so joining their results in task order is the run-index order.
     """
     total_runs = config.runs * len(config.plan)
     tasks = []
     for (pid, dim), params in config.plan.items():
-        width = group_width(config.runs, total_runs, workers, params, dim)
+        width = min(config.runs, math.ceil(total_runs / workers), group_width(params, dim))
         for first in range(0, config.runs, width):
             indices = range(first, min(first + width, config.runs))
             seeds = [derive_seed(config.master_seed, pid, dim, i) for i in indices]

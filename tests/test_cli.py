@@ -115,6 +115,20 @@ class TestConfigFile:
         assert "nope" in capsys.readouterr().err
 
 
+# each `params.*` key of CONFIG_KEYS out of its range: `_config_from_args`
+# names the key from the first word of the FwscParams message
+PARAMS_OUT_OF_RANGE = {
+    "trees": "0",
+    "figs_per_tree": "0",
+    "wasps_per_fig": "3",
+    "eta0": "0",
+    "wind_threshold": "2",
+    "wind_fraction": "-1",
+    "iterations": "-1",
+    "decay_scale": "0",
+    "stagnation_window": "0",
+}
+
 # (argument kind, bad input, what the error line must start with)
 BAD_INPUTS = [
     pytest.param("config", "schema = 1\nruns = abc\n", "error: runs: ", id="runs"),
@@ -149,7 +163,16 @@ BAD_INPUTS = [
     pytest.param(
         "problems", "pressure-vessel@5", "error: dim: pressure-vessel allows dimensions [4], not 5", id="design-dim"
     ),
+    *(
+        pytest.param("config", f"schema = 1\n{key} = {value}\n", f"error: {key}: ", id=f"{key}-out-of-range")
+        for key, value in PARAMS_OUT_OF_RANGE.items()
+    ),
 ]
+
+
+def test_every_params_key_has_an_out_of_range_case():
+    params_keys = {key for key, (target, _) in cli.CONFIG_KEYS.items() if str(target).startswith("params.")}
+    assert set(PARAMS_OUT_OF_RANGE) == params_keys
 
 
 @pytest.mark.parametrize("kind, text, prefix", BAD_INPUTS)
@@ -171,7 +194,7 @@ def test_bad_input_names_its_key_and_exits_2(tmp_path, capsys, kind, text, prefi
     assert err.count("\n") == 1
     if kind == "stats":
         assert str(a) in err and "F1@30" in err and "mean" in err
-    assert "max_iterations" not in err
+    assert "max_iterations" not in err and "num_trees" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -512,6 +535,22 @@ class TestRunCommand:
         assert "dim" in capsys.readouterr().err
 
 
+class SerialPool:
+    """A stand-in for `ProcessPoolExecutor` that maps in the calling process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 class TestGrouping:
     PARAMS = cli.FwscParams()  # T*A*W = 96 wasps
 
@@ -527,8 +566,15 @@ class TestGrouping:
             (1, 4, 8, 30, 1),
         ],
     )
-    def test_group_width(self, runs, total, workers, dim, width):
-        assert cli.group_width(runs, total, workers, self.PARAMS, dim) == width
+    def test_group_width(self, monkeypatch, runs, total, workers, dim, width):
+        # the campaign's tasks, each run in process and answered with placeholders
+        tasks = []
+        monkeypatch.setattr(cli, "_run_group", lambda task: tasks.append(task) or [None] * len(task[2]))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        problems = [(pid, dim) for pid, spec in benchmarks.SPECS.items() if dim in spec.dimensions][: total // runs]
+        cli.execute_campaign(cli.ExperimentConfig(problems=problems, runs=runs, params=self.PARAMS), workers)
+        per_problem = [min(width, runs - first) for first in range(0, runs, width)]
+        assert [len(seeds) for _, _, seeds, *_ in tasks] == per_problem * len(problems)
 
     def test_campaign_runs_groups_of_one_problem(self, tmp_path, monkeypatch):
         calls = []
@@ -579,22 +625,10 @@ class TestGrouping:
 
     def test_pool_capped_at_group_count(self, tmp_path, monkeypatch):
         pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
         monkeypatch.setenv(cli.WORKERS_ENV, "4")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda max_workers: pools.append(max_workers) or SerialPool()
+        )
         args = ["run", "F16", "F1@30", "--runs", "1", "--seed", "5", "--config", small_config(tmp_path, iterations=2)]
         assert main(args + ["--out", str(tmp_path / "out")]) == 0
         assert pools == [2]

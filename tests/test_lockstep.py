@@ -19,7 +19,7 @@ import pytest
 from figwasp import engine
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
-from figwasp.core import Bounds, ObjectiveProblem, RandomStream, evaluate_batch
+from figwasp.core import Bounds, ObjectiveProblem, RandomStream, derive_seed, evaluate_batch
 from figwasp.engine import (
     FwscParams,
     draw_generation,
@@ -158,6 +158,47 @@ def test_results_share_no_memory():
 def test_no_seeds_no_runs():
     problem, params = CASES["F16"]()
     assert run_many(problem, params, []) == []
+
+
+def lockstep_calls(monkeypatch):
+    """Records the seeds of every `_lockstep` call made from now on."""
+    calls, real = [], engine._lockstep
+
+    def lockstep(problem, params, seeds, on_generation):
+        calls.append(seeds)
+        return real(problem, params, seeds, on_generation)
+
+    monkeypatch.setattr(engine, "_lockstep", lockstep)
+    return calls
+
+
+def test_run_many_caps_every_group(monkeypatch):
+    # 13 runs of F1@100 fit their wasp blocks in GROUP_FLOATS, 14 do not
+    problem, params = campaign_case("F1", 100, max_iterations=2)
+    seeds = [derive_seed(5, "F1", 100, i) for i in range(30)]
+    assert engine.group_width(params, 100) == 13
+    calls = lockstep_calls(monkeypatch)
+    results = run_many(problem, params, seeds)
+    assert calls == [seeds[:13], seeds[13:26], seeds[26:]]
+    monkeypatch.undo()
+    for seed, many in zip(seeds, results, strict=True):
+        assert_same_run(many, run(problem, params, seed))
+
+
+@pytest.mark.parametrize("gate", [True, False], ids=["open", "shut"])
+def test_runs_that_draw_ahead_go_one_at_a_time(monkeypatch, gate):
+    # one tree, one fig and 8 wasps at d=500: a wasp block of 4000 floats, so
+    # 32 runs fit a group, and 8 * 500 reaches DRAW_AHEAD_FLOATS
+    problem = resolve_problem("F1", 500, DEFAULT_PENALTY_COEFFICIENT)
+    params = FwscParams(num_trees=1, figs_per_tree=1, wasps_per_fig=8, max_iterations=3)
+    assert engine.group_width(params, 500) == 32
+    monkeypatch.setattr(engine, "_draws_ahead", lambda problem, params: gate)
+    calls = lockstep_calls(monkeypatch)
+    results = run_many(problem, params, SEEDS)
+    assert calls == ([[seed] for seed in SEEDS] if gate else [SEEDS])
+    monkeypatch.undo()
+    for seed, many in zip(SEEDS, results, strict=True):
+        assert_same_run(many, run(problem, params, seed))
 
 
 # the group forms of the pool steps equal one call per pool

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from figwasp.benchmarks import BENCHMARK_IDS, SPECS, make_benchmark
-from figwasp.cli import GROUP_FLOATS
 from figwasp.constrained import ENGINEERING_PROBLEMS, to_objective
+from figwasp.engine import GROUP_FLOATS
 
 CASES = [
     (fid, dim)
