@@ -96,6 +96,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be {noun}, not {value!r}")
         if self.runs < 1:
             raise ConfigError("runs: must be >= 1")
+        if not os.fspath(self.out_dir):
+            raise ConfigError("out_dir: must not be empty")
         if self.eta_units not in ("relative", "absolute"):
             raise ConfigError("eta_units: must be 'relative' or 'absolute'")
         if not (self.penalty_coefficient > 0 and math.isfinite(self.penalty_coefficient)):
@@ -330,6 +332,8 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
         baseline = names[0]
     if baseline not in names:
         raise ConfigError(f"stats: baseline {baseline!r} is not among {names}")
+    if not out_dir:
+        raise ConfigError("out: must not be empty")
 
     loaded = {}
     for name, path in algorithms:

@@ -99,10 +99,8 @@ class FwscParams:
             raise ValueError("wind_threshold must lie in [0, 1]")
         if not 0.0 <= self.wind_fraction <= 1.0:
             raise ValueError("wind_fraction must lie in [0, 1]")
-        # a zero budget evaluates one population of wasps and selects nothing:
-        # the run's best is their best, its trace that one value, iterations_run 0
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.decay_scale is not None and not self.decay_scale > 0:
             raise ValueError("decay_scale must be positive")
         if self.stagnation_window is not None and self.stagnation_window < 1:
@@ -111,7 +109,7 @@ class FwscParams:
     def effective_decay_scale(self) -> float:
         if self.decay_scale is not None:
             return float(self.decay_scale)
-        return DEFAULT_DECAY_FACTOR * max(self.max_iterations, 1)
+        return DEFAULT_DECAY_FACTOR * self.max_iterations
 
 
 @dataclass(frozen=True)
@@ -469,7 +467,7 @@ def _lockstep(
         trees.append(spawn_trees(rng, problem, params, eta))
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
     trees = np.stack(trees)  # (R, T, d)
-    last = max(params.max_iterations, 1)
+    last = params.max_iterations
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
     ahead = len(runs) == 1 and _draws_ahead(problem, params)
     sets = [generation_buffers(problem, params, len(runs)) for _ in range(1 + ahead)]
@@ -484,10 +482,6 @@ def _lockstep(
             fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=None if noise is None else noise.reshape(-1)))
             for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
                 run.tally(rows, values)
-            if params.max_iterations == 0:
-                for run in live:
-                    run.trace.append(run.best_fitness)
-                break
             sexes = np.sort(permutations.reshape(permutations.shape[:-1] + (2, w // 2)), axis=-1)
             females, males = sexes[..., 0, :], sexes[..., 1, :]  # each permutation's first half is female
             grid = build_mating_grid(females, fitness.reshape(permutations.shape))
@@ -525,7 +519,7 @@ def _lockstep(
             trace=np.array(run.trace),
             evaluations=run.evaluations,
             seed=run.seed,
-            iterations_run=len(run.trace) if params.max_iterations else 0,
+            iterations_run=len(run.trace),
         )
         for run in runs
     ]
@@ -541,11 +535,8 @@ def run(
 
     The best-so-far value tracks every evaluated point (wasps and pool
     members alike) and the trace records it once per completed generation,
-    so the trace is non-increasing by construction. A ``max_iterations`` of
-    zero stops generation 1 once its wasps are evaluated, discarding the
-    pool half of its draws, which keeps zero-budget harness invocations
-    well formed. ``on_generation`` sees each completed generation's
-    snapshot.
+    so the trace is non-increasing by construction. ``on_generation`` sees
+    each completed generation's snapshot.
     """
     return _lockstep(problem, params, [seed], on_generation)[0]
 

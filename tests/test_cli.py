@@ -124,7 +124,7 @@ PARAMS_OUT_OF_RANGE = {
     "eta0": "0",
     "wind_threshold": "2",
     "wind_fraction": "-1",
-    "iterations": "-1",
+    "iterations": "0",
     "decay_scale": "0",
     "stagnation_window": "0",
 }
@@ -135,6 +135,7 @@ BAD_INPUTS = [
     pytest.param("config", "schema = x\n", "error: schema: ", id="schema"),
     pytest.param("config", "schema = 1\nwasps_per_fig = 7\n", "error: wasps_per_fig: ", id="wasps_per_fig"),
     pytest.param("config", "schema = 1\niterations = -1\n", "error: iterations: ", id="iterations"),
+    pytest.param("engineering", "schema = 1\niterations = 0\n", "error: iterations: ", id="engineering-iterations"),
     pytest.param("config", "schema = 1\neta0 = nan\n", "error: eta0: ", id="eta0-nan"),
     pytest.param("config", "schema = 1\neta0 = inf\n", "error: eta0: ", id="eta0-inf"),
     pytest.param(
@@ -177,10 +178,11 @@ def test_every_params_key_has_an_out_of_range_case():
 
 @pytest.mark.parametrize("kind, text, prefix", BAD_INPUTS)
 def test_bad_input_names_its_key_and_exits_2(tmp_path, capsys, kind, text, prefix):
-    if kind == "config":
+    if kind in ("config", "engineering"):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
-        argv = ["run", "F16", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        command = ["run", "F16"] if kind == "config" else ["engineering", "welded-beam"]
+        argv = [*command, "--config", str(cfg), "--out", str(tmp_path / "o")]
     elif kind == "problems":
         argv = ["run", *text.split(), "--runs", "1", "--out", str(tmp_path / "o")]
     else:
@@ -219,6 +221,14 @@ ONE_EXIT = [
     pytest.param(
         "stats {tmp}/a.csv {tmp}/b.csv --out {tmp}/plain", "error: {tmp}/plain: not a directory\n", id="stats-out-file"
     ),
+    # an empty output path is no directory, not the working one
+    pytest.param("run F16 --runs 1 --config {tmp}/ok.cfg --out ''", "error: out_dir: must not be empty\n", id="out-empty"),
+    pytest.param(
+        "engineering welded-beam --runs 1 --config {tmp}/ok.cfg --out ''",
+        "error: out_dir: must not be empty\n",
+        id="engineering-out-empty",
+    ),
+    pytest.param("stats {tmp}/a.csv {tmp}/b.csv --out ''", "error: out: must not be empty\n", id="stats-out-empty"),
     pytest.param("stats x={tmp}/a.csv x={tmp}/b.csv", "error: stats: algorithm names must be unique", id="names"),
     pytest.param(
         "stats ={tmp}/missing.csv {tmp}/b.csv",
@@ -239,7 +249,7 @@ ONE_EXIT = [
 
 
 @pytest.mark.parametrize("command, prefix", ONE_EXIT)
-def test_unusable_file_or_stats_input_exits_2_with_one_line(tmp_path, capsys, command, prefix):
+def test_unusable_file_or_stats_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, command, prefix):
     rows = [["F1", "30", "0", "0", "1.0", "0"], ["F9", "30", "0", "0", "2.0", "0"]]
     other = [rows[0], ["F11", "30", "0", "0", "3.0", "0"]]
     for name, content in (("a", rows), ("b", rows[::-1]), ("one", rows[:1]), ("other", other), ("twice", rows + rows)):
@@ -247,12 +257,15 @@ def test_unusable_file_or_stats_input_exits_2_with_one_line(tmp_path, capsys, co
     (tmp_path / "ok.cfg").write_text("schema = 1\niterations = 1\n")
     (tmp_path / "latin1.cfg").write_bytes("schema = 1\n# caf\xe9\n".encode("latin-1"))
     (tmp_path / "plain").write_text("")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     argv = shlex.split(command.format(tmp=tmp_path))
     assert main(argv if "--out" in argv else argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix.format(tmp=tmp_path)), err
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists() and not any(work.iterdir())
 
 
 @pytest.mark.parametrize("out", ["plain", "plain/o"])
@@ -362,6 +375,11 @@ def test_library_config_of_the_wrong_type_names_its_field(field, value, noun):
     # out_dir=5 failed with a TypeError and params={...} with an AttributeError
     with pytest.raises(ConfigError, match=f"^{field}: must be {noun}, not {re.escape(repr(value))}$"):
         cli.ExperimentConfig(problems=[("F16", None)], **{field: value})
+
+
+def test_library_config_with_an_empty_out_dir_names_it():
+    with pytest.raises(ConfigError, match="^out_dir: must not be empty$"):
+        cli.ExperimentConfig(problems=[("F16", None)], out_dir="")
 
 
 @pytest.mark.parametrize(
@@ -680,15 +698,6 @@ class TestEngineeringCommand:
         assert main(["engineering", "pressure-vessel", *flags]) == 0
         seed = read_csv(out / "engineering_pressure-vessel.csv")[0]["seed"]
         assert seed == str(derive_seed(11, "pressure-vessel", 4, 0))
-
-    def test_zero_budget_still_reports(self, tmp_path):
-        out = tmp_path / "out"
-        code = main(
-            ["engineering", "welded-beam", *SMALL, small_config(tmp_path, iterations=0), "--out", str(out)]
-        )
-        assert code == 0
-        row = read_csv(out / "engineering_welded-beam.csv")[0]
-        assert float(row["objective"]) > 0.0
 
     def test_unknown_problem_exits_nonzero(self, tmp_path, capsys):
         assert main(["engineering", "gear-train", "--runs", "1"]) == 2

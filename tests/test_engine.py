@@ -183,6 +183,11 @@ class TestParamsValidation:
         plain, wide = (run(sphere_problem(), FwscParams(max_iterations=6, **f), seed=1) for f in (floats, numpy_floats))
         assert plain.trace.tobytes() == wide.trace.tobytes()
 
+    def test_zero_budget_rejected(self):
+        # a run is one or more whole generations
+        with pytest.raises(ValueError, match="^max_iterations must be >= 1$"):
+            FwscParams(max_iterations=0)
+
     def test_odd_wasps_rejected(self):
         with pytest.raises(ValueError):
             FwscParams(wasps_per_fig=7)
@@ -673,7 +678,7 @@ class TestRun:
         with pytest.raises(ValueError, match=r"^pointwise: the objective must map \(n, d\) rows to \(n,\) values"):
             entry(problem, FwscParams(max_iterations=3), 5)
 
-    @pytest.mark.parametrize("budget, batches", [(0, 1), (1, 2), (6, 12)])
+    @pytest.mark.parametrize("budget, batches", [(1, 2), (6, 12)])
     def test_the_engine_scores_through_its_evaluate_twice_per_generation(self, monkeypatch, budget, batches):
         # one call per batch for the whole group, wasps then pool: perfbench
         # counts core.evaluate.calls_per_gen by wrapping this module global
@@ -716,29 +721,6 @@ class TestRun:
         flat = ObjectiveProblem("flat", Bounds.box(-1.0, 1.0, 2), lambda x: np.zeros(len(x)))
         result = run(flat, FwscParams(max_iterations=500, stagnation_window=5), seed=0)
         assert result.iterations_run == 6  # generations 2 to 6 add nothing to generation 1's best
-
-    def test_zero_budget_still_well_formed(self):
-        result = run(sphere_problem(), FwscParams(max_iterations=0), seed=2)
-        assert result.iterations_run == 0
-        assert result.evaluations == 3 * 4 * 8
-        assert result.trace[-1] == result.best_fitness
-        assert np.isfinite(result.best_fitness)
-
-    def test_zero_budget_is_generation_one_before_pollination(self):
-        # the zero budget draws and scores exactly the wasps of generation 1
-        seen = []
-
-        def watched(x):
-            seen.extend(np.array(x, copy=True))
-            return np.sum(x * x, axis=-1)
-
-        problem = ObjectiveProblem("watched", Bounds.box(-100.0, 100.0, 2), watched)
-        zero = run(problem, FwscParams(max_iterations=0), seed=4)
-        wasps = list(seen)
-        seen.clear()
-        run(problem, FwscParams(max_iterations=1), seed=4)
-        assert np.array_equal(np.stack(wasps), np.stack(seen[: len(wasps)]))
-        assert zero.best_fitness == min(float(np.sum(x * x)) for x in wasps)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_nan_never_hides_a_finite_best(self, seed):

@@ -55,8 +55,8 @@ CASES = {
     ),
     "wind-0": lambda: campaign_case("F9", 30, wind_threshold=0.0),
     "wind-1": lambda: campaign_case("F7", 30, wind_threshold=1.0),
-    "zero-budget": lambda: campaign_case("F7", 30, max_iterations=0),
-    "zero-budget-design": lambda: campaign_case("welded-beam", None, max_iterations=0),
+    "one-generation": lambda: campaign_case("F7", 30, max_iterations=1),
+    "one-generation-design": lambda: campaign_case("welded-beam", None, max_iterations=1),
     "stagnation": lambda: campaign_case("pressure-vessel", None, stagnation_window=3),
     "stagnation-noisy": lambda: campaign_case("F7", 30, stagnation_window=2),
     "stagnation-wind-1": lambda: campaign_case("pressure-vessel", None, stagnation_window=3, wind_threshold=1.0),
@@ -66,7 +66,12 @@ CASES = {
 }
 
 
-def assert_same_run(many, alone):
+def assert_same_run(many, alone, params):
+    # a run is whole generations, each scoring its T*A*W wasps and a pool of half as many
+    per_generation = params.num_trees * params.figs_per_tree * params.wasps_per_fig * 3 // 2
+    for result in (many, alone):
+        assert result.iterations_run == len(result.trace)
+        assert result.evaluations == result.iterations_run * per_generation
     assert many.trace.tobytes() == alone.trace.tobytes()
     assert many.best_position.tobytes() == alone.best_position.tobytes()
     assert many.best_fitness == alone.best_fitness or (np.isnan(many.best_fitness) and np.isnan(alone.best_fitness))
@@ -81,7 +86,7 @@ def test_lockstep_equals_solo(case):
     results = run_many(problem, params, SEEDS)
     assert len(results) == len(SEEDS)
     for seed, many in zip(SEEDS, results):
-        assert_same_run(many, run(problem, params, seed))
+        assert_same_run(many, run(problem, params, seed), params)
 
 
 def test_runs_leave_the_group_at_different_generations():
@@ -145,7 +150,7 @@ def test_a_group_allocates_its_buffers_once_as_runs_leave(monkeypatch, case, see
     assert draws == [sum(stop >= k for stop in stops) for k in range(1, max(stops) + 1)]
     monkeypatch.undo()
     for seed, many in zip(seeds, results):
-        assert_same_run(many, run(problem, params, seed))
+        assert_same_run(many, run(problem, params, seed), params)
 
 
 def test_results_share_no_memory():
@@ -182,7 +187,7 @@ def test_run_many_caps_every_group(monkeypatch):
     assert calls == [seeds[:13], seeds[13:26], seeds[26:]]
     monkeypatch.undo()
     for seed, many in zip(seeds, results, strict=True):
-        assert_same_run(many, run(problem, params, seed))
+        assert_same_run(many, run(problem, params, seed), params)
 
 
 @pytest.mark.parametrize("gate", [True, False], ids=["open", "shut"])
@@ -198,7 +203,7 @@ def test_runs_that_draw_ahead_go_one_at_a_time(monkeypatch, gate):
     assert calls == ([[seed] for seed in SEEDS] if gate else [SEEDS])
     monkeypatch.undo()
     for seed, many in zip(SEEDS, results, strict=True):
-        assert_same_run(many, run(problem, params, seed))
+        assert_same_run(many, run(problem, params, seed), params)
 
 
 # the group forms of the pool steps equal one call per pool
@@ -338,8 +343,8 @@ AHEAD_CASES = [
     ("half-nan", SEEDS[:3]),
     ("wind-0", SEEDS[:3]),
     ("wind-1", SEEDS[:3]),
-    ("zero-budget", SEEDS[:3]),
-    ("zero-budget-design", SEEDS[:1]),
+    ("one-generation", SEEDS[:3]),
+    ("one-generation-design", SEEDS[:1]),
     # with a window, the drawn-in-turn group loses runs: in the middle,
     # first, in two generations in a row, and with one run left for the
     # final generation
@@ -357,7 +362,7 @@ def test_drawing_ahead_equals_drawing_in_turn(monkeypatch, case, seeds):
     in_turn = run_many(problem, params, seeds)
     made = open_gate(monkeypatch)
     for many, alone in zip(run_many(problem, params, seeds), in_turn, strict=True):
-        assert_same_run(many, alone)
+        assert_same_run(many, alone, params)
     assert len(made) == len(seeds)  # each run draws ahead alone
     stops = [r.iterations_run for r in in_turn]
     first = {"stagnation": 1, "stagnation-wind-1": 0}.get(case)  # the run that leaves first
@@ -388,7 +393,7 @@ def test_groups_drawing_ahead_in_threads_of_their_own_under_fast_switching(monke
     assert not any(t.is_alive() for t in threads) and len(made) == len(cases) * len(SEEDS)
     for case in cases:
         for many, alone in zip(results[case], in_turn[case], strict=True):
-            assert_same_run(many, alone)
+            assert_same_run(many, alone, CASES[case]()[1])
     assert not drawer_threads()
 
 
@@ -407,7 +412,7 @@ def test_a_large_problem_draws_ahead_through_the_real_gate(monkeypatch):
         with monkeypatch.context() as real_gate:
             made = drawers_ahead(real_gate)
             for many, alone in zip(run_many(problem, params, SEEDS[:2]), in_turn, strict=True):
-                assert_same_run(many, alone)
+                assert_same_run(many, alone, params)
         # through the gate each run draws ahead alone
         assert len(made) == 2 * spare and [r.iterations_run for r in in_turn] == stops
 
@@ -421,7 +426,7 @@ def test_a_group_of_several_draws_in_turn_even_through_the_open_gate(monkeypatch
     in_turn = run_many(problem, params, seeds)
     made = open_gate(monkeypatch)
     for many, alone in zip(engine._lockstep(problem, params, seeds, None), in_turn, strict=True):
-        assert_same_run(many, alone)
+        assert_same_run(many, alone, params)
     assert made == []
 
 
@@ -464,13 +469,13 @@ def test_the_drawer_is_joined_after_a_run(ahead):
     assert threading.active_count() == count and not drawer_threads() and len(ahead) == 3
 
 
-@pytest.mark.parametrize("budget", [0, 1, 4])
+@pytest.mark.parametrize("budget", [1, 4])
 def test_the_drawer_draws_no_generation_past_the_last(ahead, monkeypatch, budget):
     real, draws = engine.draw_generation, []
     monkeypatch.setattr(engine, "draw_generation", lambda *args: draws.append(len(args[0])) or real(*args))
     problem, params = CASES["F16"]()
     run_many(problem, replace(params, max_iterations=budget), SEEDS[:3])
-    assert draws == [1] * 3 * max(budget, 1) and len(ahead) == 3  # a drawer a run
+    assert draws == [1] * 3 * budget and len(ahead) == 3  # a drawer a run
 
 
 def test_the_drawer_is_joined_when_every_run_has_left(ahead):
