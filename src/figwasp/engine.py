@@ -32,11 +32,12 @@ equals, bit for bit, the run made alone.
 A group allocates its generation buffers once and draws into them in
 place; when runs leave, the others draw into the leading rows. Every group
 runs one loop, drawing in turn or ahead (see `_draws_ahead`): a lone run of
-a large problem on a spare CPU has one background thread, the only one that
-touches its stream, draw generation k+1 into a second set of buffers while
-generation k runs, in the same order. Snapshots and results never alias the
-buffers; the wasp rows an objective gets are overwritten during the next
-generation, possibly from that thread, so it must copy any row it keeps.
+a large problem whose CPU affinity allows a second CPU, free or not, has one
+background thread, the only one that touches its stream, draw generation k+1
+into a second set of buffers while generation k runs, in the same order.
+Snapshots and results never alias the buffers; the wasp rows an objective
+gets are overwritten during the next generation, possibly from that thread,
+so it must copy any row it keeps.
 """
 
 from __future__ import annotations
@@ -394,24 +395,29 @@ def _draws_ahead(problem: ObjectiveProblem, params: FwscParams) -> bool:
 
 
 class _Draws:
-    """A group's draws: `_lockstep` asks for a generation's draw and takes
-    it before it asks for the next one's. Drawn in turn, a draw is made when
-    it is taken, so asking again replaces the draw asked for. Drawn ahead (a
-    lone run), one background thread makes each draw as soon as it is asked
-    for; it gets its jobs from one queue and hands back their winds, or the
-    error that `take` re-raises, through the other. One thread at a time
-    draws, in the stream's order, so the draws are those made in turn.
+    """A group's draw schedule: `_lockstep` takes one draw a generation.
+
+    Drawn in turn, `take` draws from the streams into the buffer rows it is
+    given. Drawn ahead (a lone run), the drawer adds a spare buffer set, and
+    one background thread draws generation 1 into the group's set as soon as
+    the drawer is made; each `take` then queues the next generation, up to
+    `max_iterations`, into the set the caller is not using. The thread gets
+    its jobs from one queue and hands back their winds, or the error that
+    `take` re-raises, through the other. One thread at a time draws, in the
+    stream's order, so the draws are those made in turn.
     """
 
-    def __init__(self, params: FwscParams, ahead: bool):
-        """Starts the thread when the run draws ``ahead``."""
-        self._params, self._job, self._thread = params, None, None  # the draw asked for, as (streams, buffers)
+    def __init__(self, params: FwscParams, rngs: list[RandomStream], buffers: tuple, ahead: bool):
+        """Starts the thread on generation 1 when the run draws ``ahead``."""
+        self._params, self._thread = params, None
         if ahead:
             import queue  # here, so that groups drawn in turn never load it
 
             self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
             self._thread = threading.Thread(target=self._serve, name="figwasp-draw-ahead", daemon=True)
             self._thread.start()
+            self._sets, self._queued = (buffers, tuple(b if b is None else np.empty_like(b) for b in buffers)), 1
+            self._jobs.put((rngs, buffers))  # generation 1, into the first set
 
     def _serve(self) -> None:
         for rngs, buffers in iter(self._jobs.get, None):
@@ -420,19 +426,20 @@ class _Draws:
             except BaseException as exc:  # handed to the caller, which re-raises it
                 self._done.put(exc)
 
-    def ask(self, rngs: list[RandomStream], buffers: tuple) -> None:
-        """Asks for the next generation's draw from ``rngs`` into ``buffers``."""
-        self._job = rngs, buffers
-        if self._thread is not None:
-            self._jobs.put(self._job)
-
-    def take(self) -> tuple:
-        """The draw asked for, as (buffers, winds)."""
-        (rngs, buffers), self._job = self._job, None
-        winds = draw_generation(rngs, self._params, buffers) if self._thread is None else self._done.get()
+    def take(self, rngs: list[RandomStream], buffers: tuple) -> tuple:
+        """The next generation's draw, as (buffers, winds): drawn in turn from
+        ``rngs`` into ``buffers``, or drawn ahead into either set."""
+        if self._thread is None:
+            return buffers, draw_generation(rngs, self._params, buffers)
+        winds = self._done.get()
         if isinstance(winds, BaseException):
             raise winds
-        return buffers, winds
+        drawn, spare = self._sets
+        self._sets = spare, drawn
+        if self._queued < self._params.max_iterations:
+            self._jobs.put((rngs, spare))
+            self._queued += 1
+        return drawn, winds
 
     def close(self) -> None:
         """Joins the thread once it has made the draw in flight, if any."""
@@ -449,15 +456,13 @@ def _lockstep(
 ) -> list[RunResult]:
     """Advance one run per seed together; see `run` and `run_many`. Live run
     i is row i of every group array and draws from its own stream into row
-    i of buffers made once for the whole group.
+    i of one buffer set made for the whole group.
 
-    Each generation takes its draw from a `_Draws`, whichever thread made
-    it. A group of one seed for which `_draws_ahead` holds makes two buffer
-    sets, and the drawer's thread fills one with generation k+1's draw while
-    this thread runs generation k on the other. Every exit, an error too,
-    joins the thread. A group of several draws in turn; when runs leave,
-    it asks again for the next draw, from the staying streams into the
-    leading rows.
+    Each generation takes its draw from a `_Draws`, which draws ahead for a
+    group of one seed that `_draws_ahead` passes and in turn otherwise.
+    Every exit, an error too, joins the drawer's thread. When runs leave,
+    the group passes only the staying streams and the leading rows of its
+    buffers.
     """
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
@@ -467,17 +472,12 @@ def _lockstep(
         trees.append(spawn_trees(rng, problem, params, eta))
         runs.append(_Run(seed, rng, trees[-1][0].copy()))
     trees = np.stack(trees)  # (R, T, d)
-    last = params.max_iterations
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
-    ahead = len(runs) == 1 and _draws_ahead(problem, params)
-    sets = [generation_buffers(problem, params, len(runs)) for _ in range(1 + ahead)]
-    draws = _Draws(params, ahead)
+    buffers = generation_buffers(problem, params, len(runs))
+    draws = _Draws(params, rngs, buffers, len(runs) == 1 and _draws_ahead(problem, params))
     try:
-        draws.ask(rngs, sets[0])
-        for k in range(1, last + 1):
-            (figs, wasps, noise, permutations, uniforms, pool_noise), winds = draws.take()
-            if k < last:
-                draws.ask(rngs, sets[k % len(sets)])
+        for k in range(1, params.max_iterations + 1):
+            (figs, wasps, noise, permutations, uniforms, pool_noise), winds = draws.take(rngs, buffers)
             wasps = spawn_wasps(wasps, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
             fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=None if noise is None else noise.reshape(-1)))
             for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
@@ -500,15 +500,14 @@ def _lockstep(
 
             # a trace never rises and only a strict drop improves it, so a run has
             # gone `window` generations without improving when its value `window`
-            # generations back equals its last; such a run leaves, unless the group is done
-            if window is not None and window < k < last:
+            # generations back equals its last; such a run leaves
+            if window is not None and window < k:
                 stays = [run.trace[-1 - window] != run.trace[-1] for run in live]
                 if not all(stays):
                     live, trees = [run for run, kept in zip(live, stays) if kept], trees[stays]
                     if not live:
                         break
-                    rngs, sets = [run.rng for run in live], [[b if b is None else b[: len(live)] for b in sets[0]]]
-                    draws.ask(rngs, sets[0])
+                    rngs, buffers = [run.rng for run in live], tuple(b if b is None else b[: len(live)] for b in buffers)
     finally:
         draws.close()
 

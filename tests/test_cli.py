@@ -511,7 +511,9 @@ class TestRunCommand:
             ("F1@500", "iterations = 20\nstagnation_window = 1\n", [1 + 2, 1 + 20]),
         ]
         aheads, real = [], engine._Draws
-        monkeypatch.setattr(engine, "_Draws", lambda params, ahead: aheads.append(ahead) or real(params, ahead))
+        monkeypatch.setattr(
+            engine, "_Draws", lambda params, rngs, buffers, ahead: aheads.append(ahead) or real(params, rngs, buffers, ahead)
+        )
         for token, settings, lengths in cases:
             aheads.clear()
             work = tmp_path / token

@@ -61,7 +61,7 @@ CASES = {
     "stagnation-noisy": lambda: campaign_case("F7", 30, stagnation_window=2),
     "stagnation-wind-1": lambda: campaign_case("pressure-vessel", None, stagnation_window=3, wind_threshold=1.0),
     # runs of SEEDS leave after generations 8, 5, 10, 10 and 11 of 12: in two
-    # generations in a row, the second with the final generation's draw asked for
+    # generations in a row, the second just before the final generation
     "stagnation-short": lambda: campaign_case("pressure-vessel", None, stagnation_window=3, max_iterations=12),
 }
 
@@ -303,21 +303,15 @@ def test_stagnation_stop_follows_the_counter(window):
 
 def drawers_ahead(monkeypatch):
     """Records every drawer made from now on that draws ahead; returns the
-    list of them. Such a drawer must never be asked for more than one
-    stream: only a lone run draws ahead."""
+    list of them. Such a drawer must be made for one stream: only a lone
+    run draws ahead."""
     made, real = [], engine._Draws
 
-    def drawer(params, ahead):
-        draws = real(params, ahead)
+    def drawer(params, rngs, buffers, ahead):
+        draws = real(params, rngs, buffers, ahead)
         if ahead:
+            assert len(rngs) == 1, f"a drawer ahead made for {len(rngs)} streams"
             made.append(draws)
-            ask = draws.ask
-
-            def one_stream(rngs, buffers):
-                assert len(rngs) == 1, f"a drawer ahead asked for {len(rngs)} streams"
-                ask(rngs, buffers)
-
-            draws.ask = one_stream
         return draws
 
     monkeypatch.setattr(engine, "_Draws", drawer)
@@ -476,6 +470,20 @@ def test_the_drawer_draws_no_generation_past_the_last(ahead, monkeypatch, budget
     problem, params = CASES["F16"]()
     run_many(problem, replace(params, max_iterations=budget), SEEDS[:3])
     assert draws == [1] * 3 * budget and len(ahead) == 3  # a drawer a run
+
+
+@pytest.mark.parametrize("case", ["F7@30-noisy", "wind-1"])
+def test_the_drawer_never_draws_two_generations_in_a_row_into_one_set(ahead, monkeypatch, case):
+    # generation k+1 is drawn while generation k runs on its set, so the two
+    # must share no memory; the buffers each draw is handed show it without timing
+    real, sets, budget = engine.draw_generation, [], 6
+    monkeypatch.setattr(engine, "draw_generation", lambda *args: sets.append(args[2]) or real(*args))
+    problem, params = CASES[case]()
+    run_many(problem, replace(params, max_iterations=budget), SEEDS[:2])
+    assert len(sets) == 2 * budget and len(ahead) == 2  # a drawer a run
+    for run_sets in (sets[:budget], sets[budget:]):
+        for now, after in zip(run_sets, run_sets[1:]):
+            assert not any(a is not None and np.shares_memory(a, b) for a, b in zip(now, after))
 
 
 def test_the_drawer_is_joined_when_every_run_has_left(ahead):
