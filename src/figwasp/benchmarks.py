@@ -14,6 +14,7 @@ maps the engine's uniform draws to its terms; no code here draws.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -163,7 +164,7 @@ def goldstein_price(x):
     return t1 * t2
 
 
-_HARTMAN3_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
+_HARTMAN_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
 _HARTMAN3_A = np.array([[3, 10, 30], [0.1, 10, 35], [3, 10, 30], [0.1, 10, 35]], dtype=float)
 _HARTMAN3_P = np.array(
     [
@@ -173,14 +174,6 @@ _HARTMAN3_P = np.array(
         [0.0381, 0.5743, 0.8828],
     ]
 )
-
-
-def hartman3(x):
-    inner = np.sum(_HARTMAN3_A * (x[..., None, :] - _HARTMAN3_P) ** 2, axis=-1)
-    return -np.sum(_HARTMAN3_ALPHA * np.exp(-inner), axis=-1)
-
-
-_HARTMAN6_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
 _HARTMAN6_A = np.array(
     [
         [10, 3, 17, 3.5, 1.7, 8],
@@ -200,9 +193,13 @@ _HARTMAN6_P = np.array(
 )
 
 
-def hartman6(x):
-    inner = np.sum(_HARTMAN6_A * (x[..., None, :] - _HARTMAN6_P) ** 2, axis=-1)
-    return -np.sum(_HARTMAN6_ALPHA * np.exp(-inner), axis=-1)
+def _hartman(x, a, p):
+    inner = np.sum(a * (x[..., None, :] - p) ** 2, axis=-1)
+    return -np.sum(_HARTMAN_ALPHA * np.exp(-inner), axis=-1)
+
+
+hartman3 = functools.partial(_hartman, a=_HARTMAN3_A, p=_HARTMAN3_P)
+hartman6 = functools.partial(_hartman, a=_HARTMAN6_A, p=_HARTMAN6_P)
 
 
 _SHEKEL_A = np.array(
@@ -228,16 +225,9 @@ def _shekel(x, m):
     return -np.sum(1.0 / (np.sum(diff * diff, axis=-1) + _SHEKEL_C[:m]), axis=-1)
 
 
-def shekel5(x):
-    return _shekel(x, 5)
-
-
-def shekel7(x):
-    return _shekel(x, 7)
-
-
-def shekel10(x):
-    return _shekel(x, 10)
+shekel5 = functools.partial(_shekel, m=5)
+shekel7 = functools.partial(_shekel, m=7)
+shekel10 = functools.partial(_shekel, m=10)
 
 
 def _uniform_noise(draws: np.ndarray) -> np.ndarray:  # Quartic's terms are U[0, 1): the draws themselves
@@ -252,7 +242,7 @@ class BenchmarkSpec:
     low: float
     high: float
     f_min: float
-    objective: Callable[[Vector], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     f_min_times_n: bool = False
     witness: Callable[[int], Vector] | None = None
     noise: Callable[[np.ndarray], np.ndarray] | None = None  # see ObjectiveProblem.noise

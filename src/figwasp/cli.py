@@ -119,7 +119,7 @@ class ExperimentConfig:
 
 def resolve_problem(pid: str, dim: int | None, penalty_coefficient: float) -> ObjectiveProblem:
     """Problem ``pid`` at ``dim`` if it allows it, or at the only dimension it allows when ``dim`` is None."""
-    design = ENGINEERING_PROBLEMS[pid]() if pid in ENGINEERING_PROBLEMS else None
+    design = ENGINEERING_PROBLEMS.get(pid)
     if design is not None:
         allowed = (design.dimension,)
     elif pid in benchmarks.SPECS:
@@ -263,7 +263,7 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
-    design = ENGINEERING_PROBLEMS[pid]()
+    design = ENGINEERING_PROBLEMS[pid]
     out_dir, grouped = run_campaign(config)
     # a run whose best is not finite never scored a point: its position is just its first tree
     runs = [r for r in grouped[(pid, design.dimension)] if math.isfinite(r.best_fitness)]
@@ -394,9 +394,8 @@ def cmd_list() -> int:
         spec = benchmarks.SPECS[fid]
         dims = ",".join(str(d) for d in spec.dimensions)
         print(f"{fid:4s} {spec.name:18s} dims={dims:18s} range=[{spec.low:g},{spec.high:g}]")
-    for pid in ENGINEERING_PROBLEMS:
-        problem = ENGINEERING_PROBLEMS[pid]()
-        print(f"{pid:15s} dim={problem.dimension} constrained")
+    for pid, design in ENGINEERING_PROBLEMS.items():
+        print(f"{pid:15s} dim={design.dimension} constrained")
     return 0
 
 

@@ -328,8 +328,8 @@ def welded_beam() -> ConstrainedProblem:
     )
 
 
-ENGINEERING_PROBLEMS: dict[str, Callable[[], ConstrainedProblem]] = {
-    "pressure-vessel": pressure_vessel,
-    "stepped-beam": stepped_beam,
-    "welded-beam": welded_beam,
+ENGINEERING_PROBLEMS: dict[str, ConstrainedProblem] = {
+    "pressure-vessel": pressure_vessel(),
+    "stepped-beam": stepped_beam(),
+    "welded-beam": welded_beam(),
 }

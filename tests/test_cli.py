@@ -25,7 +25,7 @@ from figwasp.cli import (
     resolve_problem,
 )
 from figwasp.core import derive_seed
-from figwasp.constrained import LatticeStep, ValueSet, stepped_beam
+from figwasp.constrained import ENGINEERING_PROBLEMS, LatticeStep, ValueSet, stepped_beam
 from figwasp.stats import PairedSamples, wilcoxon_signed_rank
 
 
@@ -48,6 +48,15 @@ def small_config(tmp_path, iterations=20):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"schema = 1\niterations = {iterations}\n")
     return str(cfg)
+
+
+def run_python(cwd, *args):
+    """The output of ``python *args`` run in ``cwd`` on this checkout's figwasp; it must exit 0."""
+    src = str(Path(figwasp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def planned(token):
@@ -833,32 +842,30 @@ class TestListCommand:
         for token in ("F1", "F23", "pressure-vessel", "stepped-beam", "welded-beam"):
             assert token in text
 
+    def test_module_entry_point_lists_every_id_in_order(self, tmp_path):
+        lines = run_python(tmp_path, "-m", "figwasp", "list").splitlines()
+        assert [line.split()[0] for line in lines] == [*benchmarks.BENCHMARK_IDS, *ENGINEERING_PROBLEMS]
+
 
 class TestImportPath:
     """No figwasp process loads scipy, and only a campaign that forks loads the process pool."""
 
-    def run_python(self, code, cwd):
-        src = str(Path(figwasp.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
     @pytest.mark.parametrize("module", ["figwasp", "figwasp.cli"])
     def test_import_loads_no_scipy(self, tmp_path, module):
-        out = self.run_python(
-            f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])", tmp_path
+        out = run_python(
+            tmp_path,
+            "-c",
+            f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
         )
         assert out.strip() == "[]"
 
     @pytest.mark.parametrize("module", ["figwasp", "figwasp.cli"])
     def test_import_loads_no_process_pool(self, tmp_path, module):
-        out = self.run_python(
+        out = run_python(
+            tmp_path,
+            "-c",
             f"import sys, {module}; "
             "print([m for m in sys.modules if m == 'concurrent.futures.process' or m.startswith('multiprocessing')])",
-            tmp_path,
         )
         assert out.strip() == "[]"
 
@@ -869,12 +876,13 @@ class TestImportPath:
         for name in ("a", "b", "c"):
             rows = [[f"F{i}", "30", "0", "0", f"{m:.6E}", "0"] for i, m in enumerate(rng.normal(size=21), 1)]
             write_result_file(tmp_path / f"{name}.csv", rows)
-        out = self.run_python(
+        out = run_python(
+            tmp_path,
+            "-c",
             "import sys; sys.modules['scipy'] = None\n"
             "from figwasp.cli import main\n"
             "code = main(['stats', 'a.csv', 'b.csv', 'c.csv', '--out', 'o'])\n"
             "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None])",
-            tmp_path,
         )
         assert out.splitlines()[-1] == "0 []"
         assert "friedman chi-square" in out
@@ -888,9 +896,10 @@ class TestImportPath:
                 tmp_path / f"{name}.csv",
                 [[pid, "30", "0", "0", f"{m:.6E}", "0"] for pid, m in zip(("F1", "F9", "F11"), means)],
             )
-        self.run_python(
-            "from figwasp.cli import main; raise SystemExit(main(['stats', 'a.csv', 'b.csv', '--out', 'o']))",
+        run_python(
             tmp_path,
+            "-c",
+            "from figwasp.cli import main; raise SystemExit(main(['stats', 'a.csv', 'b.csv', '--out', 'o']))",
         )
         assert len(read_csv(tmp_path / "o" / "friedman.csv")) == 2
         assert len(read_csv(tmp_path / "o" / "wilcoxon.csv")) == 1
