@@ -22,8 +22,8 @@ Vector = np.ndarray
 _MASK64 = (1 << 64) - 1
 
 # `power` is libm pow for a float64 scalar (one point) and a column (rows)
-# alike. F7's `x**4`, F12/F13's `** m`, F14's `** 6` and stepped-beam's
-# `heights**3` still use `**`, a SIMD pow whose last bit depends on the CPU.
+# alike; its last bit follows glibc's FMA choice. F7's `x**4` and stepped-beam's
+# `heights**3` still use `**`, numpy's SIMD pow, whose last bit follows its dispatch level.
 power = np.float_power
 
 # Limits beyond half the largest float would overflow: the midpoint of two

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +104,54 @@ class TestWitnesses:
         # outside the tabulated box, so no exact witness exists
         for fid in ("F8", "F14", "F15", "F16", "F17", "F19", "F20", "F21", "F22", "F23"):
             assert optimum_witness(fid, SPECS[fid].dimensions[0]) is None
+
+
+def _u_reference(v, a):
+    return 100 * (v - a) ** 4 if v > a else 100 * (-v - a) ** 4 if v < -a else 0
+
+
+def _penalized_reference(x):
+    y = [1 + (v + 1) / 4 for v in x]
+    core = (
+        10 * mpmath.sin(mpmath.pi * y[0]) ** 2
+        + mpmath.fsum((y[i] - 1) ** 2 * (1 + 10 * mpmath.sin(mpmath.pi * y[i + 1]) ** 2) for i in range(len(x) - 1))
+        + (y[-1] - 1) ** 2
+    )
+    return mpmath.pi / len(x) * core + mpmath.fsum(_u_reference(v, 10) for v in x)
+
+
+def _penalized2_reference(x):
+    core = (
+        mpmath.sin(3 * mpmath.pi * x[0]) ** 2
+        + mpmath.fsum((x[i] - 1) ** 2 * (1 + mpmath.sin(3 * mpmath.pi * x[i + 1]) ** 2) for i in range(len(x) - 1))
+        + (x[-1] - 1) ** 2 * (1 + mpmath.sin(2 * mpmath.pi * x[-1]) ** 2)
+    )
+    return core / 10 + mpmath.fsum(_u_reference(v, 5) for v in x)
+
+
+def _foxholes_reference(x):
+    centres = [-32, -16, 0, 16, 32]
+    holes = [(centres[j % 5], centres[j // 5]) for j in range(25)]
+    inverse = mpmath.fsum(1 / (j + 1 + (x[0] - a1) ** 6 + (x[1] - a2) ** 6) for j, (a1, a2) in enumerate(holes))
+    return 1 / (mpmath.mpf(1) / 500 + inverse)
+
+
+class TestHighPrecisionReference:
+    # rows spread over the whole box, so most coordinates of F12 and F13 lie
+    # outside [-a, a] where the penalty term is active; the references read
+    # the formulas, not the code, at 100 bits
+    @pytest.mark.parametrize(
+        "fid, dim, reference",
+        [("F12", 30, _penalized_reference), ("F13", 30, _penalized2_reference), ("F14", 2, _foxholes_reference)],
+    )
+    def test_matches_the_formula(self, fid, dim, reference):
+        spec = SPECS[fid]
+        rows = np.random.default_rng(12).uniform(spec.low, spec.high, size=(32, dim))
+        values = make_benchmark(fid, dim).objective(rows)
+        with mpmath.workprec(100):
+            for x, value in zip(rows, values):
+                exact = reference([mpmath.mpf(float(v)) for v in x])
+                assert abs(value - exact) <= 1e-12 * abs(exact), (x, value, exact)
 
 
 class TestQuarticNoise:
