@@ -27,7 +27,8 @@ Run i is row i of every group array, trees (R, T, d) through pools (R, P,
 d), and `draw_generation` takes the R streams; a batch holds the rows of
 every run. Each run keeps its own best, trace and evaluation count; a run
 whose stagnation window runs out leaves the group. So every result
-equals, bit for bit, the run made alone.
+equals, bit for bit, the run made alone. After each generation, the hook
+`on_generation` gets one `GenerationSnapshot` of the group's live rows.
 
 A group allocates its generation buffers once and draws into them in
 place; when runs leave, the others draw into the leading rows. Every group
@@ -125,9 +126,13 @@ class RunResult:
 
 class GenerationSnapshot(NamedTuple):
     iteration: int
-    trees: np.ndarray  # (T, d)
-    pool: np.ndarray  # (T*A*W/2, d), after wind
-    best_so_far: float
+    seeds: tuple  # the L live runs of a group: row i of each array is run seeds[i]
+    trees: np.ndarray  # (L, T, d)
+    pools: np.ndarray  # (L, T*A*W/2, d), after wind
+    best: np.ndarray  # (L,) best-so-far values
+
+
+Observer = Callable[[GenerationSnapshot], None] | None
 
 
 def neighborhood_width(k: int, params: FwscParams) -> float:
@@ -452,17 +457,17 @@ def _lockstep(
     problem: ObjectiveProblem,
     params: FwscParams,
     seeds: list[int],
-    on_generation: Callable[[GenerationSnapshot], None] | None,
+    ahead: bool,
+    on_generation: Observer,
 ) -> list[RunResult]:
-    """Advance one run per seed together; see `run` and `run_many`. Live run
-    i is row i of every group array and draws from its own stream into row
-    i of one buffer set made for the whole group.
+    """Advance one run per seed together; see `run_many`. Live run i is row
+    i of every group array and draws from its own stream into row i of one
+    buffer set made for the whole group.
 
-    Each generation takes its draw from a `_Draws`, which draws ahead for a
-    group of one seed that `_draws_ahead` passes and in turn otherwise.
-    Every exit, an error too, joins the drawer's thread. When runs leave,
-    the group passes only the staying streams and the leading rows of its
-    buffers.
+    Each generation takes its draw from a `_Draws`, which draws ``ahead``
+    (a group of one seed) or in turn. Every exit, an error too, joins the
+    drawer's thread. When runs leave, the group passes only the staying
+    streams and the leading rows of its buffers.
     """
     gb, d, w = problem.bounds, problem.dimension, params.wasps_per_fig
     eta = neighborhood_width(1, params)
@@ -474,7 +479,7 @@ def _lockstep(
     trees = np.stack(trees)  # (R, T, d)
     live, rngs, window = runs, [run.rng for run in runs], params.stagnation_window
     buffers = generation_buffers(problem, params, len(runs))
-    draws = _Draws(params, rngs, buffers, len(runs) == 1 and _draws_ahead(problem, params))
+    draws = _Draws(params, rngs, buffers, ahead)
     try:
         for k in range(1, params.max_iterations + 1):
             (figs, wasps, noise, permutations, uniforms, pool_noise), winds = draws.take(rngs, buffers)
@@ -496,7 +501,8 @@ def _lockstep(
                 run.tally(pool, values)
                 run.trace.append(run.best_fitness)
             if on_generation is not None:
-                on_generation(GenerationSnapshot(k, trees[0], pools[0], live[0].best_fitness))
+                best = np.array([run.best_fitness for run in live])
+                on_generation(GenerationSnapshot(k, tuple(run.seed for run in live), trees, pools, best))
 
             # a trace never rises and only a strict drop improves it, so a run has
             # gone `window` generations without improving when its value `window`
@@ -524,23 +530,12 @@ def _lockstep(
     ]
 
 
-def run(
-    problem: ObjectiveProblem,
-    params: FwscParams,
-    seed: int,
-    on_generation: Callable[[GenerationSnapshot], None] | None = None,
-) -> RunResult:
-    """Execute one full optimization run: `run_many` with one seed.
-
-    The best-so-far value tracks every evaluated point (wasps and pool
-    members alike) and the trace records it once per completed generation,
-    so the trace is non-increasing by construction. ``on_generation`` sees
-    each completed generation's snapshot.
-    """
-    return _lockstep(problem, params, [seed], on_generation)[0]
+def run(problem: ObjectiveProblem, params: FwscParams, seed: int, on_generation: Observer = None) -> RunResult:
+    """Execute one full optimization run: `run_many` with one seed."""
+    return run_many(problem, params, [seed], on_generation)[0]
 
 
-def run_many(problem: ObjectiveProblem, params: FwscParams, seeds) -> list[RunResult]:
+def run_many(problem: ObjectiveProblem, params: FwscParams, seeds, on_generation: Observer = None) -> list[RunResult]:
     """One run per seed, advanced in lockstep; equal, bit for bit, to
     ``[run(problem, params, seed) for seed in seeds]``.
 
@@ -550,8 +545,13 @@ def run_many(problem: ObjectiveProblem, params: FwscParams, seeds) -> list[RunRe
     evaluation count. A run whose stagnation window runs out leaves its
     group; the others go on. Runs that would draw ahead (`_draws_ahead`)
     go one at a time, each drawing ahead alone.
+
+    The best-so-far value tracks every evaluated point (wasps and pool
+    members alike) and the trace records it once per completed generation,
+    so the trace is non-increasing by construction. After each generation,
+    ``on_generation`` gets a `GenerationSnapshot` of each group's live runs.
     """
-    seeds = list(seeds)
-    width = 1 if _draws_ahead(problem, params) else group_width(params, problem.dimension)
+    seeds, ahead = list(seeds), _draws_ahead(problem, params)
+    width = 1 if ahead else group_width(params, problem.dimension)
     groups = (seeds[i : i + width] for i in range(0, len(seeds), width))
-    return [result for group in groups for result in _lockstep(problem, params, group, None)]
+    return [result for group in groups for result in _lockstep(problem, params, group, ahead, on_generation)]

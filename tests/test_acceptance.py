@@ -329,8 +329,8 @@ def test_criterion_8_structural_invariants():
         result = run(problem, params, seed=int(rng.integers(0, 2**63)), on_generation=snapshots.append)
 
         # population cardinalities
-        assert all(len(s.trees) == trees for s in snapshots)
-        assert all(len(s.pool) == trees * figs * (wasps // 2) for s in snapshots)
+        assert all(s.trees.shape[:2] == (1, trees) for s in snapshots)
+        assert all(s.pools.shape[:2] == (1, trees * figs * (wasps // 2)) for s in snapshots)
         per_generation = trees * figs * wasps + trees * figs * (wasps // 2)
         assert result.evaluations == iterations * per_generation
         assert len(seen) == result.evaluations

@@ -582,17 +582,17 @@ class TestBuffers:
 
         def keep(snapshot):
             held.append(snapshot)
-            copies.append((snapshot.trees.copy(), snapshot.pool.copy()))
+            copies.append((snapshot.trees.copy(), snapshot.pools.copy()))
 
         monkeypatch.setattr(engine, "generation_buffers", buffers)
         result = run(sphere_problem(dim=3), FwscParams(max_iterations=8), seed=13, on_generation=keep)
         assert len(made) == 1 and len(held) == 8
-        for snapshot, (trees, pool) in zip(held, copies):
+        for snapshot, (trees, pools) in zip(held, copies):
             assert np.array_equal(snapshot.trees, trees)
-            assert np.array_equal(snapshot.pool, pool)
-        assert not np.array_equal(held[0].pool, held[-1].pool)
+            assert np.array_equal(snapshot.pools, pools)
+        assert not np.array_equal(held[0].pools, held[-1].pools)
         assert float(np.sum(result.best_position**2)) == result.best_fitness
-        kept = [a for snapshot in held for a in (snapshot.trees, snapshot.pool)] + [result.best_position]
+        kept = [a for snapshot in held for a in (snapshot.trees, snapshot.pools)] + [result.best_position]
         assert not any(np.shares_memory(a, b) for a in kept for b in made[0] if b is not None)
 
 

@@ -165,13 +165,64 @@ def test_no_seeds_no_runs():
     assert run_many(problem, params, []) == []
 
 
+# (case, seeds, drawn ahead); the snapshots of each run made alone, in turn, are the oracle
+SNAPSHOT_CASES = {
+    "F1@30": (CASES["F1@30"], SEEDS[:3], False),
+    "stagnation": (CASES["stagnation"], [11, 123456789, 2024], False),  # rows leave
+    # 14 runs of F1@100 go in groups of 13 and 1
+    "two-groups": (
+        lambda: campaign_case("F1", 100, max_iterations=2),
+        [derive_seed(5, "F1", 100, i) for i in range(14)],
+        False,
+    ),
+    "drawing-ahead": (CASES["F1@30"], SEEDS[:1], True),
+}
+
+
+def snapshot_rows(snapshots, seed):
+    """(iteration, trees, pools, best) bytes of the row of ``seed`` in each snapshot that holds it."""
+    rows = []
+    for s in snapshots:
+        if seed in s.seeds:
+            i = s.seeds.index(seed)
+            rows.append((s.iteration, s.trees[i].tobytes(), s.pools[i].tobytes(), s.best[i].tobytes()))
+    return rows
+
+
+@pytest.mark.parametrize("name", list(SNAPSHOT_CASES))
+def test_group_snapshots_equal_solo_snapshots(monkeypatch, name):
+    case, seeds, ahead = SNAPSHOT_CASES[name]
+    problem, params = case()
+    assert not engine._draws_ahead(problem, params)  # the oracle is drawn in turn
+    solo = {}
+    for seed in seeds:
+        solo[seed] = []
+        run(problem, params, seed, on_generation=solo[seed].append)
+        assert {s.seeds for s in solo[seed]} == {(seed,)}
+    made = open_gate(monkeypatch) if ahead else []
+    group = []
+    hooked = run_many(problem, params, seeds, on_generation=group.append)
+    width = 1 if ahead else engine.group_width(params, problem.dimension)
+    for s in group:
+        assert 1 <= len(s.seeds) <= width and s.trees.shape[:2] == (len(s.seeds), params.num_trees)
+        assert len(s.pools) == len(s.best) == len(s.seeds)
+    if name == "two-groups":
+        assert [len(s.seeds) for s in group] == [13] * params.max_iterations + [1] * params.max_iterations
+    for seed in seeds:
+        assert snapshot_rows(group, seed) == snapshot_rows(solo[seed], seed)
+    # a hook changes no result
+    for many, plain in zip(hooked, run_many(problem, params, seeds), strict=True):
+        assert_same_run(many, plain, params)
+    assert len(made) == (2 * len(seeds) if ahead else 0)
+
+
 def lockstep_calls(monkeypatch):
-    """Records the seeds of every `_lockstep` call made from now on."""
+    """Records (seeds, ahead) of every `_lockstep` call made from now on."""
     calls, real = [], engine._lockstep
 
-    def lockstep(problem, params, seeds, on_generation):
-        calls.append(seeds)
-        return real(problem, params, seeds, on_generation)
+    def lockstep(problem, params, seeds, ahead, on_generation):
+        calls.append((seeds, ahead))
+        return real(problem, params, seeds, ahead, on_generation)
 
     monkeypatch.setattr(engine, "_lockstep", lockstep)
     return calls
@@ -184,7 +235,7 @@ def test_run_many_caps_every_group(monkeypatch):
     assert engine.group_width(params, 100) == 13
     calls = lockstep_calls(monkeypatch)
     results = run_many(problem, params, seeds)
-    assert calls == [seeds[:13], seeds[13:26], seeds[26:]]
+    assert calls == [(seeds[:13], False), (seeds[13:26], False), (seeds[26:], False)]
     monkeypatch.undo()
     for seed, many in zip(seeds, results, strict=True):
         assert_same_run(many, run(problem, params, seed), params)
@@ -200,7 +251,9 @@ def test_runs_that_draw_ahead_go_one_at_a_time(monkeypatch, gate):
     monkeypatch.setattr(engine, "_draws_ahead", lambda problem, params: gate)
     calls = lockstep_calls(monkeypatch)
     results = run_many(problem, params, SEEDS)
-    assert calls == ([[seed] for seed in SEEDS] if gate else [SEEDS])
+    assert calls == ([([seed], True) for seed in SEEDS] if gate else [(SEEDS, False)])
+    # `run_many` decides the gate once, and only a lone run draws ahead
+    assert all(len(seeds) == 1 for seeds, ahead in calls if ahead)
     monkeypatch.undo()
     for seed, many in zip(SEEDS, results, strict=True):
         assert_same_run(many, run(problem, params, seed), params)
@@ -409,19 +462,6 @@ def test_a_large_problem_draws_ahead_through_the_real_gate(monkeypatch):
                 assert_same_run(many, alone, params)
         # through the gate each run draws ahead alone
         assert len(made) == 2 * spare and [r.iterations_run for r in in_turn] == stops
-
-
-@pytest.mark.parametrize("case", ["F1@30", "stagnation"])
-def test_a_group_of_several_draws_in_turn_even_through_the_open_gate(monkeypatch, case):
-    # `run_many` never hands `_lockstep` such a group, but should it, the
-    # group must not draw ahead, with or without a window
-    problem, params = CASES[case]()
-    seeds = [11, 123456789, 2024]
-    in_turn = run_many(problem, params, seeds)
-    made = open_gate(monkeypatch)
-    for many, alone in zip(engine._lockstep(problem, params, seeds, None), in_turn, strict=True):
-        assert_same_run(many, alone, params)
-    assert made == []
 
 
 def gate(pid, dim):
