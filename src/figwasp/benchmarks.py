@@ -83,7 +83,7 @@ def griewank(x):
 
 def _u_penalty(x, a, k):
     # k * max(|x| - a, 0)^4 as products: a SIMD pow's last bit follows the CPU
-    v = np.maximum(x - a, 0.0) + np.maximum(-x - a, 0.0)
+    v = np.maximum(np.abs(x) - a, 0.0)
     v2 = v * v
     return np.sum(k * (v2 * v2), axis=-1)
 

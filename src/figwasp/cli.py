@@ -50,7 +50,7 @@ from .constrained import DEFAULT_PENALTY_COEFFICIENT, ENGINEERING_PROBLEMS, repa
 from .core import ObjectiveProblem, derive_seed
 from .engine import FwscParams, RunResult, group_width, run_many
 from .engine import run  # noqa: F401 -- stays importable as figwasp.cli.run
-from .stats import PairedSamples, ResultMatrix, friedman_mean_ranks, friedman_statistic, wilcoxon_signed_rank
+from .stats import friedman_mean_ranks, friedman_statistic, wilcoxon_signed_rank
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "FIGWASP_WORKERS"
@@ -349,25 +349,21 @@ def cmd_stats(inputs: list[str], out_dir: str, baseline: str | None) -> int:
         raise ConfigError(f"stats: need at least two problem rows, {names[0]} has {len(key_order)}")
     out = _out_dir(out_dir)
 
-    matrix = ResultMatrix(
-        problems=tuple(f"{pid}@{dim}" for pid, dim in key_order),
-        algorithms=tuple(names),
-        values=np.array([[loaded[name][key] for name in names] for key in key_order]),
-    )
+    matrix = np.array([[loaded[name][key] for name in names] for key in key_order])
     mean_ranks, ordinals = friedman_mean_ranks(matrix)
     statistic, p_value = friedman_statistic(matrix)
 
     ranks = [["mean_rank"] + [_fmt(v) for v in mean_ranks], ["ranking"] + [str(int(v)) for v in ordinals]]
     _write_csv(out / "friedman.csv", ["metric"] + names, ranks)
 
-    base_values = matrix.values[:, names.index(baseline)]
+    base_values = matrix[:, names.index(baseline)]
     wilcoxon_rows = []
-    for name, other in zip(names, matrix.values.T):
+    for name, other in zip(names, matrix.T):
         if name == baseline:
             continue
         label = f"{name} vs {baseline}"
         try:
-            res = wilcoxon_signed_rank(PairedSamples(other, base_values))
+            res = wilcoxon_signed_rank(other, base_values)
         except ValueError:
             wilcoxon_rows.append([label, "", "", "", "no information"])
             continue

@@ -66,7 +66,7 @@ from .core import score as evaluate  # every engine batch is clamped into the bo
 DEFAULT_DECAY_FACTOR = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class FwscParams:
     """Algorithm parameters; defaults follow the reference configuration."""
 

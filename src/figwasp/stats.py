@@ -16,49 +16,11 @@ closed form (`chi2_sf`). No scipy module is loaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 EXACT_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class PairedSamples:
-    """Per-problem paired results of two algorithms."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-            raise ValueError("paired samples must be 1-D and equally long")
-        if a.shape[0] < 2:
-            raise ValueError("need at least two pairs")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("paired samples have non-finite values")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
-class ResultMatrix:
-    """Problems x algorithms matrix of summary values (e.g. mean of best)."""
-
-    problems: tuple[str, ...]
-    algorithms: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.problems), len(self.algorithms)):
-            raise ValueError("matrix shape must be (problems, algorithms)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("matrix has missing or non-finite cells")
-        object.__setattr__(self, "values", values)
 
 
 def mid_ranks(values: np.ndarray) -> np.ndarray:
@@ -99,17 +61,25 @@ def _exact_two_sided_p(doubled_ranks: np.ndarray, doubled_t_plus: int) -> float:
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
-def wilcoxon_signed_rank(samples: PairedSamples) -> WilcoxonResult:
-    """Two-sided Wilcoxon signed-rank test on paired results.
+def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
+    """Two-sided Wilcoxon signed-rank test on the paired results ``a[i]``, ``b[i]``.
 
     Zero differences are dropped (Wilcoxon's original procedure), absolute
     differences are ranked with mid-ranks on ties, and T+/T- are the rank
     sums of positive and negative differences. Exact p for n <= 20 pairs,
     tie-corrected normal approximation beyond.
 
-    Raises ValueError("no information") when every difference is zero.
+    Raises ValueError unless ``a`` and ``b`` are finite, 1-D, equally long and
+    at least two pairs, or ValueError("no information") if every difference is zero.
     """
-    diff = samples.a - samples.b
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("paired samples must be 1-D and equally long")
+    if a.shape[0] < 2:
+        raise ValueError("need at least two pairs")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("paired samples have non-finite values")
+    diff = a - b
     diff = diff[diff != 0.0]
     if diff.size == 0:
         raise ValueError("no information: all paired differences are zero")
@@ -165,30 +135,40 @@ def chi2_sf(x: float, df: int) -> float:
     return min(1.0, total * math.exp(-deferred) + late)
 
 
-def friedman_mean_ranks(matrix: ResultMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Mean mid-rank per algorithm plus a dense ordinal ranking.
+def _problems_by_algorithms(values: np.ndarray) -> np.ndarray:
+    """``values`` as a float array, checked to be finite, 2-D and at least 2 x 2."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("matrix must be 2-D: problems x algorithms")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix has missing or non-finite cells")
+    if min(values.shape) < 2:
+        raise ValueError("friedman ranking needs >= 2 algorithms and >= 2 problems")
+    return values
+
+
+def friedman_mean_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean mid-rank per algorithm (column of ``values``) plus a dense ordinal ranking.
 
     Within every problem row the algorithms are ranked ascending by value
     (smaller is better). Ordinal 1 goes to the smallest mean rank and equal
     mean ranks share their ordinal.
     """
-    if len(matrix.algorithms) < 2 or len(matrix.problems) < 2:
-        raise ValueError("friedman ranking needs >= 2 algorithms and >= 2 problems")
-    row_ranks = np.vstack([mid_ranks(row) for row in matrix.values])
-    mean_ranks = row_ranks.mean(axis=0)
-    distinct = np.unique(mean_ranks)
-    ordinals = np.searchsorted(distinct, mean_ranks) + 1
+    values = _problems_by_algorithms(values)
+    mean_ranks = np.vstack([mid_ranks(row) for row in values]).mean(axis=0)
+    ordinals = np.searchsorted(np.unique(mean_ranks), mean_ranks) + 1
     return mean_ranks, ordinals
 
 
-def friedman_statistic(matrix: ResultMatrix) -> tuple[float, float]:
-    """Tie-corrected Friedman chi-square and its chi-square tail p-value."""
-    mean_ranks, _ = friedman_mean_ranks(matrix)
-    n_problems, k = matrix.values.shape
+def friedman_statistic(values: np.ndarray) -> tuple[float, float]:
+    """Tie-corrected Friedman chi-square of ``values`` and its chi-square tail p-value."""
+    values = _problems_by_algorithms(values)
+    mean_ranks, _ = friedman_mean_ranks(values)
+    n_problems, k = values.shape
     raw = 12.0 * n_problems / (k * (k + 1)) * np.sum((mean_ranks - (k + 1) / 2.0) ** 2)
 
     tie_sum = 0.0
-    for row in matrix.values:
+    for row in values:
         _, counts = np.unique(row, return_counts=True)
         tie_sum += float(np.sum(counts.astype(float) ** 3 - counts))
     correction = 1.0 - tie_sum / (n_problems * k * (k**2 - 1))

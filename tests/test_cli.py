@@ -26,7 +26,7 @@ from figwasp.cli import (
 )
 from figwasp.core import derive_seed
 from figwasp.constrained import ENGINEERING_PROBLEMS, LatticeStep, ValueSet, stepped_beam
-from figwasp.stats import PairedSamples, wilcoxon_signed_rank
+from figwasp.stats import wilcoxon_signed_rank
 
 
 def read_csv(path):
@@ -793,7 +793,7 @@ class TestStatsCommand:
         out = tmp_path / "out"
         assert main(["stats", f"base={b}", f"other={a}", "--out", str(out)]) == 0
         row = read_csv(out / "wilcoxon.csv")[0]
-        expected = wilcoxon_signed_rank(PairedSamples(other, base))
+        expected = wilcoxon_signed_rank(other, base)
         assert float(row["t_plus"]) == expected.t_plus
         assert float(row["t_minus"]) == expected.t_minus
         assert float(row["p_value"]) == pytest.approx(expected.p_value, rel=1e-6)

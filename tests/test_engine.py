@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -211,6 +211,15 @@ class TestParamsValidation:
             run(make_benchmark("F19", 3), FwscParams(eta0=1e308, max_iterations=100), 1)
         with pytest.raises(ValueError, match="eta0"):
             FwscParams(eta0=math.nextafter(ETA0_LIMIT, math.inf))
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(FwscParams)])
+    def test_fields_cannot_be_assigned_after_the_checks(self, field):
+        # an assigned field skipped every check: wasps_per_fig = 3 failed later
+        # with a reshape error naming no field, and eta0 = -5.0 ran a campaign
+        params = FwscParams(max_iterations=5)
+        with pytest.raises(FrozenInstanceError):
+            setattr(params, field, getattr(params, field))
+        assert replace(params, wasps_per_fig=4).wasps_per_fig == 4
 
     def test_eta_just_below_the_limit_runs(self):
         assert math.isfinite(ETA0_LIMIT * math.e)

@@ -52,3 +52,7 @@ def test_examples_run_in_order():
     results = namespace["results"]
     assert [r.seed for r in results] == [1, 2, 3, 4]
     assert all(np.isfinite(r.best_fitness) for r in results)
+    # ranks within rows (1,2,3), (2,1,3), (1,3,2), (1,2,3); differences 2, 1, 1, 2 all positive
+    assert namespace["mean_ranks"].tolist() == [1.25, 2.0, 2.75]
+    assert namespace["ordinals"].tolist() == [1, 2, 3]
+    assert namespace["comparison"] == (0.125, 10.0, 0.0)

@@ -7,8 +7,6 @@ import scipy.stats as sps
 from hypothesis import given, settings, strategies as st
 
 from figwasp.stats import (
-    PairedSamples,
-    ResultMatrix,
     chi2_sf,
     friedman_mean_ranks,
     friedman_statistic,
@@ -57,21 +55,48 @@ def friedman_counting_oracle(values):
 # ---------------------------------------------------------------------------
 
 
-class TestPairedSamples:
+class TestWilcoxonInputs:
     def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError):
-            PairedSamples(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match="equally long"):
+            wilcoxon_signed_rank(np.zeros(3), np.zeros(4))
+
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError, match="1-D"):
+            wilcoxon_signed_rank(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_rejects_single_pair(self):
-        with pytest.raises(ValueError):
-            PairedSamples(np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="at least two pairs"):
+            wilcoxon_signed_rank(np.zeros(1), np.zeros(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_pairs(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            PairedSamples(np.array([1.0, bad, 3.0]), np.zeros(3))
+            wilcoxon_signed_rank(np.array([1.0, bad, 3.0]), np.zeros(3))
         with pytest.raises(ValueError, match="non-finite"):
-            PairedSamples(np.zeros(3), np.array([1.0, 2.0, bad]))
+            wilcoxon_signed_rank(np.zeros(3), np.array([1.0, 2.0, bad]))
+
+
+class TestFriedmanInputs:
+    """Both Friedman functions make the same checks at their entry."""
+
+    @pytest.mark.parametrize("friedman", [friedman_mean_ranks, friedman_statistic])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_cell(self, friedman, bad):
+        values = np.arange(6.0).reshape(3, 2)
+        values[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            friedman(values)
+
+    @pytest.mark.parametrize("friedman", [friedman_mean_ranks, friedman_statistic])
+    def test_rejects_a_one_dimensional_array(self, friedman):
+        with pytest.raises(ValueError, match="2-D"):
+            friedman(np.arange(4.0))
+
+    @pytest.mark.parametrize("friedman", [friedman_mean_ranks, friedman_statistic])
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (1, 1), (0, 2)])
+    def test_needs_two_problems_and_two_algorithms(self, friedman, shape):
+        with pytest.raises(ValueError, match=">= 2 algorithms and >= 2 problems"):
+            friedman(np.zeros(shape))
 
 
 # The pre-numpy reference expressions: scipy.stats ranks and tails.
@@ -127,19 +152,19 @@ class TestWilcoxon:
     def test_hand_ranked_fixture(self):
         # differences (+1, -2, +3, -4, +5): |d| ranks are 1..5, so the
         # positive ranks 1+3+5 = 9 and negative 2+4 = 6
-        res = wilcoxon_signed_rank(PairedSamples(np.array([1.0, -2, 3, -4, 5]), np.zeros(5)))
+        res = wilcoxon_signed_rank(np.array([1.0, -2, 3, -4, 5]), np.zeros(5))
         assert res.t_plus == 9.0
         assert res.t_minus == 6.0
 
     def test_identical_samples_raise_no_information(self):
         a = np.array([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="no information"):
-            wilcoxon_signed_rank(PairedSamples(a, a.copy()))
+            wilcoxon_signed_rank(a, a.copy())
 
     def test_zero_differences_dropped(self):
         a = np.array([1.0, 5.0, 3.0, 7.0])
         b = np.array([1.0, 4.0, 3.0, 9.0])
-        res = wilcoxon_signed_rank(PairedSamples(a, b))
+        res = wilcoxon_signed_rank(a, b)
         assert res.t_plus + res.t_minus == 3.0  # two nonzero pairs: 1 + 2
 
     @settings(deadline=None, max_examples=60)
@@ -150,7 +175,7 @@ class TestWilcoxon:
         b = np.array(data.draw(st.lists(vals, min_size=n, max_size=n)), dtype=float)
         if np.all(a == b):
             return
-        res = wilcoxon_signed_rank(PairedSamples(a, b))
+        res = wilcoxon_signed_rank(a, b)
         p_oracle, t_plus_oracle, t_minus_oracle = wilcoxon_enumeration_oracle(a, b)
         assert res.t_plus == t_plus_oracle
         assert res.t_minus == t_minus_oracle
@@ -160,7 +185,7 @@ class TestWilcoxon:
         rng = np.random.default_rng(4)
         for _ in range(20):
             d = rng.normal(size=12)
-            res = wilcoxon_signed_rank(PairedSamples(d, np.zeros_like(d)))
+            res = wilcoxon_signed_rank(d, np.zeros_like(d))
             ref = sps.wilcoxon(d, alternative="two-sided", mode="exact")
             assert res.p_value == pytest.approx(ref.pvalue, abs=1e-12)
 
@@ -173,9 +198,9 @@ class TestWilcoxon:
         nz = int(np.sum(a != b))
         if nz == 0:
             return
-        res = wilcoxon_signed_rank(PairedSamples(a, b))
+        res = wilcoxon_signed_rank(a, b)
         assert res.t_plus + res.t_minus == pytest.approx(nz * (nz + 1) / 2, rel=1e-12)
-        flipped = wilcoxon_signed_rank(PairedSamples(b, a))
+        flipped = wilcoxon_signed_rank(b, a)
         assert flipped.t_plus == res.t_minus
         assert flipped.t_minus == res.t_plus
         assert flipped.p_value == pytest.approx(res.p_value, rel=1e-12)
@@ -192,7 +217,7 @@ class TestWilcoxon:
                 a, b = rng.normal(loc=rng.uniform(-1, 1), size=n), rng.normal(size=n)
             if np.sum(a != b) <= 20:
                 continue
-            res = wilcoxon_signed_rank(PairedSamples(a, b))
+            res = wilcoxon_signed_rank(a, b)
             t_plus, t_minus, p = scipy_normal(a, b)
             assert (res.t_plus, res.t_minus) == (t_plus, t_minus)
             assert res.p_value == pytest.approx(p, rel=1e-12)
@@ -201,36 +226,29 @@ class TestWilcoxon:
     def test_large_sample_normal_branch(self):
         rng = np.random.default_rng(7)
         shift = rng.normal(loc=2.0, scale=0.5, size=40)
-        res = wilcoxon_signed_rank(PairedSamples(shift, np.zeros_like(shift)))
+        res = wilcoxon_signed_rank(shift, np.zeros_like(shift))
         assert 0.0 <= res.p_value < 1e-6
         near_null = rng.normal(size=40)
-        res2 = wilcoxon_signed_rank(PairedSamples(near_null, np.zeros_like(near_null)))
+        res2 = wilcoxon_signed_rank(near_null, np.zeros_like(near_null))
         assert 0.0 <= res2.p_value <= 1.0
-
-
-def matrix(values, names=None):
-    values = np.asarray(values, dtype=float)
-    problems = tuple(f"p{i}" for i in range(values.shape[0]))
-    algorithms = tuple(names or (f"a{j}" for j in range(values.shape[1])))
-    return ResultMatrix(problems=problems, algorithms=algorithms, values=values)
 
 
 class TestFriedmanRanks:
     def test_identical_columns_mean_rank(self):
-        m = matrix(np.tile([[3.0, 3.0, 3.0]], (4, 1)))
+        m = np.tile([[3.0, 3.0, 3.0]], (4, 1))
         mean_ranks, ordinals = friedman_mean_ranks(m)
         assert np.allclose(mean_ranks, 2.0)  # (k+1)/2 with k=3
         assert list(ordinals) == [1, 1, 1]
 
     def test_dominance_two_algorithms(self):
         values = np.column_stack([np.arange(10.0), np.arange(10.0) + 1.0])
-        mean_ranks, ordinals = friedman_mean_ranks(matrix(values))
+        mean_ranks, ordinals = friedman_mean_ranks(values)
         assert list(mean_ranks) == [1.0, 2.0]
         assert list(ordinals) == [1, 2]
 
     def test_hand_computed_three_by_three(self):
         values = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
-        mean_ranks, _ = friedman_mean_ranks(matrix(values))
+        mean_ranks, _ = friedman_mean_ranks(values)
         assert np.allclose(mean_ranks, [5 / 3, 5 / 3, 8 / 3])
 
     def test_shared_ordinals_are_dense(self):
@@ -241,7 +259,7 @@ class TestFriedmanRanks:
                 [3.0, 3.0, 4.0, 8.0],
             ]
         )
-        mean_ranks, ordinals = friedman_mean_ranks(matrix(values))
+        mean_ranks, ordinals = friedman_mean_ranks(values)
         assert mean_ranks[0] == mean_ranks[1]
         assert list(ordinals) == [1, 1, 2, 3]
 
@@ -258,7 +276,7 @@ class TestFriedmanRanks:
             ),
             dtype=float,
         )
-        mean_ranks, ordinals = friedman_mean_ranks(matrix(values))
+        mean_ranks, ordinals = friedman_mean_ranks(values)
         oracle_ranks, oracle_ordinals = friedman_counting_oracle(values)
         assert np.array_equal(mean_ranks, oracle_ranks)
         assert np.array_equal(ordinals, oracle_ordinals)
@@ -276,14 +294,14 @@ class TestFriedmanRanks:
             ),
             dtype=float,
         )
-        base, _ = friedman_mean_ranks(matrix(values))
-        transformed, _ = friedman_mean_ranks(matrix(np.exp(values)))
+        base, _ = friedman_mean_ranks(values)
+        transformed, _ = friedman_mean_ranks(np.exp(values))
         assert np.array_equal(base, transformed)
 
 
 class TestFriedmanStatistic:
     def test_identical_columns_zero_statistic(self):
-        m = matrix(np.tile([[1.0, 1.0, 1.0]], (5, 1)))
+        m = np.tile([[1.0, 1.0, 1.0]], (5, 1))
         statistic, p = friedman_statistic(m)
         assert statistic == 0.0
         assert p == 1.0
@@ -291,7 +309,7 @@ class TestFriedmanStatistic:
     def test_dominance_closed_form(self):
         # k=2, N=10, no ties: chi2 = 12*10/(2*3) * ((1-1.5)^2 + (2-1.5)^2) = 10
         values = np.column_stack([np.arange(10.0), np.arange(10.0) + 1.0])
-        statistic, p = friedman_statistic(matrix(values))
+        statistic, p = friedman_statistic(values)
         assert statistic == pytest.approx(10.0, rel=1e-12)
         assert p == pytest.approx(sps.chi2.sf(10.0, df=1), rel=1e-12)
 
@@ -306,7 +324,7 @@ class TestFriedmanStatistic:
             _, counts = np.unique(row, return_counts=True)
             ties += float(np.sum(counts**3 - counts))
         corrected = raw / (1.0 - ties / (3 * 3 * 8))
-        statistic, _ = friedman_statistic(matrix(values))
+        statistic, _ = friedman_statistic(values)
         assert statistic == pytest.approx(corrected, rel=1e-12)
 
     def test_matches_scipy_rankdata_and_chi2_sf(self):
@@ -321,7 +339,7 @@ class TestFriedmanStatistic:
                 values = rng.normal(size=(rows, cols))
             if all(np.all(row == row[0]) for row in values):
                 continue
-            statistic, p = friedman_statistic(matrix(values))
+            statistic, p = friedman_statistic(values)
             ref_statistic, ref_p = scipy_friedman(values)
             assert statistic == ref_statistic
             assert p == pytest.approx(ref_p, rel=1e-12)
@@ -330,7 +348,7 @@ class TestFriedmanStatistic:
     def test_matches_scipy_without_ties(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(12, 4))
-        statistic, p = friedman_statistic(matrix(values))
+        statistic, p = friedman_statistic(values)
         ref = sps.friedmanchisquare(*[values[:, j] for j in range(4)])
         assert statistic == pytest.approx(ref.statistic, rel=1e-12)
         assert p == pytest.approx(ref.pvalue, rel=1e-12)
@@ -347,9 +365,9 @@ class TestFriedmanStatistic:
                 )
             )
         )
-        statistic, _ = friedman_statistic(matrix(values))
+        statistic, _ = friedman_statistic(values)
         perm = np.roll(np.arange(cols), 1)
-        permuted, _ = friedman_statistic(matrix(values[:, perm]))
+        permuted, _ = friedman_statistic(values[:, perm])
         assert permuted == pytest.approx(statistic, rel=1e-9, abs=1e-12)
 
 
@@ -419,7 +437,7 @@ class TestTails:
         for _ in range(200):
             n = int(rng.integers(21, 400))
             a, b = rng.normal(loc=rng.uniform(0, 3), size=n), rng.normal(size=n)
-            res = wilcoxon_signed_rank(PairedSamples(a, b))
+            res = wilcoxon_signed_rank(a, b)
             ranks = mid_ranks(np.abs(a - b))
             z = (res.t_plus - ranks.sum() / 2.0) / np.sqrt(np.sum(ranks**2) / 4.0)
             with mpmath.workprec(200):
