@@ -5,7 +5,7 @@ from .core import (
     ObjectiveProblem,
     RandomStream,
     derive_seed,
-    evaluate,
+    evaluate_batch,
 )
 from .engine import FwscParams, RunResult, run, run_many
 
@@ -14,7 +14,7 @@ __all__ = [
     "ObjectiveProblem",
     "RandomStream",
     "derive_seed",
-    "evaluate",
+    "evaluate_batch",
     "FwscParams",
     "RunResult",
     "run",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +40,10 @@ class LatticeStep:
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError(f"step: {self.step} is not positive and finite")
 
+    def snap(self, x: np.ndarray) -> np.ndarray:
+        """The nearest multiple of ``step`` to each element of ``x``; half-steps round up."""
+        return np.floor(x / self.step + 0.5) * self.step
+
 
 @dataclass(frozen=True)
 class ValueSet:
@@ -48,6 +52,7 @@ class ValueSet:
     so equal value sets snap to the same bits."""
 
     values: tuple[float, ...]
+    members: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = np.asarray(self.values, dtype=float) + 0.0
@@ -58,6 +63,21 @@ class ValueSet:
             raise ValueError(f"values: {self.values} has a non-finite member")
         if not (np.diff(members) > 0.0).all():
             raise ValueError(f"values: {self.values} is not sorted without repeats")
+        members.setflags(write=False)
+        object.__setattr__(self, "members", members)
+
+    def snap(self, x: np.ndarray) -> np.ndarray:
+        """The member nearest to each element of ``x``; equidistant between
+        two members, the larger. NaN stays NaN, and +-inf snaps to the end
+        member on its side."""
+        i = np.searchsorted(self.members, x)
+        hi = self.members.take(i, mode="clip")
+        lo = self.members.take(i - 1, mode="clip")
+        # |hi - x| and |lo - x|: inside the set's range lo < x <= hi, and
+        # outside it hi == lo, so the choice does not matter
+        snapped = np.where(hi - x <= x - lo, hi, lo)
+        np.copyto(snapped, x, where=np.isnan(x))
+        return snapped
 
 
 VariableKind = Continuous | LatticeStep | ValueSet
@@ -104,49 +124,23 @@ def _columns(indices: list[int]) -> slice | list[int]:
 @functools.lru_cache(maxsize=None)
 def _repair_plan(kinds: tuple[VariableKind, ...]):
     """The discrete columns grouped by kind, once per kinds tuple: each
-    lattice step with its columns and each value set (as an array) with its
-    columns."""
+    lattice step and each value set with its columns."""
     groups: dict[VariableKind, list[int]] = {}
     for i, kind in enumerate(kinds):
         if isinstance(kind, (LatticeStep, ValueSet)):
             groups.setdefault(kind, []).append(i)
-    lattices = tuple((kind.step, _columns(cols)) for kind, cols in groups.items() if isinstance(kind, LatticeStep))
-    value_sets = tuple(
-        (np.array(kind.values), _columns(cols)) for kind, cols in groups.items() if isinstance(kind, ValueSet)
-    )
-    return lattices, value_sets
-
-
-def _snap_to_set(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The member of the sorted ``values`` nearest to each element of ``x``;
-    equidistant between two members, the larger. NaN stays NaN, and +-inf
-    snaps to the end member on its side."""
-    i = np.searchsorted(values, x)
-    hi = values.take(i, mode="clip")
-    lo = values.take(i - 1, mode="clip")
-    # |hi - x| and |lo - x|: inside the set's range lo < x <= hi, and
-    # outside it hi == lo, so the choice does not matter
-    snapped = np.where(hi - x <= x - lo, hi, lo)
-    np.copyto(snapped, x, where=np.isnan(x))
-    return snapped
+    return tuple((kind, _columns(cols)) for kind, cols in groups.items())
 
 
 def repair_discrete(position: Vector, kinds: Sequence[VariableKind]) -> Vector:
-    """Snap discrete coordinates of one point (d,) or of (n, d) points onto
-    their lattice or value set; continuous ones pass through.
-
-    Lattice rounding is to the nearest multiple with half-steps rounding up.
-    Idempotent, and never moves a coordinate past the adjacent lattice point.
-    """
+    """Snap the discrete coordinates of one point (d,) or of (n, d) points,
+    idempotently, with their kind's ``snap``; continuous ones pass through."""
     position = np.asarray(position, dtype=float)
     if position.shape[-1] != len(kinds):
         raise ValueError("position length does not match variable kinds")
-    lattices, value_sets = _repair_plan(tuple(kinds))
     repaired = position.copy()
-    for step, cols in lattices:
-        repaired[..., cols] = np.floor(position[..., cols] / step + 0.5) * step
-    for values, cols in value_sets:
-        repaired[..., cols] = _snap_to_set(position[..., cols], values)
+    for kind, cols in _repair_plan(tuple(kinds)):
+        repaired[..., cols] = kind.snap(position[..., cols])
     return repaired
 
 

@@ -107,6 +107,14 @@ class ObjectiveProblem:
     objective: Callable[[np.ndarray], np.ndarray]
     noise: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.bounds, Bounds):
+            raise ValueError(f"bounds must be a Bounds, not {self.bounds!r}")
+        if not callable(self.objective):
+            raise ValueError(f"objective must be callable, not {self.objective!r}")
+        if self.noise is not None and not callable(self.noise):
+            raise ValueError(f"noise must be callable or None, not {self.noise!r}")
+
     @property
     def dimension(self) -> int:
         return self.bounds.dimension
@@ -192,8 +200,3 @@ def evaluate_batch(problem: ObjectiveProblem, positions: np.ndarray, noise: np.n
     if not problem.bounds.contains(positions):
         raise ValueError(f"position outside bounds for {problem.name}")
     return score(problem, positions, noise)
-
-
-def evaluate(problem: ObjectiveProblem, position: Vector, noise: np.ndarray | None = None) -> float:
-    """Evaluate the objective at one ``position``: a one-row `evaluate_batch`."""
-    return float(evaluate_batch(problem, np.asarray(position, dtype=float)[None], noise)[0])

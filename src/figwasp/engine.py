@@ -108,11 +108,6 @@ class FwscParams:
         if self.stagnation_window is not None and self.stagnation_window < 1:
             raise ValueError("stagnation_window must be a positive integer")
 
-    def effective_decay_scale(self) -> float:
-        if self.decay_scale is not None:
-            return float(self.decay_scale)
-        return DEFAULT_DECAY_FACTOR * self.max_iterations
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -139,7 +134,8 @@ def neighborhood_width(k: int, params: FwscParams) -> float:
     """Shrinking neighborhood radius eta0 * exp(1 - k / decay_scale)."""
     if k < 0:
         raise ValueError("iteration index must be >= 0")
-    return params.eta0 * math.exp(1.0 - k / params.effective_decay_scale())
+    scale = DEFAULT_DECAY_FACTOR * params.max_iterations if params.decay_scale is None else float(params.decay_scale)
+    return params.eta0 * math.exp(1.0 - k / scale)
 
 
 def _plant(uniforms: np.ndarray, lower: np.ndarray, upper: np.ndarray, eta: float, bounds: Bounds) -> np.ndarray:

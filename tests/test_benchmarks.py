@@ -15,7 +15,7 @@ from figwasp.benchmarks import (
     rastrigin,
     sphere,
 )
-from figwasp.core import RandomStream, evaluate
+from figwasp.core import RandomStream, evaluate_batch
 
 
 class TestTableData:
@@ -86,7 +86,7 @@ class TestWitnesses:
             if witness is None:
                 continue
             problem = replace(make_benchmark(fid, dim), noise=None)
-            assert abs(evaluate(problem, witness) - known_optimum(fid, dim)) <= 1e-9
+            assert abs(evaluate_batch(problem, witness[None])[0] - known_optimum(fid, dim)) <= 1e-9
 
     def test_sphere_witness_is_origin(self):
         assert np.array_equal(optimum_witness("F1", 30), np.zeros(30))
@@ -97,7 +97,7 @@ class TestWitnesses:
     def test_rosenbrock_witness_is_ones(self):
         w = optimum_witness("F5", 30)
         assert np.array_equal(w, np.ones(30))
-        assert evaluate(make_benchmark("F5", 30), w) == 0.0
+        assert evaluate_batch(make_benchmark("F5", 30), w[None])[0] == 0.0
 
     def test_no_witness_recorded_where_table_value_is_rounded(self):
         # the tabulated minima for these ids are 4-digit roundings or sit
@@ -158,20 +158,20 @@ class TestQuarticNoise:
     def test_noise_comes_from_run_stream(self):
         p = make_benchmark("F7", 30)
         x = np.zeros(30)
-        a = evaluate(p, x, noise=RandomStream(11).uniform(size=1))
-        b = evaluate(p, x, noise=RandomStream(11).uniform(size=1))
+        a = evaluate_batch(p, x[None], noise=RandomStream(11).uniform(size=1))[0]
+        b = evaluate_batch(p, x[None], noise=RandomStream(11).uniform(size=1))[0]
         assert a == b
         assert 0.0 <= a < 1.0
 
     def test_noise_advances_with_stream(self):
         p = make_benchmark("F7", 30)
         rng = RandomStream(11)
-        draws = {evaluate(p, np.zeros(30), noise=rng.uniform(size=1)) for _ in range(8)}
+        draws = {evaluate_batch(p, np.zeros((1, 30)), noise=rng.uniform(size=1))[0] for _ in range(8)}
         assert len(draws) > 1
 
     def test_noise_free_switch(self):
         p = replace(make_benchmark("F7", 30), noise=None)
-        assert evaluate(p, np.zeros(30)) == 0.0
+        assert evaluate_batch(p, np.zeros((1, 30)))[0] == 0.0
 
     def test_noise_term_is_the_draw(self):
         # Quartic's noise is U[0, 1): its map hands the draws back unchanged
@@ -182,7 +182,7 @@ class TestQuarticNoise:
     def test_noisy_requires_stream(self):
         p = make_benchmark("F7", 30)
         with pytest.raises(ValueError):
-            evaluate(p, np.zeros(30))
+            evaluate_batch(p, np.zeros((1, 30)))
 
 
 def sphere_1d(v):
@@ -214,16 +214,16 @@ class TestCornerBehaviour:
             dim = spec.dimensions[-1]
             problem = replace(make_benchmark(fid, dim), noise=None)
             corner = np.full(dim, spec.high)
-            value = evaluate(problem, corner)
+            value = evaluate_batch(problem, corner[None])[0]
             assert not np.isnan(value)
 
     def test_schwefel_222_overflows_to_inf_at_high_dimension(self):
         p = make_benchmark("F2", 1000)
-        assert evaluate(p, np.full(1000, 10.0)) == np.inf
+        assert evaluate_batch(p, np.full((1, 1000), 10.0))[0] == np.inf
 
     def test_finite_at_moderate_dimensions(self):
         for fid in BENCHMARK_IDS:
             spec = SPECS[fid]
             dim = spec.dimensions[0]
             problem = replace(make_benchmark(fid, dim), noise=None)
-            assert np.isfinite(evaluate(problem, np.full(dim, spec.high)))
+            assert np.isfinite(evaluate_batch(problem, np.full((1, dim), spec.high))[0])

@@ -21,9 +21,13 @@ records the old and new counts, and a rise needs a reason.
     PYTHONPATH=src python -m pytest -q -s tests/test_call_count.py
 
 prints each shape's median and mean count and the share of calls made
-inside `draw_generation`. The counts hold for Python 3.11, whose
-comprehensions run in frames of their own, and numpy 2.4.6, the versions
-CI pins.
+inside `draw_generation`, and
+
+    PYTHONPATH=src python tests/test_call_count.py
+
+prints the `COUNTS` table for the code at hand. The counts hold for
+Python 3.11, whose comprehensions run in frames of their own, and numpy
+2.4.6, the versions CI pins.
 """
 
 import statistics
@@ -81,31 +85,47 @@ def count_calls(problem, params, seeds):
 
 
 # (calls, calls in the draw path) of generations 2-7; a windy generation
-# draws and applies its kicks (F1@30: 145 and 65 calls against 135 and 57),
-# and a run whose best improves copies its new best
+# draws and applies its kicks (F1@30: 144 and 65 calls against 134 and 57),
+# a run whose best improves copies its new best, and a design's repair calls
+# `snap` once per discrete group in each objective batch
 COUNTS = {
-    "F1@30-R1": [(135, 57), (145, 65), (135, 57), (135, 57), (135, 57), (135, 57)],
-    "F1@30-R30": [(2047, 1706), (2079, 1738), (2022, 1682), (2077, 1738), (2036, 1698), (2067, 1730)],
-    "F7@30-noisy": [(156, 70), (156, 70), (166, 78), (166, 78), (156, 70), (156, 70)],
-    "pressure-vessel": [(165, 57), (175, 65), (164, 57), (165, 57), (165, 57), (174, 65)],
-    "F1@1000": [(145, 65), (145, 65), (135, 57), (135, 57), (145, 65), (145, 65)],
+    "F1@30-R1": [(134, 57), (144, 65), (134, 57), (134, 57), (134, 57), (134, 57)],
+    "F1@30-R30": [(2046, 1706), (2078, 1738), (2021, 1682), (2076, 1738), (2035, 1698), (2066, 1730)],
+    "F7@30-noisy": [(155, 70), (155, 70), (165, 78), (165, 78), (155, 70), (155, 70)],
+    "pressure-vessel": [(166, 57), (176, 65), (165, 57), (166, 57), (166, 57), (175, 65)],
+    "F1@1000": [(144, 65), (144, 65), (134, 57), (134, 57), (144, 65), (144, 65)],
 }
 
 
-@pytest.mark.parametrize("shape", list(SHAPES))
-def test_calls_per_generation(monkeypatch, shape):
+def shape_counts(shape):
+    """(calls, calls in the draw path) of generations 2-7 of ``shape``, from cold caches."""
     pid, dim, seeds = SHAPES[shape]
     problem = resolve_problem(pid, dim, DEFAULT_PENALTY_COEFFICIENT)
     params = replace(resolved_params(ExperimentConfig(problems=[(pid, problem.dimension)]), problem), max_iterations=BUDGET)
-    monkeypatch.setattr(engine, "_draws_ahead", lambda problem, params: False)
     for cache in (engine._row_starts, core._identity, constrained._repair_plan):
         cache.cache_clear()
     generations = count_calls(problem, params, seeds)
     assert len(generations) == BUDGET
-    counted = [tuple(g) for g in generations[1:-1]]
+    return [tuple(g) for g in generations[1:-1]]
+
+
+def _drawn_in_turn(problem, params):
+    return False
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_calls_per_generation(monkeypatch, shape):
+    monkeypatch.setattr(engine, "_draws_ahead", _drawn_in_turn)
+    counted = shape_counts(shape)
     calls, drawn = (sum(column) for column in zip(*counted))
     print(
         f"\n[calls] {shape}: median {statistics.median(c for c, _ in counted):g}, mean"
         f" {calls / len(counted):.1f} per generation, {drawn / calls:.0%} in the draw path"
     )
     assert counted == COUNTS[shape]
+
+
+if __name__ == "__main__":
+    engine._draws_ahead = _drawn_in_turn
+    for shape in SHAPES:
+        print(f'    "{shape}": {shape_counts(shape)},')

@@ -6,6 +6,7 @@ from figwasp.constrained import (
     Continuous,
     LatticeStep,
     ValueSet,
+    _repair_plan,
     penalize,
     pressure_vessel,
     repair_discrete,
@@ -125,6 +126,16 @@ class TestValueSetRepair:
         for values in [(-0.0, 1.0), (0.0, 1.0)]:
             snapped = repair_discrete(np.array([-0.1]), (ValueSet(values),))
             assert snapped.tobytes() == np.array([0.0]).tobytes()
+
+    def test_members_are_read_only_and_outside_equality(self):
+        # the cached repair plan keys on the kinds: equal sets hash alike and
+        # share one group, and the array they snap with cannot change under it
+        with pytest.raises(ValueError):
+            ValueSet((2.4, 2.6)).members[0] = 3.0
+        a, b = ValueSet((2, 4)), ValueSet((2.0, 4.0))
+        assert a == b and hash(a) == hash(b)
+        assert _repair_plan((a, Continuous(), b)) == ((a, slice(0, 3, 2)),)
+        assert repr(b) == "ValueSet(values=(2.0, 4.0))"
 
     def test_grouped_columns_equal_one_column_at_a_time(self):
         # set a sits on unevenly spaced columns (an index list), the 0.5

@@ -11,7 +11,6 @@ from figwasp.core import (
     ObjectiveProblem,
     RandomStream,
     derive_seed,
-    evaluate,
     evaluate_batch,
 )
 from figwasp.engine import FwscParams, run
@@ -195,24 +194,11 @@ class TestUniformInBox:
 
 
 class TestEvaluate:
-    def test_sphere_at_origin(self):
-        p = sphere_problem(dim=30)
-        assert evaluate(p, np.zeros(30)) == 0.0
-
     def test_sphere_unit_vector(self):
         p = sphere_problem(dim=30)
         x = np.zeros(30)
         x[0] = 1.0
-        assert evaluate(p, x) == 1.0
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            evaluate(sphere_problem(dim=3), np.zeros(4))
-
-    def test_out_of_bounds_raises(self):
-        p = sphere_problem(dim=2, half=1.0)
-        with pytest.raises(ValueError):
-            evaluate(p, np.array([0.0, 1.5]))
+        assert evaluate_batch(p, x[None])[0] == 1.0
 
     def test_noise_needs_stream(self):
         p = ObjectiveProblem(
@@ -222,9 +208,9 @@ class TestEvaluate:
             noise=lambda draws: draws,
         )
         with pytest.raises(ValueError):
-            evaluate(p, np.zeros(1))
-        v1 = evaluate(p, np.zeros(1), noise=RandomStream(5).uniform(size=1))
-        v2 = evaluate(p, np.zeros(1), noise=RandomStream(5).uniform(size=1))
+            evaluate_batch(p, np.zeros((1, 1)))
+        v1 = evaluate_batch(p, np.zeros((1, 1)), noise=RandomStream(5).uniform(size=1))[0]
+        v2 = evaluate_batch(p, np.zeros((1, 1)), noise=RandomStream(5).uniform(size=1))[0]
         assert v1 == v2  # same noise seed, same value
 
 
@@ -233,13 +219,20 @@ class TestObjectiveProblem:
         assert [f.name for f in dataclasses.fields(ObjectiveProblem)] == ["name", "bounds", "objective", "noise"]
         assert sphere_problem(dim=5).dimension == 5
 
+    @pytest.mark.parametrize("field, value", [("bounds", (np.zeros(2), np.ones(2))), ("objective", None), ("noise", 3)])
+    def test_fields_are_checked_when_built(self, field, value):
+        # each failed only at run start, with an AttributeError or TypeError naming no field
+        fields = {"name": "s", "bounds": Bounds.box(0.0, 1.0, 2), "objective": lambda x: np.zeros(len(x))}
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ObjectiveProblem(**{**fields, field: value})
+
 
 class TestEvaluateBatch:
     def test_rows_match_single_evaluations(self):
         p = sphere_problem(dim=3)
         rows = RandomStream(1).uniform(size=(5, 3))
         values = evaluate_batch(p, rows)
-        assert values.tolist() == [evaluate(p, x) for x in rows]
+        assert values.tolist() == [evaluate_batch(p, x[None])[0] for x in rows]
 
     def test_rowwise_objective_is_called_once(self):
         calls = []
@@ -278,7 +271,7 @@ class TestEvaluateBatch:
         p = ObjectiveProblem("noisy", Bounds.box(-1.0, 1.0, 1), lambda x: np.zeros(len(x)), noise=lambda draws: draws)
         drawn = evaluate_batch(p, np.zeros((4, 1)), noise=RandomStream(5).uniform(size=4))
         rng = RandomStream(5)
-        assert drawn.tolist() == [evaluate(p, np.zeros(1), noise=rng.uniform(size=1)) for _ in range(4)]
+        assert drawn.tolist() == [evaluate_batch(p, np.zeros((1, 1)), noise=rng.uniform(size=1))[0] for _ in range(4)]
         given_noise = np.array([0.5, 0.25, 0.0, 1.0])
         assert evaluate_batch(p, np.zeros((4, 1)), noise=given_noise).tolist() == given_noise.tolist()
 
