@@ -460,7 +460,8 @@ def parse_problem_token(token: str, default_dim: int | None) -> tuple[str, int |
 
 def _config_from_args(args: argparse.Namespace, problem_tokens: list[str]) -> ExperimentConfig:
     """The campaign of the config file; problem ids and the --runs, --seed,
-    --out and --trace flags given on the command line override its keys."""
+    --out and --trace flags given on the command line override its keys, and
+    run's --dim gives the dimension of a scalable id without one."""
     text = parse_config_file(args.config) if args.config else {}
     flags = {"runs": args.runs, "seed": args.seed, "out": args.out, "trace": args.trace or None}
     config, params = {}, {}
@@ -483,7 +484,8 @@ def _config_from_args(args: argparse.Namespace, problem_tokens: list[str]) -> Ex
         name, _, rest = str(exc).partition(" ")
         key = next((k for k, (target, _) in CONFIG_KEYS.items() if target == f"params.{name}"), None)
         raise ConfigError(f"{key}: {rest}" if key else str(exc)) from exc
-    config["problems"] = [parse_problem_token(t, args.dim) for t in problem_tokens or config.get("problems", [])]
+    dim = getattr(args, "dim", None)  # engineering takes no --dim
+    config["problems"] = [parse_problem_token(t, dim) for t in problem_tokens or config.get("problems", [])]
     return ExperimentConfig(**config)
 
 
@@ -491,7 +493,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help=f"campaign config file of key = value lines; keys: {', '.join(CONFIG_KEYS)}")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--runs", type=int, default=None, help="runs per problem")
-    parser.add_argument("--dim", type=int, default=None, help="dimension for scalable benchmarks")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--trace", action="store_true", help="write per-run trace files")
 
@@ -502,6 +503,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run a benchmark campaign")
     p_run.add_argument("problems", nargs="*", help="problem ids, e.g. F1@30 or F16")
+    p_run.add_argument("--dim", type=int, default=None, help="dimension for scalable benchmarks")
     _add_common_flags(p_run)
 
     p_eng = sub.add_parser("engineering", help="solve a constrained design problem")

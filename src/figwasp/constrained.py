@@ -98,9 +98,15 @@ class ConstrainedProblem:
     constraints: Callable[[Vector], np.ndarray]
 
     def __post_init__(self):
+        if not isinstance(self.bounds, Bounds):
+            raise ValueError(f"bounds must be a Bounds, not {self.bounds!r}")
+        for name in ("objective", "constraints"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable, not {getattr(self, name)!r}")
         n = self.bounds.dimension
         if len(self.variable_names) != n or len(self.variable_kinds) != n:
             raise ValueError("variable names/kinds must match the problem dimension")
+        _repair_plan(tuple(self.variable_kinds))  # checks every kind
 
     @property
     def dimension(self) -> int:
@@ -124,11 +130,14 @@ def _columns(indices: list[int]) -> slice | list[int]:
 @functools.lru_cache(maxsize=None)
 def _repair_plan(kinds: tuple[VariableKind, ...]):
     """The discrete columns grouped by kind, once per kinds tuple: each
-    lattice step and each value set with its columns."""
+    lattice step and each value set with its columns. A kind that is no
+    `VariableKind` instance raises `ValueError`."""
     groups: dict[VariableKind, list[int]] = {}
     for i, kind in enumerate(kinds):
         if isinstance(kind, (LatticeStep, ValueSet)):
             groups.setdefault(kind, []).append(i)
+        elif not isinstance(kind, Continuous):
+            raise ValueError(f"variable_kinds[{i}]: {kind!r} is not a Continuous, LatticeStep or ValueSet instance")
     return tuple((kind, _columns(cols)) for kind, cols in groups.items())
 
 
@@ -160,8 +169,11 @@ def to_objective(
     """Wrap a constrained problem as a plain box-bounded objective.
 
     Discrete coordinates are repaired before the (penalized) evaluation, so
-    the search core can treat every dimension as continuous.
+    the search core can treat every dimension as continuous. A coefficient
+    that is not positive and finite fails here, when the fitness is built.
     """
+    if not (coefficient > 0 and math.isfinite(coefficient)):
+        raise ValueError("penalty coefficient must be positive and finite")
     kinds = problem.variable_kinds
 
     def fitness(x: Vector):

@@ -258,25 +258,23 @@ def mate(positions: np.ndarray, grid: np.ndarray, grid_fitness: np.ndarray, male
 
     Males below the first female's fitness use the first interval, males
     above the last use the last, and a male tying a female's fitness takes
-    the first (lowest) matching interval. A single female is every male's
-    offspring. Shapes: wasp ``positions`` (..., W, d), ``grid`` of wasp
-    indices and its fitness (..., H), males (..., M); offspring (..., M, d).
+    the first (lowest) matching interval. A single female pairs with herself:
+    (x + x) / 2 is x within ±_LIMIT. Shapes: wasp ``positions`` (..., W, d),
+    ``grid`` of wasp indices and its fitness (..., H), males (..., M);
+    offspring (..., M, d).
     """
     h = grid.shape[-1]
     if h == 0:
         raise ValueError("empty mating grid")
     rows = positions.reshape(-1, positions.shape[-1])
-    grid = _flat(grid, positions.shape[-2])  # each grid female's row in ``rows``
-    if h == 1:
-        return rows[np.repeat(grid, male_fitness.shape[-1], axis=-1)]
+    grid = _flat(grid, positions.shape[-2]).reshape(-1)  # each grid female's row in ``rows``
     # the first interval holding the male starts at the last female strictly
     # below him, clipped to the h-1 intervals: the number of inner females
     # (all but the first and last) strictly below him
     below = (grid_fitness[..., None, 1:-1] < male_fitness[..., :, None]).sum(axis=-1)
     cell = _flat(below, h)
-    grid = grid.reshape(-1)
     offspring = rows[grid[cell]]
-    offspring += rows[grid[cell + 1]]
+    offspring += rows[grid[cell + (h > 1)]]
     offspring /= 2.0
     return offspring
 

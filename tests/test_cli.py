@@ -713,6 +713,18 @@ class TestEngineeringCommand:
     def test_unknown_problem_exits_nonzero(self, tmp_path, capsys):
         assert main(["engineering", "gear-train", "--runs", "1"]) == 2
 
+    def test_dim_is_a_run_flag_only(self, tmp_path, capsys):
+        # a design's dimension is fixed, so engineering takes no --dim
+        with pytest.raises(SystemExit) as exc:
+            main(["engineering", "welded-beam", "--dim", "4", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dim 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        for command, listed in (("engineering", False), ("run", True)):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert ("--dim" in capsys.readouterr().out) == listed
+
     @pytest.mark.parametrize("pid", ["F1", "F16"])
     def test_benchmark_id_is_not_a_design(self, pid, capsys):
         assert main(["engineering", pid, "--runs", "1"]) == 2

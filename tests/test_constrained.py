@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from figwasp.constrained import (
+    ConstrainedProblem,
     Continuous,
     LatticeStep,
     ValueSet,
@@ -14,6 +17,7 @@ from figwasp.constrained import (
     to_objective,
     welded_beam,
 )
+from figwasp.core import Bounds
 
 CITED_RTOL = 5e-3  # 0.5 % absorbs the tables' 4-digit rounding
 FEAS_TOL = 1e-6
@@ -72,6 +76,11 @@ class TestRepairDiscrete:
         # and a negative one would round half-steps down
         with pytest.raises(ValueError, match="^step: "):
             LatticeStep(step)
+
+    def test_kind_that_is_not_an_instance_rejected(self):
+        # the class LatticeStep, not an instance of it, would leave its column unsnapped
+        with pytest.raises(ValueError, match=r"^variable_kinds\[1\]: <class .*LatticeStep'> is not a "):
+            repair_discrete(np.array([0.5, 1.3]), (Continuous(), LatticeStep))
 
 
 def full_distance_snap(column, values):
@@ -214,12 +223,41 @@ class TestPenalize:
             gap = abs(penalize(p, outside, 1e6) - penalize(p, inside, 1e6))
             assert gap <= 2e6 * eps**2 + abs(p.objective(outside) - p.objective(inside)) + 1e-9
 
+    @pytest.mark.parametrize("coefficient", [0.0, -1.0, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+    def test_wrapper_rejects_a_bad_coefficient_when_built(self, coefficient):
+        with pytest.raises(ValueError, match="^penalty coefficient must be positive and finite$"):
+            to_objective(pressure_vessel(), coefficient=coefficient)
+
     def test_wrapper_repairs_before_evaluating(self):
         p = pressure_vessel()
         wrapped = to_objective(p, 1e6)
         raw = np.array([0.871, 0.44, 44.0, 149.0])
         repaired = repair_discrete(raw, p.variable_kinds)
         assert wrapped.objective(raw) == penalize(p, repaired, 1e6)
+
+
+class TestConstrainedProblem:
+    def one_variable(self, kind):
+        bounds = Bounds(np.array([0.0]), np.array([2.0]))
+        return ConstrainedProblem("one", ("x",), bounds, (kind,), lambda x: x[..., 0], lambda x: x[..., :1] - 1.0)
+
+    def test_kind_that_is_not_an_instance_fails_when_built(self):
+        assert self.one_variable(LatticeStep(0.5)).variable_kinds == (LatticeStep(0.5),)
+        with pytest.raises(ValueError, match=r"^variable_kinds\[0\]: "):
+            self.one_variable(LatticeStep)
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("bounds", (0.0, 2.0), "bounds must be a Bounds, not (0.0, 2.0)"),
+            ("objective", None, "objective must be callable, not None"),
+            ("constraints", 3, "constraints must be callable, not 3"),
+        ],
+    )
+    def test_fields_are_checked_when_built(self, name, value, message):
+        with pytest.raises(ValueError) as exc:
+            replace(pressure_vessel(), **{name: value})
+        assert str(exc.value) == message
 
 
 class TestPressureVessel:

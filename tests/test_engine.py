@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from figwasp import engine
 from figwasp.benchmarks import make_benchmark
-from figwasp.core import Bounds, ObjectiveProblem, RandomStream, evaluate_batch
+from figwasp.core import _LIMIT, Bounds, ObjectiveProblem, RandomStream, evaluate_batch
 from figwasp.engine import (
     FwscParams,
     build_mating_grid,
@@ -351,8 +351,10 @@ class TestMate:
         assert high[0][0] == 15.0  # last interval midpoint
 
     def test_single_female_returns_her_position(self):
-        child = mate_pairs([(2.0, [3.0, 4.0])], [9.0])
-        assert np.array_equal(child, [[3.0, 4.0]])
+        # she pairs with herself: (x + x) / 2 must be x, bit for bit, out to ±_LIMIT
+        her = np.array([3.0, 4.0, _LIMIT, -_LIMIT, 5e-324, -0.0])
+        child = mate_pairs([(2.0, her)], [9.0])
+        assert child.tobytes() == her.tobytes()
 
     @settings(deadline=None, max_examples=200)
     @given(

@@ -20,7 +20,7 @@ import pytest
 
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
-from figwasp.engine import run
+from figwasp.engine import FwscParams, run
 
 FIXTURE = Path(__file__).with_name("golden_traces.json")
 GENERATIONS = 100
@@ -62,6 +62,25 @@ def _key(pid: str, dim: int, seed: int) -> str:
 def test_golden_trace(pid, dim, seed):
     expected = json.loads(FIXTURE.read_text())
     assert digests(pid, dim, seed) == expected[_key(pid, dim, seed)]
+
+
+# One female per fig (wasps_per_fig=2), a path no fixture case runs: the sha256
+# over the trace and best position of each run in turn, recorded before
+# `mate` lost its one-female branch. The objectives take products, `cos` and
+# sums only, so the digest holds at numpy's AVX2 level too.
+ONE_FEMALE_SHA256 = "9ec89397581cda90408dab1778d7af263f08be72170183b5fa2918df1ca169db"
+
+
+def test_one_female_runs_are_pinned():
+    params = FwscParams(wasps_per_fig=2, max_iterations=60, eta0=5.0)
+    digest = hashlib.sha256()
+    for pid in ("F1", "F9"):
+        problem = resolve_problem(pid, 30, DEFAULT_PENALTY_COEFFICIENT)
+        for seed in (1, 2, 3):
+            result = run(problem, params, seed)
+            digest.update(np.ascontiguousarray(result.trace, dtype=np.float64).tobytes())
+            digest.update(np.ascontiguousarray(result.best_position, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == ONE_FEMALE_SHA256
 
 
 if __name__ == "__main__":
