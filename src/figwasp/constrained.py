@@ -106,7 +106,7 @@ class ConstrainedProblem:
         n = self.bounds.dimension
         if len(self.variable_names) != n or len(self.variable_kinds) != n:
             raise ValueError("variable names/kinds must match the problem dimension")
-        _repair_plan(tuple(self.variable_kinds))  # checks every kind
+        _repair_plan.__wrapped__(tuple(self.variable_kinds))  # checks every kind; uncached, as one may be unhashable
 
     @property
     def dimension(self) -> int:
@@ -147,8 +147,13 @@ def repair_discrete(position: Vector, kinds: Sequence[VariableKind]) -> Vector:
     position = np.asarray(position, dtype=float)
     if position.shape[-1] != len(kinds):
         raise ValueError("position length does not match variable kinds")
+    kinds = tuple(kinds)
+    try:
+        plan = _repair_plan(kinds)
+    except TypeError:  # an unhashable kind, no `VariableKind`: the uncached plan names it
+        plan = _repair_plan.__wrapped__(kinds)
     repaired = position.copy()
-    for kind, cols in _repair_plan(tuple(kinds)):
+    for kind, cols in plan:
         repaired[..., cols] = kind.snap(position[..., cols])
     return repaired
 

@@ -3,13 +3,13 @@
 Everything downstream (engine, benchmarks, harness) builds on three pieces:
 a validated box-constraint type, a problem whose objective scores a batch
 of rows in one call, and a counter-based random stream so that any run is
-reproducible from a single 64-bit seed. Evaluation draws nothing: a noise
+reproducible from a single 64-bit seed. The engine draws from each
+stream's numpy `generator` directly. Evaluation draws nothing: a noise
 map turns uniform draws from the caller's stream into noise terms.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import numbers
 from dataclasses import dataclass
@@ -120,48 +120,36 @@ class ObjectiveProblem:
         return self.bounds.dimension
 
 
-@functools.lru_cache(maxsize=16)
-def _identity(n: int) -> np.ndarray:
-    """Read-only arange(n), the start of an in-place permutation."""
-    identity = np.arange(n)
-    identity.setflags(write=False)
-    return identity
-
-
 class RandomStream:
     """Counter-based (Philox) random stream owned by exactly one run.
 
     Identical seeds yield identical draw sequences; independent runs derive
     independent streams from (master seed, run index) via `derive_seed`.
+    ``generator`` is its numpy `Generator`, which the engine calls directly;
+    the methods below make the same calls on it.
     """
 
     def __init__(self, seed: int):
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, not {seed!r}")
         self.seed = int(seed) & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        self.generator = np.random.Generator(np.random.Philox(key=self.seed))
 
     def uniform(self, size=None, out=None):
         """Uniform draws on [0, 1), written into ``out`` if given: the same draws."""
-        return self._gen.random(size, out=out)
+        return self.generator.random(size, out=out)
 
     def uniform_between(self, low, high, size=None):
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
-        return low + self._gen.random(size) * (high - low)
+        return low + self.generator.random(size) * (high - low)
 
-    def permutation(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """A random order of 0..n-1, into ``out`` (an (n,) intp array) if given: the same draws."""
-        if out is None:
-            return self._gen.permutation(n)
-        if out.shape != (n,) or out.dtype != np.intp:
-            raise ValueError(f"out must be an ({n},) intp array, not {out.dtype} {out.shape}")
-        out[...] = _identity(n)
-        self._gen.shuffle(out)
-        return out
+    def permutation(self, n: int) -> np.ndarray:
+        """A random order of 0..n-1."""
+        return self.generator.permutation(n)
 
     def choose_without_replacement(self, n: int, k: int) -> np.ndarray:
-        return self._gen.choice(n, size=k, replace=False)
+        return self.generator.choice(n, size=k, replace=False)
 
 
 def derive_seed(master_seed: int, *parts) -> int:

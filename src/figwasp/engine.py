@@ -11,9 +11,9 @@ narrows from global exploration to local refinement.
 
 A generation is held as arrays: trees (T, d), fig boxes (T, A, d), wasps
 (T, A, W, d) and an offspring pool (T*A*W/2, d). After its first trees, a
-run draws from its own `RandomStream` only in `draw_generation`, once per
-generation and in the order it states, so a run is a pure function of
-(problem, params, seed). The phases are array code over the drawn arrays:
+run draws from its own stream's numpy `generator` only in `draw_generation`,
+once per generation and in the order it states, so a run is a pure function
+of (problem, params, seed). The phases are array code over the drawn arrays:
 `search_directions` returns new pools, and `wind_effect` kicks them. The
 generation loop, the only code that calls the problem's, evaluates two
 batches, each one objective call that maps (n, d) rows to (n,) values:
@@ -151,7 +151,7 @@ def spawn_trees(rng: RandomStream, problem: ObjectiveProblem, params: FwscParams
     """Plant T trees uniformly over the global box, wobbled by +-eta per
     dimension: (T, d) positions."""
     gb = problem.bounds
-    return _plant(rng.uniform(size=(params.num_trees, 2, problem.dimension)), gb.lower, gb.upper, eta, gb)
+    return _plant(rng.generator.random((params.num_trees, 2, problem.dimension)), gb.lower, gb.upper, eta, gb)
 
 
 def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int = 1) -> tuple:
@@ -167,15 +167,17 @@ def generation_buffers(problem: ObjectiveProblem, params: FwscParams, runs: int 
 
 
 def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple) -> list[tuple]:
-    """Every draw of a generation after the first trees, run by run: the
-    wasp half, then the pool half. The phases only apply what it drew.
+    """Every draw of a generation after the first trees, run by run from
+    each stream's ``generator``: the wasp half, then the pool half. The
+    phases only apply what it drew.
 
     Wasp half, per tree: the (A, 2, d) fig uniforms; then per fig of that
     tree, its (W, d) wasp uniforms, W noise draws if the buffers hold noise,
-    and the permutation(W) that sexes its wasps. A permutation consumes a
-    variable number of bits, so the per-fig draws cannot be merged into one
-    block. Pool half: the (P, d) uniforms that re-spread the pool; a wind
-    gate, and if that falls at or below a positive threshold, the
+    and the order of 0..W-1 that sexes its wasps: an in-place shuffle of the
+    fig's row, which takes the bits of ``permutation(W)``. A permutation
+    consumes a variable number of bits, so the per-fig draws cannot be
+    merged into one block. Pool half: the (P, d) uniforms that re-spread the
+    pool; a wind gate, and if that falls at or below a positive threshold, the
     ceil(wind_fraction * P) blown members, chosen without replacement, and
     their (m, d) kicks; then P noise draws if the buffers hold noise.
 
@@ -189,19 +191,22 @@ def draw_generation(rngs: list[RandomStream], params: FwscParams, buffers: tuple
         raise ValueError(f"buffers for {len(uniforms)} runs cannot take the draws of {len(rngs)}")
     size, d = uniforms.shape[1:]
     m, winds = math.ceil(params.wind_fraction * size), []
+    permutations[: len(rngs)] = np.arange(params.wasps_per_fig)  # each fig's row, shuffled in place below
     for i, stream in enumerate(rngs):
+        gen = stream.generator
+        random, shuffle = gen.random, gen.shuffle
         for t in range(params.num_trees):
-            stream.uniform(out=figs[i, t])
+            random(out=figs[i, t])
             for a in range(params.figs_per_tree):
-                stream.uniform(out=wasps[i, t, a])
+                random(out=wasps[i, t, a])
                 if noise is not None:
-                    stream.uniform(out=noise[i, t, a])
-                stream.permutation(params.wasps_per_fig, out=permutations[i, t, a])
-        stream.uniform(out=uniforms[i])
-        if stream.uniform() <= params.wind_threshold and params.wind_threshold > 0.0 and m > 0:
-            winds.append((i, np.sort(stream.choose_without_replacement(size, m)), stream.uniform(size=(m, d))))
+                    random(out=noise[i, t, a])
+                shuffle(permutations[i, t, a])
+        random(out=uniforms[i])
+        if random() <= params.wind_threshold and params.wind_threshold > 0.0 and m > 0:
+            winds.append((i, np.sort(gen.choice(size, m, replace=False)), random((m, d))))
         if pool_noise is not None:
-            stream.uniform(out=pool_noise[i])
+            random(out=pool_noise[i])
     return winds
 
 

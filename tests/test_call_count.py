@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from figwasp import constrained, core, engine
+from figwasp import constrained, engine
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
 
@@ -85,15 +85,15 @@ def count_calls(problem, params, seeds):
 
 
 # (calls, calls in the draw path) of generations 2-7; a windy generation
-# draws and applies its kicks (F1@30: 144 and 65 calls against 134 and 57),
+# draws and applies its kicks (F1@30: 115 and 36 calls against 107 and 30),
 # a run whose best improves copies its new best, and a design's repair calls
 # `snap` once per discrete group in each objective batch
 COUNTS = {
-    "F1@30-R1": [(134, 57), (144, 65), (134, 57), (134, 57), (134, 57), (134, 57)],
-    "F1@30-R30": [(2046, 1706), (2078, 1738), (2021, 1682), (2076, 1738), (2035, 1698), (2066, 1730)],
-    "F7@30-noisy": [(155, 70), (155, 70), (165, 78), (165, 78), (155, 70), (155, 70)],
-    "pressure-vessel": [(166, 57), (176, 65), (165, 57), (166, 57), (166, 57), (175, 65)],
-    "F1@1000": [(144, 65), (144, 65), (134, 57), (134, 57), (144, 65), (144, 65)],
+    "F1@30-R1": [(107, 30), (115, 36), (107, 30), (107, 30), (107, 30), (107, 30)],
+    "F1@30-R30": [(1150, 810), (1174, 834), (1131, 792), (1172, 834), (1141, 804), (1164, 828)],
+    "F7@30-noisy": [(115, 30), (115, 30), (123, 36), (123, 36), (115, 30), (115, 30)],
+    "pressure-vessel": [(139, 30), (147, 36), (138, 30), (139, 30), (139, 30), (146, 36)],
+    "F1@1000": [(115, 36), (115, 36), (107, 30), (107, 30), (115, 36), (115, 36)],
 }
 
 
@@ -102,7 +102,7 @@ def shape_counts(shape):
     pid, dim, seeds = SHAPES[shape]
     problem = resolve_problem(pid, dim, DEFAULT_PENALTY_COEFFICIENT)
     params = replace(resolved_params(ExperimentConfig(problems=[(pid, problem.dimension)]), problem), max_iterations=BUDGET)
-    for cache in (engine._row_starts, core._identity, constrained._repair_plan):
+    for cache in (engine._row_starts, constrained._repair_plan):
         cache.cache_clear()
     generations = count_calls(problem, params, seeds)
     assert len(generations) == BUDGET

@@ -718,7 +718,11 @@ class TestEngineeringCommand:
         with pytest.raises(SystemExit) as exc:
             main(["engineering", "welded-beam", "--dim", "4", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --dim 4" in capsys.readouterr().err
+        # argparse's own form: its usage line, then its error line, not the one `error: ` line
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and lines[0].startswith("usage: figwasp ")
+        assert lines[-1] == "figwasp: error: unrecognized arguments: --dim 4"
         assert not (tmp_path / "o").exists()
         for command, listed in (("engineering", False), ("run", True)):
             with pytest.raises(SystemExit):

@@ -82,6 +82,13 @@ class TestRepairDiscrete:
         with pytest.raises(ValueError, match=r"^variable_kinds\[1\]: <class .*LatticeStep'> is not a "):
             repair_discrete(np.array([0.5, 1.3]), (Continuous(), LatticeStep))
 
+    def test_unhashable_kind_rejected(self):
+        # the plan's cache cannot take a list as a key; the kind is named all the same
+        with pytest.raises(ValueError, match=r"^variable_kinds\[0\]: \[1\] is not a "):
+            repair_discrete(np.array([1.3]), [[1]])
+        with pytest.raises(ValueError, match=r"^variable_kinds\[1\]: \{\} is not a "):
+            repair_discrete(np.array([0.5, 1.3]), [LatticeStep(0.5), {}])
+
 
 def full_distance_snap(column, values):
     """The nearest member by every member's distance, ties to the larger one."""
@@ -245,6 +252,11 @@ class TestConstrainedProblem:
         assert self.one_variable(LatticeStep(0.5)).variable_kinds == (LatticeStep(0.5),)
         with pytest.raises(ValueError, match=r"^variable_kinds\[0\]: "):
             self.one_variable(LatticeStep)
+
+    def test_unhashable_kind_fails_when_built(self):
+        kinds = ([1], Continuous(), Continuous(), Continuous())
+        with pytest.raises(ValueError, match=r"^variable_kinds\[0\]: \[1\] is not a "):
+            replace(pressure_vessel(), variable_kinds=kinds)
 
     @pytest.mark.parametrize(
         "name,value,message",

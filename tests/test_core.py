@@ -26,7 +26,7 @@ def sphere_problem(dim=3, half=100.0):
 
 def assert_same_state(a, b):
     """Two streams stand at the same point: counter, key, buffered words and all."""
-    sa, sb = a._gen.bit_generator.state, b._gen.bit_generator.state
+    sa, sb = a.generator.bit_generator.state, b.generator.bit_generator.state
     assert sa.keys() == sb.keys()
     for key in sa:
         if isinstance(sa[key], dict):
@@ -137,28 +137,20 @@ class TestRandomStream:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_permutation_into_out_is_the_same_draw(self, n):
-        # numpy's permutation(n) shuffles a fresh arange(n); shuffling 0..n-1
-        # in place takes the same bits, including the half-used 32-bit word
-        # a small bounded draw leaves buffered for the next
+        # numpy's permutation(n) shuffles a fresh arange(n); shuffling a row
+        # preset to 0..n-1 in place, as the engine does, takes the same bits,
+        # including the half-used 32-bit word a small bounded draw leaves
+        # buffered for the next
         fresh, into = RandomStream(n), RandomStream(n)
-        out = np.full(n, -1, dtype=np.intp)
+        rows = np.full((3, n), -1, dtype=np.intp)
         for i in range(1000):
-            assert into.permutation(n, out=out) is out
-            assert out.tolist() == fresh.permutation(n).tolist()
+            rows[:] = np.arange(n)
+            into.generator.shuffle(rows[i % 3])  # a row of a buffer, as the engine's are
+            assert rows[i % 3].tolist() == fresh.permutation(n).tolist()
             size = i % 3  # no draw, one, then two between permutations
             assert into.uniform(size=size).tobytes() == fresh.uniform(size=size).tobytes()
         assert_same_state(into, fresh)
         assert into.uniform() == fresh.uniform()
-
-    @pytest.mark.parametrize(
-        "out",
-        [np.empty(7, np.intp), np.empty(9, np.intp), np.empty((2, 4), np.intp), np.empty(8), np.empty(8, np.int8)],
-    )
-    def test_permutation_refuses_an_out_of_another_length_or_dtype(self, out):
-        stream, untouched = RandomStream(3), RandomStream(3)
-        with pytest.raises(ValueError, match=r"^out must be an \(8,\) intp array"):
-            stream.permutation(8, out=out)
-        assert_same_state(stream, untouched)  # refused before it draws
 
     def test_derive_seed_is_stable_and_spread(self):
         s1 = derive_seed(42, "F1", 30, 0)
