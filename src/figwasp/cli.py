@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks
-from .constrained import DEFAULT_PENALTY_COEFFICIENT, ENGINEERING_PROBLEMS, repair_discrete, to_objective
+from .constrained import DEFAULT_PENALTY_COEFFICIENT, ENGINEERING_PROBLEMS, hinge, repair_discrete, to_objective
 from .core import ObjectiveProblem, derive_seed
 from .engine import FwscParams, RunResult, group_width, run_many
 from .engine import run  # noqa: F401 -- stays importable as figwasp.cli.run
@@ -270,7 +270,8 @@ def cmd_engineering(pid: str, config: ExperimentConfig) -> int:
     if not runs:
         raise ConfigError(f"{pid}: every evaluation was non-finite")
     positions = repair_discrete(np.array([r.best_position for r in runs]), design.variable_kinds)
-    violations, objectives = design.violations(positions).max(axis=-1), design.objective(positions)
+    objectives, g = design.evaluate(positions)
+    violations = hinge(g).max(axis=-1)
     # feasible designs first, then by raw objective; a tie goes to the lowest run index (lexsort is stable)
     best = np.lexsort((objectives, violations > FEASIBLE_TOL))[0]
     position, objective, violation, seed = positions[best], objectives[best], violations[best], runs[best].seed

@@ -6,15 +6,17 @@ quadratic penalty and discrete-lattice repair that make them solvable by
 the unconstrained search core. Discrete repair happens inside the fitness
 wrapper, so the engine itself stays purely continuous.
 
-Everything is row-wise: a design's objective and its one constraint
-function take one point (d,) or a batch (n, d), and repair snaps all the
-columns of one lattice step, or of one value set, in a single pass.
+Everything is row-wise: a design's one kernel takes one point (d,) or a
+batch (n, d) to its cost and constraint values in one pass, and repair
+snaps all the columns of one lattice step, or of one value set, in a
+single pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,14 +47,37 @@ class LatticeStep:
         return np.floor(x / self.step + 0.5) * self.step
 
 
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _cut(lo: float, hi: float) -> float:
+    """The least float x in (lo, hi] at which ``hi - x <= x - lo`` holds in
+    float64. Rounding keeps the test monotone in x, so a bisection over the
+    floats' order finds it, probing the midpoint and its neighbours first."""
+
+    def flip(i):  # a float's int64 bits, the magnitude flipped below 0: its rank in the floats' order, and back
+        return i ^ (i >> 63) & 0x7FFFFFFFFFFFFFFF
+
+    a, b = (flip(_INT64.unpack(_DOUBLE.pack(v))[0]) for v in (lo, hi))  # the test fails at a and holds at b
+    mid = flip(_INT64.unpack(_DOUBLE.pack(lo / 2.0 + hi / 2.0))[0])
+    probes = [mid + 1, mid - 1, mid]
+    while b - a > 1:
+        i = probes.pop() if probes else (a + b) // 2
+        if a < i < b:
+            x = _DOUBLE.unpack(_INT64.pack(flip(i)))[0]
+            a, b = (a, i) if hi - x <= x - lo else (i, b)
+    return _DOUBLE.unpack(_INT64.pack(flip(b)))[0]
+
+
 @dataclass(frozen=True)
 class ValueSet:
     """Values restricted to an explicit set of finite members, given in
-    strictly increasing order. Members are stored as floats, -0.0 as 0.0,
-    so equal value sets snap to the same bits."""
+    strictly increasing order. Members are stored as floats, -0.0 as 0.0, so
+    equal value sets snap to the same bits; from ``cuts[j - 1]`` up, x snaps to member j."""
 
     values: tuple[float, ...]
     members: np.ndarray = field(init=False, repr=False, compare=False)
+    cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = np.asarray(self.values, dtype=float) + 0.0
@@ -61,21 +86,18 @@ class ValueSet:
         object.__setattr__(self, "values", tuple(members.tolist()))
         if not np.isfinite(members).all():
             raise ValueError(f"values: {self.values} has a non-finite member")
-        if not (np.diff(members) > 0.0).all():
+        if not (members[1:] > members[:-1]).all():
             raise ValueError(f"values: {self.values} is not sorted without repeats")
-        members.setflags(write=False)
-        object.__setattr__(self, "members", members)
+        cuts = np.array([_cut(lo, hi) for lo, hi in zip(self.values, self.values[1:])], dtype=float)
+        for name, array in (("members", members), ("cuts", cuts)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def snap(self, x: np.ndarray) -> np.ndarray:
         """The member nearest to each element of ``x``; equidistant between
         two members, the larger. NaN stays NaN, and +-inf snaps to the end
         member on its side."""
-        i = np.searchsorted(self.members, x)
-        hi = self.members.take(i, mode="clip")
-        lo = self.members.take(i - 1, mode="clip")
-        # |hi - x| and |lo - x|: inside the set's range lo < x <= hi, and
-        # outside it hi == lo, so the choice does not matter
-        snapped = np.where(hi - x <= x - lo, hi, lo)
+        snapped = self.members.take(self.cuts.searchsorted(x, side="right"))
         np.copyto(snapped, x, where=np.isnan(x))
         return snapped
 
@@ -85,24 +107,21 @@ VariableKind = Continuous | LatticeStep | ValueSet
 
 @dataclass(frozen=True)
 class ConstrainedProblem:
-    """A design problem. ``objective`` maps points (..., d) to values (...),
-    and the one function ``constraints`` maps them to the m constraint
-    values g_j(x) (..., m), so the penalized fitness of one point (d,) or of
-    n points (n, d) is evaluated row-wise."""
+    """A design problem. ``evaluate`` maps points (..., d) in one pass to their
+    cost (...) and their m constraint values g_j(x) (..., m), so the penalized
+    fitness of one point (d,) or of n points (n, d) is evaluated row-wise."""
 
     name: str
     variable_names: tuple[str, ...]
     bounds: Bounds
     variable_kinds: tuple[VariableKind, ...]
-    objective: Callable[[Vector], np.ndarray]
-    constraints: Callable[[Vector], np.ndarray]
+    evaluate: Callable[[Vector], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         if not isinstance(self.bounds, Bounds):
             raise ValueError(f"bounds must be a Bounds, not {self.bounds!r}")
-        for name in ("objective", "constraints"):
-            if not callable(getattr(self, name)):
-                raise ValueError(f"{name} must be callable, not {getattr(self, name)!r}")
+        if not callable(self.evaluate):
+            raise ValueError(f"evaluate must be callable, not {self.evaluate!r}")
         n = self.bounds.dimension
         if len(self.variable_names) != n or len(self.variable_kinds) != n:
             raise ValueError("variable names/kinds must match the problem dimension")
@@ -112,11 +131,20 @@ class ConstrainedProblem:
     def dimension(self) -> int:
         return self.bounds.dimension
 
+    def objective(self, position: Vector) -> np.ndarray:
+        return self.evaluate(position)[0]
+
+    def constraints(self, position: Vector) -> np.ndarray:
+        return self.evaluate(position)[1]
+
     def violations(self, position: Vector) -> np.ndarray:
-        """max(0, g_j(x)) for every constraint: shape (m,) for one point,
-        (n, m) for n points. A NaN g_j counts as no violation."""
-        g = self.constraints(position)
-        return np.where(g > 0.0, g, 0.0)
+        """max(0, g_j(x)) for every constraint: shape (m,) for one point, (n, m) for n points."""
+        return hinge(self.constraints(position))
+
+
+def hinge(g: np.ndarray) -> np.ndarray:
+    """max(0, g_j) for constraint values ``g``; a NaN g_j counts as no violation."""
+    return np.where(g > 0.0, g, 0.0)
 
 
 def _columns(indices: list[int]) -> slice | list[int]:
@@ -163,8 +191,8 @@ def penalize(problem: ConstrainedProblem, position: Vector, coefficient: float):
     for one point (d,) or row-wise for (n, d) points."""
     if not (coefficient > 0 and math.isfinite(coefficient)):
         raise ValueError("penalty coefficient must be positive and finite")
-    violation = problem.violations(position)
-    return problem.objective(position) + coefficient * np.sum(violation**2, axis=-1)
+    cost, g = problem.evaluate(position)
+    return cost + coefficient * (hinge(g) ** 2).sum(axis=-1)
 
 
 def to_objective(
@@ -191,27 +219,22 @@ def pressure_vessel() -> ConstrainedProblem:
     """Cylindrical vessel cost design: shell/head thickness on a 0.0625 lattice,
     radius and length continuous."""
 
-    def cost(x):
+    def evaluate(x):
         ts, th, r, length = x.T
-        ts2 = power(ts, 2)
-        return 0.6224 * ts * r * length + 1.7781 * th * power(r, 2) + 3.1661 * ts2 * length + 19.84 * ts2 * r
-
-    def constraints(x):
-        r, length = x[..., 2], x[..., 3]
+        ts2, r2 = power(ts, 2), power(r, 2)
         g = np.empty(x.shape[:-1] + (4,))
-        g[..., 0] = -x[..., 0] + 0.0193 * r
-        g[..., 1] = -x[..., 1] + 0.00954 * r
-        g[..., 2] = -np.pi * power(r, 2) * length - (4.0 / 3.0) * np.pi * power(r, 3) + 1296000.0
+        g[..., 0] = -ts + 0.0193 * r
+        g[..., 1] = -th + 0.00954 * r
+        g[..., 2] = -np.pi * r2 * length - (4.0 / 3.0) * np.pi * power(r, 3) + 1296000.0
         g[..., 3] = length - 240.0
-        return g
+        return 0.6224 * ts * r * length + 1.7781 * th * r2 + 3.1661 * ts2 * length + 19.84 * ts2 * r, g
 
     return ConstrainedProblem(
         name="pressure-vessel",
         variable_names=("T_s", "T_h", "R", "L"),
         bounds=Bounds(np.array([0.0625, 0.0625, 10.0, 10.0]), np.array([6.1875, 6.1875, 200.0, 200.0])),
         variable_kinds=(LatticeStep(0.0625), LatticeStep(0.0625), Continuous(), Continuous()),
-        objective=cost,
-        constraints=constraints,
+        evaluate=evaluate,
     )
 
 
@@ -238,19 +261,14 @@ def stepped_beam() -> ConstrainedProblem:
     and every cross-section is limited to a 20:1 height/width ratio.
     """
 
-    def volume(x):
-        widths, heights = x[..., 0::2], x[..., 1::2]
-        return _BEAM_L * np.sum(widths * heights, axis=-1)
-
-    def constraints(x):
+    def evaluate(x):
         widths, heights = x[..., 0::2], x[..., 1::2]
         g = np.empty(x.shape[:-1] + (11,))
         g[..., 0:5] = _BEAM_ROOT_MOMENTS / (widths * power(heights, 2)) - _BEAM_SIGMA
         inertia = widths * heights**3 / 12.0
-        tip = _BEAM_P * _BEAM_L**3 / (3.0 * _BEAM_E) * np.sum(_BEAM_WEIGHTS / inertia, axis=-1)
-        g[..., 5] = tip - _BEAM_DEFLECTION
+        g[..., 5] = _BEAM_P * _BEAM_L**3 / (3.0 * _BEAM_E) * (_BEAM_WEIGHTS / inertia).sum(axis=-1) - _BEAM_DEFLECTION
         g[..., 6:11] = heights - 20.0 * widths
-        return g
+        return _BEAM_L * (widths * heights).sum(axis=-1), g
 
     heights_set = ValueSet((45.0, 50.0, 55.0, 60.0))
     widths_set = ValueSet((2.4, 2.6, 2.8, 3.1))
@@ -273,8 +291,7 @@ def stepped_beam() -> ConstrainedProblem:
             Continuous(),
             Continuous(),
         ),
-        objective=volume,
-        constraints=constraints,
+        evaluate=evaluate,
     )
 
 
@@ -288,54 +305,46 @@ _WELD_G = 12.0e6
 _WELD_TAU_MAX = 13600.0
 _WELD_SIGMA_MAX = 30000.0
 _WELD_DELTA_MAX = 0.25
+_SQRT2 = math.sqrt(2.0)
+_WELD_MODULI = math.sqrt(_WELD_E / (4.0 * _WELD_G))
 
 
 def welded_beam() -> ConstrainedProblem:
     """Welded beam cost design with four continuous variables (h, l, t, b)."""
 
-    def cost(x):
+    def evaluate(x):
         h, l, t, b = x.T
-        return 1.10471 * power(h, 2) * l + 0.04811 * t * b * (14.0 + l)
-
-    def constraints(x):
-        h, l, t, b = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-        weld_area = np.sqrt(2.0) * h * l
-        l2 = power(l, 2)
+        h2, l2, t2 = power(h, 2), power(l, 2), power(t, 2)
+        bar_cost = 0.04811 * t * b * (14.0 + l)
+        weld_area = _SQRT2 * h * l
         half_sum2 = power((h + t) / 2.0, 2)
-        t2 = power(t, 2)
         g = np.empty(x.shape[:-1] + (7,))
         # shear stress in the weld: primary, plus the secondary from the torque
         tau_primary = _WELD_P / weld_area
-        moment = _WELD_P * (_WELD_L + l / 2.0)
         radius = np.sqrt(l2 / 4.0 + half_sum2)
         polar = 2.0 * (weld_area * (l2 / 12.0 + half_sum2))
-        tau_secondary = moment * radius / polar
+        tau_secondary = _WELD_P * (_WELD_L + l / 2.0) * radius / polar
         tau = np.sqrt(
             power(tau_primary, 2) + 2.0 * tau_primary * tau_secondary * l / (2.0 * radius) + power(tau_secondary, 2)
         )
         g[..., 0] = tau - _WELD_TAU_MAX
         g[..., 1] = 6.0 * _WELD_P * _WELD_L / (b * t2) - _WELD_SIGMA_MAX
         g[..., 2] = h - b
-        g[..., 3] = 0.10471 * power(h, 2) + 0.04811 * t * b * (14.0 + l) - 5.0
+        g[..., 3] = 0.10471 * h2 + bar_cost - 5.0
         g[..., 4] = 0.125 - h
         g[..., 5] = 4.0 * _WELD_P * _WELD_L**3 / (_WELD_E * power(t, 3) * b) - _WELD_DELTA_MAX
         buckling_load = (
-            4.013
-            * _WELD_E
-            * np.sqrt(t2 * power(b, 6) / 36.0)
-            / _WELD_L**2
-            * (1.0 - t / (2.0 * _WELD_L) * np.sqrt(_WELD_E / (4.0 * _WELD_G)))
+            4.013 * _WELD_E * np.sqrt(t2 * power(b, 6) / 36.0) / _WELD_L**2 * (1.0 - t / (2.0 * _WELD_L) * _WELD_MODULI)
         )
         g[..., 6] = _WELD_P - buckling_load
-        return g
+        return 1.10471 * h2 * l + bar_cost, g
 
     return ConstrainedProblem(
         name="welded-beam",
         variable_names=("h", "l", "t", "b"),
         bounds=Bounds(np.array([0.1, 0.1, 0.1, 0.1]), np.array([2.0, 10.0, 10.0, 2.0])),
         variable_kinds=(Continuous(), Continuous(), Continuous(), Continuous()),
-        objective=cost,
-        constraints=constraints,
+        evaluate=evaluate,
     )
 
 

@@ -50,6 +50,8 @@ SHAPES = {
     "F1@30-R30": ("F1", 30, list(range(1, 31))),
     "F7@30-noisy": ("F7", 30, [11]),
     "pressure-vessel": ("pressure-vessel", None, [11]),
+    "stepped-beam": ("stepped-beam", None, [11]),
+    "welded-beam": ("welded-beam", None, [11]),
     "F1@1000": ("F1", 1000, [11]),
 }
 
@@ -92,7 +94,9 @@ COUNTS = {
     "F1@30-R1": [(107, 30), (115, 36), (107, 30), (107, 30), (107, 30), (107, 30)],
     "F1@30-R30": [(1150, 810), (1174, 834), (1131, 792), (1172, 834), (1141, 804), (1164, 828)],
     "F7@30-noisy": [(115, 30), (115, 30), (123, 36), (123, 36), (115, 30), (115, 30)],
-    "pressure-vessel": [(139, 30), (147, 36), (138, 30), (139, 30), (139, 30), (146, 36)],
+    "pressure-vessel": [(137, 30), (145, 36), (136, 30), (137, 30), (137, 30), (144, 36)],
+    "stepped-beam": [(173, 30), (181, 36), (173, 30), (181, 36), (173, 30), (172, 30)],
+    "welded-beam": [(133, 30), (141, 36), (133, 30), (133, 30), (133, 30), (141, 36)],
     "F1@1000": [(115, 36), (115, 36), (107, 30), (107, 30), (115, 36), (115, 36)],
 }
 

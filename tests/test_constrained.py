@@ -1,5 +1,6 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,41 @@ def set_and_column(draw):
     return values, np.concatenate([near, beyond, extra])
 
 
+def bracket_snap(members, column):
+    """The sorted search before cut points: the members that bracket each
+    value, and the upper one where ``hi - x <= x - lo``."""
+    i = np.searchsorted(members, column)
+    hi = members.take(i, mode="clip")
+    lo = members.take(i - 1, mode="clip")
+    with np.errstate(invalid="ignore", over="ignore"):
+        snapped = np.where(hi - column <= column - lo, hi, lo)
+    np.copyto(snapped, column, where=np.isnan(column))
+    return snapped
+
+
+# Any finite floats: sets that straddle 0, that mix magnitudes or that hold
+# subnormals, besides the sets that these examples name.
+cut_point_sets = st.one_of(
+    st.sampled_from([(-1e300, 0.0, 1e-300, 7.0), (-1e300, 1e300), (-5e-324, 0.0, 5e-324), (2.4, 2.6, 2.8, 3.1)]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8, unique=True).map(sorted),
+)
+
+
+@st.composite
+def cut_point_case(draw):
+    """A value set and a column of its members, the midpoints between
+    neighbours, its cuts, the next floats on both sides of each, +-inf, NaN
+    and any other floats."""
+    values = tuple(draw(cut_point_sets))
+    value_set = ValueSet(values)
+    members = value_set.members
+    with np.errstate(over="ignore"):
+        anchors = np.concatenate([members, (members[:-1] + members[1:]) / 2.0, value_set.cuts])
+        near = np.concatenate([anchors, np.nextafter(anchors, -np.inf), np.nextafter(anchors, np.inf)])
+    others = draw(st.lists(st.floats(), max_size=8))
+    return values, np.concatenate([near, [np.inf, -np.inf, np.nan, -0.0], others])
+
+
 class TestValueSetRepair:
     @given(set_and_column())
     def test_sorted_search_equals_full_distance_oracle(self, case):
@@ -180,6 +216,30 @@ class TestValueSetRepair:
         kinds = (ValueSet((2.4, 2.6, 2.8, 3.1)),)
         assert repair_discrete(np.array([-1e20]), kinds)[0] == 2.4
         assert repair_discrete(np.array([1e20]), kinds)[0] == 3.1
+
+    @given(cut_point_case())
+    def test_cut_points_equal_the_bracket_oracle(self, case):
+        values, column = case
+        value_set = ValueSet(values)
+        expected = bracket_snap(value_set.members, column)
+        assert value_set.snap(column).tobytes() == expected.tobytes()
+        assert repair_discrete(column[:, None], (value_set,))[:, 0].tobytes() == expected.tobytes()
+        # each cut is the least float in (lo, hi] at which the bracket test takes hi
+        members = value_set.members
+        for lo, hi, cut in zip(members[:-1], members[1:], value_set.cuts):
+            below = np.nextafter(cut, -np.inf)
+            with np.errstate(over="ignore"):
+                assert lo < cut <= hi and hi - cut <= cut - lo
+                assert below <= lo or not hi - below <= below - lo
+
+    def test_cuts_are_read_only_and_outside_equality(self):
+        a, b = ValueSet((2, 4, 5)), ValueSet((2.0, 4.0, 5.0))
+        assert a.cuts.tolist() == [3.0, 4.5]
+        with pytest.raises(ValueError):
+            a.cuts[0] = 3.5
+        cuts = next(f for f in fields(ValueSet) if f.name == "cuts")
+        assert not cuts.init and not cuts.repr and not cuts.compare
+        assert a == b and hash(a) == hash(b) and repr(a) == "ValueSet(values=(2.0, 4.0, 5.0))"
 
     @pytest.mark.parametrize(
         "values",
@@ -246,7 +306,7 @@ class TestPenalize:
 class TestConstrainedProblem:
     def one_variable(self, kind):
         bounds = Bounds(np.array([0.0]), np.array([2.0]))
-        return ConstrainedProblem("one", ("x",), bounds, (kind,), lambda x: x[..., 0], lambda x: x[..., :1] - 1.0)
+        return ConstrainedProblem("one", ("x",), bounds, (kind,), lambda x: (x[..., 0], x[..., :1] - 1.0))
 
     def test_kind_that_is_not_an_instance_fails_when_built(self):
         assert self.one_variable(LatticeStep(0.5)).variable_kinds == (LatticeStep(0.5),)
@@ -262,8 +322,8 @@ class TestConstrainedProblem:
         "name,value,message",
         [
             ("bounds", (0.0, 2.0), "bounds must be a Bounds, not (0.0, 2.0)"),
-            ("objective", None, "objective must be callable, not None"),
-            ("constraints", 3, "constraints must be callable, not 3"),
+            ("evaluate", None, "evaluate must be callable, not None"),
+            ("evaluate", 3, "evaluate must be callable, not 3"),
         ],
     )
     def test_fields_are_checked_when_built(self, name, value, message):
@@ -365,3 +425,70 @@ class TestWeldedBeam:
         value = p.objective(x)
         assert value == pytest.approx(2.3628, abs=2e-3)
         assert abs(value - 1.7275) / 1.7275 > 0.3
+
+
+# The textbook formulas at 100 bits, each expression as its list of
+# additive terms: (cost terms, [terms of g_1, ..., g_m]).
+def _vessel_terms(x):
+    ts, th, r, length = x
+    pi = mpmath.pi
+    cost = [0.6224 * ts * r * length, 1.7781 * th * r**2, 3.1661 * ts**2 * length, 19.84 * ts**2 * r]
+    g = [[-ts, 0.0193 * r], [-th, 0.00954 * r], [-pi * r**2 * length, -mpmath.mpf(4) / 3 * pi * r**3, 1296000], [length, -240]]
+    return cost, g
+
+
+def _stepped_beam_terms(x):
+    widths, heights = x[0::2], x[1::2]
+    p, seg, e = 50000, 100, mpmath.mpf("2e7")
+    cost = [seg * b * h for b, h in zip(widths, heights)]
+    # the bending moment at segment i's root is P times its distance from the tip
+    stress = [[6 * p * (5 - i) * seg / (b * h**2), -14000] for i, (b, h) in enumerate(zip(widths, heights))]
+    inertia = [b * h**3 / 12 for b, h in zip(widths, heights)]
+    tip = p * seg**3 / (3 * e) * mpmath.fsum(w / i for w, i in zip((61, 37, 19, 7, 1), inertia))
+    aspect = [[h, -20 * b] for b, h in zip(widths, heights)]
+    return cost, [*stress, [tip, -2.7], *aspect]
+
+
+def _welded_beam_terms(x):
+    h, l, t, b = x
+    p, length, e, g_mod = 6000, 14, mpmath.mpf("30e6"), mpmath.mpf("12e6")
+    tau_primary = p / (mpmath.sqrt(2) * h * l)
+    radius = mpmath.sqrt(l**2 / 4 + ((h + t) / 2) ** 2)
+    polar = 2 * (mpmath.sqrt(2) * h * l * (l**2 / 12 + ((h + t) / 2) ** 2))
+    tau_secondary = p * (length + l / 2) * radius / polar
+    tau = mpmath.sqrt(tau_primary**2 + 2 * tau_primary * tau_secondary * l / (2 * radius) + tau_secondary**2)
+    buckling = 4.013 * e * mpmath.sqrt(t**2 * b**6 / 36) / length**2 * (1 - t / (2 * length) * mpmath.sqrt(e / (4 * g_mod)))
+    cost = [1.10471 * h**2 * l, 0.04811 * t * b * (14 + l)]
+    g = [
+        [tau, -13600],
+        [6 * p * length / (b * t**2), -30000],
+        [h, -b],
+        [0.10471 * h**2, 0.04811 * t * b * (14 + l), -5],
+        [0.125, -h],
+        [4 * p * length**3 / (e * t**3 * b), -0.25],
+        [p, -buckling],
+    ]
+    return cost, g
+
+
+class TestDesignsAgainstHighPrecision:
+    # rows spread over each box; a value must lie within 1e-12 of the sum of
+    # its expression's absolute terms, so cancellation near g_j = 0 does not
+    # count against it. The references read the formulas, not the code; the
+    # decimal coefficients are read as the doubles the code holds.
+    @pytest.mark.parametrize(
+        "design, reference",
+        [(pressure_vessel, _vessel_terms), (stepped_beam, _stepped_beam_terms), (welded_beam, _welded_beam_terms)],
+        ids=["pressure-vessel", "stepped-beam", "welded-beam"],
+    )
+    def test_cost_and_constraints_match_the_formulas(self, design, reference):
+        problem = design()
+        low, high = problem.bounds.lower, problem.bounds.upper
+        rows = np.random.default_rng(37).uniform(low, high, size=(48, problem.dimension))
+        costs, constraints = problem.objective(rows), problem.constraints(rows)
+        with mpmath.workprec(100):
+            for x, cost, g in zip(rows, costs, constraints):
+                cost_terms, g_terms = reference([mpmath.mpf(float(v)) for v in x])
+                assert len(g_terms) == len(g)
+                for value, terms in [(cost, cost_terms), *zip(g, g_terms)]:
+                    assert abs(value - mpmath.fsum(terms)) <= 1e-12 * mpmath.fsum(map(abs, terms)), (x, value, terms)

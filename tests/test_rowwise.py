@@ -137,7 +137,7 @@ OBJECTIVE_DIGESTS = {
 # per level: `**` with an exponent other than 2 (F7's `x**4`) and `np.exp`
 # (Hartman, F19 and F20) run SIMD kernels whose last bit differs between
 # AVX-512 (X86_V4) and AVX2 (X86_V3). F10 also calls `np.exp`, but its 64
-# rows happen to agree at both levels. ROADMAP item 8 takes F7's power.
+# rows happen to agree at both levels. ROADMAP item 1 takes F7's power.
 DISPATCH_DEPENDENT = {
     "F7@30": {
         "X86_V4": "49c3c766f4486446690cdf1a55af53bbd16aef220c7f4b94def9449751a0d111",
