@@ -112,7 +112,11 @@ class ExperimentConfig:
             problem = resolve_problem(pid, dim, self.penalty_coefficient)
             if (pid, problem.dimension) in plan:
                 raise ConfigError(f"problems: {pid}@{problem.dimension} is listed twice")
-            plan[(pid, problem.dimension)] = resolved_params(self, problem)  # eta0 out of range fails here
+            params = plan[(pid, problem.dimension)] = resolved_params(self, problem)  # eta0 out of range fails here
+            try:
+                group_width(params, problem.dimension)  # and a population numpy cannot hold here
+            except ValueError as exc:
+                raise ConfigError(f"trees, {str(exc).partition(', ')[2]} at {pid}@{problem.dimension}") from exc
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "problems", list(plan))
 

@@ -107,9 +107,10 @@ VariableKind = Continuous | LatticeStep | ValueSet
 
 @dataclass(frozen=True)
 class ConstrainedProblem:
-    """A design problem. ``evaluate`` maps points (..., d) in one pass to their
-    cost (...) and their m constraint values g_j(x) (..., m), so the penalized
-    fitness of one point (d,) or of n points (n, d) is evaluated row-wise."""
+    """A design problem, read through its one kernel: ``evaluate`` maps points
+    (..., d) in one pass to their cost (...) and their m constraint values
+    g_j(x) (..., m), whose violations are `hinge(g)`. So the penalized fitness
+    of one point (d,) or of n points (n, d) is evaluated row-wise."""
 
     name: str
     variable_names: tuple[str, ...]
@@ -130,16 +131,6 @@ class ConstrainedProblem:
     @property
     def dimension(self) -> int:
         return self.bounds.dimension
-
-    def objective(self, position: Vector) -> np.ndarray:
-        return self.evaluate(position)[0]
-
-    def constraints(self, position: Vector) -> np.ndarray:
-        return self.evaluate(position)[1]
-
-    def violations(self, position: Vector) -> np.ndarray:
-        """max(0, g_j(x)) for every constraint: shape (m,) for one point, (n, m) for n points."""
-        return hinge(self.constraints(position))
 
 
 def hinge(g: np.ndarray) -> np.ndarray:

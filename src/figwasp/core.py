@@ -135,9 +135,9 @@ class RandomStream:
         self.seed = int(seed) & _MASK64
         self.generator = np.random.Generator(np.random.Philox(key=self.seed))
 
-    def uniform(self, size=None, out=None):
-        """Uniform draws on [0, 1), written into ``out`` if given: the same draws."""
-        return self.generator.random(size, out=out)
+    def uniform(self, size=None):
+        """Uniform draws on [0, 1)."""
+        return self.generator.random(size)
 
     def uniform_between(self, low, high, size=None):
         low = np.asarray(low, dtype=float)

@@ -378,8 +378,11 @@ GROUP_FLOATS = 2**17
 
 def group_width(params: FwscParams, dimension: int) -> int:
     """The most runs of a problem in ``dimension`` that one lockstep group
-    holds: as many as fit their wasp blocks in `GROUP_FLOATS`, at least one."""
+    holds: as many as fit their wasp blocks in `GROUP_FLOATS`, at least one.
+    A run's wasp block, its largest buffer, past numpy's limit raises `ValueError`."""
     wasp_floats = params.num_trees * params.figs_per_tree * params.wasps_per_fig * dimension
+    if wasp_floats * 8 > np.iinfo(np.intp).max:  # numpy's limit: an array's bytes (8 a float) fit in an intp
+        raise ValueError(f"num_trees, figs_per_tree and wasps_per_fig: {wasp_floats} wasp floats, past numpy's limit")
     return max(1, GROUP_FLOATS // wasp_floats)
 
 
@@ -404,11 +407,11 @@ class _Draws:
     Drawn in turn, `take` draws from the streams into the buffer rows it is
     given. Drawn ahead (a lone run), the drawer adds a spare buffer set, and
     one background thread draws generation 1 into the group's set as soon as
-    the drawer is made; each `take` then queues the next generation, up to
-    `max_iterations`, into the set the caller is not using. The thread gets
-    its jobs from one queue and hands back their winds, or the error that
-    `take` re-raises, through the other. One thread at a time draws, in the
-    stream's order, so the draws are those made in turn.
+    the drawer is made; each `take` then queues the next generation, if the
+    caller says one follows, into the set the caller is not using. The thread
+    gets its jobs from one queue and hands back their winds, or the error
+    that `take` re-raises, through the other. One thread at a time draws, in
+    the stream's order, so the draws are those made in turn.
     """
 
     def __init__(self, params: FwscParams, rngs: list[RandomStream], buffers: tuple, ahead: bool):
@@ -420,7 +423,7 @@ class _Draws:
             self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
             self._thread = threading.Thread(target=self._serve, name="figwasp-draw-ahead", daemon=True)
             self._thread.start()
-            self._sets, self._queued = (buffers, tuple(b if b is None else np.empty_like(b) for b in buffers)), 1
+            self._sets = buffers, tuple(b if b is None else np.empty_like(b) for b in buffers)
             self._jobs.put((rngs, buffers))  # generation 1, into the first set
 
     def _serve(self) -> None:
@@ -430,9 +433,10 @@ class _Draws:
             except BaseException as exc:  # handed to the caller, which re-raises it
                 self._done.put(exc)
 
-    def take(self, rngs: list[RandomStream], buffers: tuple) -> tuple:
+    def take(self, rngs: list[RandomStream], buffers: tuple, more: bool) -> tuple:
         """The next generation's draw, as (buffers, winds): drawn in turn from
-        ``rngs`` into ``buffers``, or drawn ahead into either set."""
+        ``rngs`` into ``buffers``, or drawn ahead into either set, queuing the
+        one after it when ``more`` generations follow."""
         if self._thread is None:
             return buffers, draw_generation(rngs, self._params, buffers)
         winds = self._done.get()
@@ -440,9 +444,8 @@ class _Draws:
             raise winds
         drawn, spare = self._sets
         self._sets = spare, drawn
-        if self._queued < self._params.max_iterations:
+        if more:
             self._jobs.put((rngs, spare))
-            self._queued += 1
         return drawn, winds
 
     def close(self) -> None:
@@ -481,7 +484,8 @@ def _lockstep(
     draws = _Draws(params, rngs, buffers, ahead)
     try:
         for k in range(1, params.max_iterations + 1):
-            (figs, wasps, noise, permutations, uniforms, pool_noise), winds = draws.take(rngs, buffers)
+            drawn, winds = draws.take(rngs, buffers, k < params.max_iterations)
+            figs, wasps, noise, permutations, uniforms, pool_noise = drawn
             wasps = spawn_wasps(wasps, *spawn_figs(figs, *gb.neighborhood(trees, eta), eta, gb))
             fitness = _ranked(evaluate(problem, wasps.reshape(-1, d), noise=None if noise is None else noise.reshape(-1)))
             for run, rows, values in zip(live, wasps.reshape(len(live), -1, d), fitness.reshape(len(live), -1)):
@@ -551,6 +555,6 @@ def run_many(problem: ObjectiveProblem, params: FwscParams, seeds, on_generation
     ``on_generation`` gets a `GenerationSnapshot` of each group's live runs.
     """
     seeds, ahead = list(seeds), _draws_ahead(problem, params)
-    width = 1 if ahead else group_width(params, problem.dimension)
+    width = min(group_width(params, problem.dimension), 1 if ahead else math.inf)  # group_width checks the size
     groups = (seeds[i : i + width] for i in range(0, len(seeds), width))
     return [result for group in groups for result in _lockstep(problem, params, group, ahead, on_generation)]

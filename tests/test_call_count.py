@@ -2,8 +2,11 @@
 
 The engine's time goes mostly to Python overhead around small numpy calls,
 and on a shared host timing cannot resolve a change of a few percent. A
-call count can: it moves only when the code does. `sys.setprofile` sees
-every call; a call is counted when figwasp code issues it: a ``call`` event
+call count can: it moves only when the code does. Array operators (``a *
+b``, ``a / b``, ``-a``) raise no `sys.setprofile` event, so a count tracks
+named calls, not an objective's arithmetic; perfbench's ``constrained.*``
+spans time that arithmetic. `sys.setprofile` sees every call; a call is
+counted when figwasp code issues it: a ``call`` event
 whose caller is a figwasp frame (a figwasp function, a comprehension or a
 numpy Python wrapper), or a ``c_call`` event from a figwasp frame (a numpy
 or builtin C function). numpy's own internals go uncounted, so the counts

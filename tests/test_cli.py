@@ -160,6 +160,16 @@ BAD_INPUTS = [
         "config", "schema = 1\npenalty_coefficient = inf\n", "error: penalty_coefficient: ", id="penalty-inf"
     ),
     pytest.param("config", "schema = 1\ntrace = tru\n", "error: trace: invalid value 'tru'", id="trace"),
+    # a population numpy cannot hold ended in a traceback from the first draw and left an empty --out
+    *(
+        pytest.param(
+            "config",
+            f"schema = 1\nproblems = F1@30\nruns = 1\niterations = 2\ntrees = {trees}\n",
+            f"error: trees, figs_per_tree and wasps_per_fig: {trees * 32 * 2} wasp floats, past numpy's limit at F16@2\n",
+            id=f"population-{trees:.0e}",
+        )
+        for trees in (10**17, 99999999999999999999)
+    ),
     pytest.param("stats", "nan", "error: ", id="mean"),
     pytest.param("problems", "F16 F16", "error: problems: F16@2 is listed twice", id="problem-twice"),
     pytest.param("problems", "F16 F16@2", "error: problems: F16@2 is listed twice", id="problem-twice-dim"),

@@ -228,6 +228,28 @@ class TestParamsValidation:
             result = run(make_benchmark("F19", 3), FwscParams(eta0=ETA0_LIMIT, max_iterations=100), 1)
         assert result.iterations_run == 100 and math.isfinite(result.best_fitness)
 
+    @pytest.mark.parametrize("num_trees", [10**17, 10**20])
+    @pytest.mark.parametrize("dim", [30, 1000])  # at 1000, a lone run draws ahead on two CPUs
+    def test_population_numpy_cannot_hold_rejected_before_any_draw(self, monkeypatch, dim, num_trees):
+        # numpy refused the wasp block inside the first draw, with an error
+        # that named no field ("array is too big", past 2**63 "Maximum
+        # allowed dimension exceeded")
+        monkeypatch.setattr(engine, "spawn_trees", lambda *args: pytest.fail("drew"))
+        problem, params = make_benchmark("F1", dim), FwscParams(num_trees=num_trees)
+        for call in (lambda: run(problem, params, 1), lambda: run_many(problem, params, [1, 2])):
+            with pytest.raises(ValueError, match=f"^num_trees, figs_per_tree and wasps_per_fig: {num_trees * 32 * dim} "):
+                call()
+
+    def test_the_population_limit_is_numpys(self):
+        # the largest wasp block numpy can make has 2**60 - 1 floats, its
+        # bytes at most the largest intp; numpy refuses the next without allocating
+        params = FwscParams(num_trees=2**59 - 1, figs_per_tree=1, wasps_per_fig=2)
+        assert engine.group_width(params, 1) == 1
+        with pytest.raises(ValueError, match="too big"):
+            np.empty(2**60)
+        with pytest.raises(ValueError, match="past numpy's limit"):
+            engine.group_width(replace(params, num_trees=2**59), 1)
+
 
 class TestSpawning:
     def test_tree_count_and_containment(self):
@@ -543,12 +565,13 @@ def winds_bytes(winds):
 
 class TestBuffers:
     def test_uniform_into_buffer_is_the_same_draw(self):
-        a, b = RandomStream(17), RandomStream(17)
+        # the engine fills its buffers with random(out=): the draws of random(size=)
+        a, b = RandomStream(17).generator, RandomStream(17).generator
         buf = np.full((5, 3), np.nan)
-        assert a.uniform(out=buf) is buf
-        assert np.array_equal(buf, b.uniform(size=(5, 3)))
+        assert a.random(out=buf) is buf
+        assert np.array_equal(buf, b.random(size=(5, 3)))
         # the stream stands at the same point afterwards
-        assert np.array_equal(a.uniform(size=4), b.uniform(size=4))
+        assert np.array_equal(a.random(size=4), b.random(size=4))
 
     def test_draw_generation_into_buffers_matches_fresh_arrays(self):
         noisy = noisy_problem(dim=3)

@@ -78,10 +78,10 @@ def test_rowwise_equals_one_point_calls(pid, dim, n, seed, mode):
     functions = [(problem.objective, (n,))]
     if dim is None:
         # the raw design terms too: the penalty can round a last-bit
-        # difference in one term away. The constraint kernel's (n, m) rows
-        # must equal its one-point (m,) calls stacked.
-        design = ENGINEERING_PROBLEMS[pid]
-        functions += [(design.objective, (n,)), (design.constraints, (n, CONSTRAINT_COUNTS[pid]))]
+        # difference in one term away. Both parts of the kernel's (n,) costs
+        # and (n, m) constraint rows must equal its one-point calls stacked.
+        evaluate, m = ENGINEERING_PROBLEMS[pid].evaluate, CONSTRAINT_COUNTS[pid]
+        functions += [(lambda x: evaluate(x)[0], (n,)), (lambda x: evaluate(x)[1], (n, m))]
     for function, shape in functions:
         with np.errstate(all="ignore"):
             rows = np.asarray(function(points), dtype=float)
