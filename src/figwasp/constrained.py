@@ -14,8 +14,8 @@ single pass.
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -39,8 +39,8 @@ class LatticeStep:
     step: float
 
     def __post_init__(self):
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise ValueError(f"step: {self.step} is not positive and finite")
+        if type(self.step) is bool or not isinstance(self.step, numbers.Real) or not 0 < self.step < math.inf:
+            raise ValueError(f"step: {self.step!r} is not positive and finite")
 
     def snap(self, x: np.ndarray) -> np.ndarray:
         """The nearest multiple of ``step`` to each element of ``x``; half-steps round up."""
@@ -126,7 +126,7 @@ class ConstrainedProblem:
         n = self.bounds.dimension
         if len(self.variable_names) != n or len(self.variable_kinds) != n:
             raise ValueError("variable names/kinds must match the problem dimension")
-        _repair_plan.__wrapped__(tuple(self.variable_kinds))  # checks every kind; uncached, as one may be unhashable
+        _repair_plan(self.variable_kinds)  # checks every kind
 
     @property
     def dimension(self) -> int:
@@ -146,11 +146,10 @@ def _columns(indices: list[int]) -> slice | list[int]:
     return indices
 
 
-@functools.lru_cache(maxsize=None)
-def _repair_plan(kinds: tuple[VariableKind, ...]):
-    """The discrete columns grouped by kind, once per kinds tuple: each
-    lattice step and each value set with its columns. A kind that is no
-    `VariableKind` instance raises `ValueError`."""
+def _repair_plan(kinds: Sequence[VariableKind]):
+    """The discrete columns grouped by kind: each lattice step and each value
+    set with its columns. A kind that is no `VariableKind` instance raises
+    `ValueError`."""
     groups: dict[VariableKind, list[int]] = {}
     for i, kind in enumerate(kinds):
         if isinstance(kind, (LatticeStep, ValueSet)):
@@ -160,27 +159,27 @@ def _repair_plan(kinds: tuple[VariableKind, ...]):
     return tuple((kind, _columns(cols)) for kind, cols in groups.items())
 
 
+def _snap(position: Vector, plan) -> Vector:
+    """A copy of ``position`` with each group of a repair plan snapped by its kind."""
+    repaired = np.array(position, dtype=float)
+    for kind, cols in plan:
+        repaired[..., cols] = kind.snap(repaired[..., cols])
+    return repaired
+
+
 def repair_discrete(position: Vector, kinds: Sequence[VariableKind]) -> Vector:
     """Snap the discrete coordinates of one point (d,) or of (n, d) points,
     idempotently, with their kind's ``snap``; continuous ones pass through."""
     position = np.asarray(position, dtype=float)
-    if position.shape[-1] != len(kinds):
+    if position.ndim == 0 or position.shape[-1] != len(kinds):
         raise ValueError("position length does not match variable kinds")
-    kinds = tuple(kinds)
-    try:
-        plan = _repair_plan(kinds)
-    except TypeError:  # an unhashable kind, no `VariableKind`: the uncached plan names it
-        plan = _repair_plan.__wrapped__(kinds)
-    repaired = position.copy()
-    for kind, cols in plan:
-        repaired[..., cols] = kind.snap(position[..., cols])
-    return repaired
+    return _snap(position, _repair_plan(kinds))
 
 
 def penalize(problem: ConstrainedProblem, position: Vector, coefficient: float):
     """Static quadratic penalty f(x) + coefficient * sum(max(0, g_j(x))^2),
     for one point (d,) or row-wise for (n, d) points."""
-    if not (coefficient > 0 and math.isfinite(coefficient)):
+    if type(coefficient) is bool or not isinstance(coefficient, numbers.Real) or not 0 < coefficient < math.inf:
         raise ValueError("penalty coefficient must be positive and finite")
     cost, g = problem.evaluate(position)
     return cost + coefficient * (hinge(g) ** 2).sum(axis=-1)
@@ -196,12 +195,12 @@ def to_objective(
     the search core can treat every dimension as continuous. A coefficient
     that is not positive and finite fails here, when the fitness is built.
     """
-    if not (coefficient > 0 and math.isfinite(coefficient)):
+    if type(coefficient) is bool or not isinstance(coefficient, numbers.Real) or not 0 < coefficient < math.inf:
         raise ValueError("penalty coefficient must be positive and finite")
-    kinds = problem.variable_kinds
+    plan = _repair_plan(problem.variable_kinds)
 
     def fitness(x: Vector):
-        return penalize(problem, repair_discrete(x, kinds), coefficient)
+        return penalize(problem, _snap(x, plan), coefficient)
 
     return ObjectiveProblem(name=problem.name, bounds=problem.bounds, objective=fitness)
 

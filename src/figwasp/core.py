@@ -158,6 +158,8 @@ def derive_seed(master_seed: int, *parts) -> int:
     Hash-based so that adding problems to a campaign never shifts the seeds
     of the other problems' runs.
     """
+    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
+        raise ValueError(f"master_seed must be an integer, not {master_seed!r}")
     text = "|".join([str(int(master_seed))] + [str(p) for p in parts])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & _MASK64

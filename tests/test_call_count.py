@@ -40,7 +40,7 @@ from pathlib import Path
 
 import pytest
 
-from figwasp import constrained, engine
+from figwasp import engine
 from figwasp.cli import ExperimentConfig, resolve_problem, resolved_params
 from figwasp.constrained import DEFAULT_PENALTY_COEFFICIENT
 
@@ -97,9 +97,9 @@ COUNTS = {
     "F1@30-R1": [(107, 30), (115, 36), (107, 30), (107, 30), (107, 30), (107, 30)],
     "F1@30-R30": [(1150, 810), (1174, 834), (1131, 792), (1172, 834), (1141, 804), (1164, 828)],
     "F7@30-noisy": [(115, 30), (115, 30), (123, 36), (123, 36), (115, 30), (115, 30)],
-    "pressure-vessel": [(137, 30), (145, 36), (136, 30), (137, 30), (137, 30), (144, 36)],
-    "stepped-beam": [(173, 30), (181, 36), (173, 30), (181, 36), (173, 30), (172, 30)],
-    "welded-beam": [(133, 30), (141, 36), (133, 30), (133, 30), (133, 30), (141, 36)],
+    "pressure-vessel": [(127, 30), (135, 36), (126, 30), (127, 30), (127, 30), (134, 36)],
+    "stepped-beam": [(151, 30), (159, 36), (151, 30), (159, 36), (151, 30), (150, 30)],
+    "welded-beam": [(123, 30), (131, 36), (123, 30), (123, 30), (123, 30), (131, 36)],
     "F1@1000": [(115, 36), (115, 36), (107, 30), (107, 30), (115, 36), (115, 36)],
 }
 
@@ -109,8 +109,7 @@ def shape_counts(shape):
     pid, dim, seeds = SHAPES[shape]
     problem = resolve_problem(pid, dim, DEFAULT_PENALTY_COEFFICIENT)
     params = replace(resolved_params(ExperimentConfig(problems=[(pid, problem.dimension)]), problem), max_iterations=BUDGET)
-    for cache in (engine._row_starts, constrained._repair_plan):
-        cache.cache_clear()
+    engine._row_starts.cache_clear()
     generations = count_calls(problem, params, seeds)
     assert len(generations) == BUDGET
     return [tuple(g) for g in generations[1:-1]]

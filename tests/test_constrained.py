@@ -72,10 +72,15 @@ class TestRepairDiscrete:
         assert abs(once[0] - value) <= step / 2 + 1e-9
         assert once[0] == pytest.approx(lattice_scan_oracle(value, step), abs=1e-9)
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "step",
+        [0.0, -0.5, np.inf, np.nan, "1", None, True],
+        ids=["zero", "negative", "inf", "nan", "str", "none", "bool"],
+    )
     def test_bad_lattice_steps_rejected(self, step):
         # a zero, infinite or NaN step would repair every coordinate to NaN,
-        # and a negative one would round half-steps down
+        # and a negative one would round half-steps down; a step that is no
+        # number is named too, and True is no step of 1
         with pytest.raises(ValueError, match="^step: "):
             LatticeStep(step)
 
@@ -85,11 +90,16 @@ class TestRepairDiscrete:
             repair_discrete(np.array([0.5, 1.3]), (Continuous(), LatticeStep))
 
     def test_unhashable_kind_rejected(self):
-        # the plan's cache cannot take a list as a key; the kind is named all the same
+        # a list or a dict cannot key the plan's groups; it is named before any grouping
         with pytest.raises(ValueError, match=r"^variable_kinds\[0\]: \[1\] is not a "):
             repair_discrete(np.array([1.3]), [[1]])
         with pytest.raises(ValueError, match=r"^variable_kinds\[1\]: \{\} is not a "):
             repair_discrete(np.array([0.5, 1.3]), [LatticeStep(0.5), {}])
+
+    def test_zero_d_position_rejected(self):
+        # a 0-d position has no last axis to match against the kinds
+        with pytest.raises(ValueError, match="^position length does not match variable kinds$"):
+            repair_discrete(np.float64(1.3), (LatticeStep(0.5),))
 
 
 def full_distance_snap(column, values):
@@ -181,7 +191,7 @@ class TestValueSetRepair:
             assert snapped.tobytes() == np.array([0.0]).tobytes()
 
     def test_members_are_read_only_and_outside_equality(self):
-        # the cached repair plan keys on the kinds: equal sets hash alike and
+        # the repair plan groups columns by kind: equal sets hash alike and
         # share one group, and the array they snap with cannot change under it
         with pytest.raises(ValueError):
             ValueSet((2.4, 2.6)).members[0] = 3.0
@@ -292,17 +302,39 @@ class TestPenalize:
             gap = abs(penalize(p, outside, 1e6) - penalize(p, inside, 1e6))
             assert gap <= 2e6 * eps**2 + abs(p.evaluate(outside)[0] - p.evaluate(inside)[0]) + 1e-9
 
-    @pytest.mark.parametrize("coefficient", [0.0, -1.0, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "coefficient",
+        [0.0, -1.0, np.inf, np.nan, "1", True],
+        ids=["zero", "negative", "inf", "nan", "str", "bool"],
+    )
     def test_wrapper_rejects_a_bad_coefficient_when_built(self, coefficient):
+        # True is no coefficient of 1
         with pytest.raises(ValueError, match="^penalty coefficient must be positive and finite$"):
             to_objective(pressure_vessel(), coefficient=coefficient)
 
+    @pytest.mark.parametrize("coefficient", ["1", True], ids=["str", "bool"])
+    def test_penalize_rejects_a_coefficient_that_is_no_number(self, coefficient):
+        with pytest.raises(ValueError, match="^penalty coefficient must be positive and finite$"):
+            penalize(pressure_vessel(), np.array([0.875, 0.4375, 44.5, 149.0]), coefficient)
+
     def test_wrapper_repairs_before_evaluating(self):
-        p = pressure_vessel()
-        wrapped = to_objective(p, 1e6)
-        raw = np.array([0.871, 0.44, 44.0, 149.0])
-        repaired = repair_discrete(raw, p.variable_kinds)
-        assert wrapped.objective(raw) == penalize(p, repaired, 1e6)
+        # the fitness plans its repair once, when built; it must give the bits of
+        # the public path, which plans it on every call, half-step ties included
+        c = 1e6
+        for p in (pressure_vessel(), stepped_beam(), welded_beam()):
+            wrapped = to_objective(p, c)
+            rows = np.random.default_rng(39).uniform(p.bounds.lower, p.bounds.upper, size=(96, p.dimension))
+            for i, kind in enumerate(p.variable_kinds):
+                if isinstance(kind, LatticeStep):
+                    rows[::3, i] = (np.floor(rows[::3, i] / kind.step) + 0.5) * kind.step
+                elif isinstance(kind, ValueSet):
+                    midpoints = (kind.members[:-1] + kind.members[1:]) / 2.0
+                    rows[::3, i] = midpoints[np.arange(32) % midpoints.size]
+            for x in (rows, rows[3]):
+                expected = penalize(p, repair_discrete(x, p.variable_kinds), c)
+                assert np.asarray(wrapped.objective(x)).tobytes() == np.asarray(expected).tobytes()
+            if p.name != "welded-beam":  # the one design with no discrete kind
+                assert not np.array_equal(repair_discrete(rows, p.variable_kinds), rows)
 
 
 class TestConstrainedProblem:

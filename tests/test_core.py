@@ -162,6 +162,17 @@ class TestRandomStream:
         # adding problems must not shift other problems' seeds
         assert derive_seed(42, "F9", 30, 0) == derive_seed(42, "F9", 30, 0)
 
+    @pytest.mark.parametrize("master_seed", [1.5, 1.0, True, "1", None, float("nan")], ids=repr)
+    def test_derive_seed_rejects_a_master_seed_that_is_no_integer(self, master_seed):
+        # each of these once passed through int() or str(), so 1.5, True and "1" all gave seed 1's runs
+        with pytest.raises(ValueError) as exc:
+            derive_seed(master_seed, "F1", 30, 0)
+        assert str(exc.value) == f"master_seed must be an integer, not {master_seed!r}"
+
+    def test_derive_seed_takes_numpy_integers(self):
+        for master_seed in (np.int64(42), np.uint64(42), np.int8(42)):
+            assert derive_seed(master_seed, "F1", 30, 0) == derive_seed(42, "F1", 30, 0)
+
 
 class TestUniformInBox:
     def test_zero_width_returns_exact_point(self):
